@@ -3,6 +3,7 @@
 #include "bench/Harness.h"
 
 #include "core/TemporalOptimizer.h"
+#include "obs/Log.h"
 #include "obs/Telemetry.h"
 #include "support/Format.h"
 #include "support/Timer.h"
@@ -204,33 +205,6 @@ TelemetryState &telemetryState() {
   return *State;
 }
 
-std::string escapeJson(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
 void flushTelemetry() {
   TelemetryState &State = telemetryState();
   if (!State.TracePath.empty()) {
@@ -245,19 +219,15 @@ void flushTelemetry() {
   if (State.ReportPath.empty())
     return;
   std::ofstream Out(State.ReportPath);
-  Out << "{\n  \"bench\": \"" << escapeJson(State.BenchName) << "\",\n";
+  Out << "{\n  \"bench\": \"" << obs::jsonEscape(State.BenchName) << "\",\n";
   if (!State.SkipReason.empty())
-    Out << "  \"skipped\": \"" << escapeJson(State.SkipReason) << "\",\n";
+    Out << "  \"skipped\": \"" << obs::jsonEscape(State.SkipReason) << "\",\n";
   Out << "  \"results\": [";
   for (size_t I = 0; I != State.Rows.size(); ++I)
     Out << (I ? ",\n    " : "\n    ") << State.Rows[I];
-  Out << (State.Rows.empty() ? "]" : "\n  ]") << ",\n  \"counters\": {";
-  std::vector<std::pair<std::string, int64_t>> Counters =
-      obs::counterSnapshot();
-  for (size_t I = 0; I != Counters.size(); ++I)
-    Out << (I ? ",\n    " : "\n    ") << '"'
-        << escapeJson(Counters[I].first) << "\": " << Counters[I].second;
-  Out << (Counters.empty() ? "}" : "\n  }") << "\n}\n";
+  Out << (State.Rows.empty() ? "]" : "\n  ]") << ",\n  \"counters\": "
+      << obs::renderJsonObject(obs::snapshotMetrics().Counters, "  ")
+      << "\n}\n";
   Out.flush();
   if (!Out.good())
     std::fprintf(stderr, "warning: cannot write bench report %s\n",
@@ -298,7 +268,7 @@ void ltp::bench::reportResult(const std::string &Bench,
   std::string Row = strFormat(
       "{\"bench\": \"%s\", \"config\": \"%s\", \"best_s\": %.9g, "
       "\"median_s\": %.9g, \"stddev_s\": %.9g, \"runs\": %d",
-      escapeJson(Bench).c_str(), escapeJson(Config).c_str(),
+      obs::jsonEscape(Bench).c_str(), obs::jsonEscape(Config).c_str(),
       Stats.BestSeconds, Stats.MedianSeconds, Stats.StddevSeconds,
       Stats.Runs);
   if (!ExtraJson.empty())
@@ -312,14 +282,7 @@ void ltp::bench::reportSkipped(const std::string &Reason) {
 }
 
 void ltp::bench::printTelemetryFooter() {
-  std::vector<std::pair<std::string, int64_t>> Counters =
-      obs::counterSnapshot();
-  if (Counters.empty())
-    return;
-  std::printf("telemetry        :");
-  for (const auto &[Name, Value] : Counters)
-    std::printf(" %s=%lld", Name.c_str(), static_cast<long long>(Value));
-  std::printf("\n");
+  std::fputs(obs::renderFooter(obs::snapshotMetrics()).c_str(), stdout);
 }
 
 int64_t ltp::bench::problemSize(const BenchmarkDef &Def,

@@ -112,8 +112,8 @@ void reportResult(const std::string &Bench, const std::string &Config,
 /// environment skip from an empty run.
 void reportSkipped(const std::string &Reason);
 
-/// Prints every registered telemetry counter as a single footer block.
-/// Counters are process-wide; the footer is the one consistent place
+/// Prints every registered counter and gauge as the `telemetry :` footer
+/// line. Metrics are process-wide; the footer is the one consistent place
 /// benches report JIT / simulator / optimizer activity.
 void printTelemetryFooter();
 

@@ -7,6 +7,7 @@
 #include "lang/ScheduleText.h"
 #include "model/CacheEmu.h"
 #include "model/TileBound.h"
+#include "obs/Log.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -242,30 +243,6 @@ bool unitForward(const AccessStride &S) {
 //===----------------------------------------------------------------------===//
 // Diagnostics plumbing
 //===----------------------------------------------------------------------===//
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
 
 /// Everything the rule implementations share.
 struct LintContext {
@@ -987,12 +964,12 @@ std::string ltp::lint::diagnosticJson(const Diagnostic &D, int StageOrdinal) {
       "{\"stage\": %d, \"rule\": \"%s\", \"severity\": \"%s\", "
       "\"offset\": %zu, \"length\": %zu, \"message\": \"%s\"",
       StageOrdinal, D.RuleId.c_str(), severityName(D.Sev), D.Offset,
-      D.Length, jsonEscape(D.Message).c_str());
+      D.Length, obs::jsonEscape(D.Message).c_str());
   if (D.HasFixIt)
     Out += strFormat(
         ", \"fixit\": {\"offset\": %zu, \"length\": %zu, "
         "\"replacement\": \"%s\"}",
-        D.Fix.Offset, D.Fix.Length, jsonEscape(D.Fix.Replacement).c_str());
+        D.Fix.Offset, D.Fix.Length, obs::jsonEscape(D.Fix.Replacement).c_str());
   Out += "}";
   return Out;
 }

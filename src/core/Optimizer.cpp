@@ -87,15 +87,18 @@ StagePlan ltp::planStage(const Func &F,
   case StatementClass::SpatialReuse: {
     if (Plan.Info.Loops.size() == 2) {
       Timer Phase;
-      Plan.Kind = StagePlan::Mode::Spatial;
       Plan.Spatial = optimizeSpatial(Plan.Info, Plan.Class, Arch,
                                      Options.Temporal.Score);
       Plan.SpatialMillis = Phase.elapsedMillis();
+    }
+    if (Plan.Info.Loops.size() == 2 && Plan.Spatial.Cost >= 0.0) {
+      Plan.Kind = StagePlan::Mode::Spatial;
       Plan.Description =
           std::string("spatial: ") + describeSpatialSchedule(Plan.Spatial);
     } else {
-      // The spatial model covers 2-D statements; higher-rank transposed
-      // statements fall back to the plain treatment.
+      // The spatial model covers 2-D statements with at least one
+      // feasible tiling; higher-rank transposed statements and tiny
+      // extents fall back to the plain treatment.
       Plan.Kind = StagePlan::Mode::ParVec;
       Plan.ComputeParVec = planParVec(Plan.Info, Arch);
       Plan.Description = "spatial(fallback): parallel+vectorize";

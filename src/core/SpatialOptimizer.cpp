@@ -140,7 +140,8 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
         break;
     }
   }
-  assert(Best.Cost >= 0.0 && "no feasible spatial tiling found");
+  if (Best.Cost < 0.0)
+    return Best; // no feasible tiling; the caller falls back
 
   Best.Parallel = true;
   if (Arch.VectorWidth > 1 && Best.TileWidth >= Arch.VectorWidth)

@@ -52,7 +52,8 @@ struct SpatialSchedule {
 /// Runs Algorithm 3. The stage must be two-dimensional with at least one
 /// transposed input (as detected by \p C). \p Score picks the Algorithm 1
 /// tile-height bound path: closed form (with automatic emulator fallback)
-/// or the iterative emulation.
+/// or the iterative emulation. The result's Cost is negative when no
+/// tiling is feasible (e.g. extents below one cache line).
 SpatialSchedule optimizeSpatial(const StageAccessInfo &Info,
                                 const Classification &C,
                                 const ArchParams &Arch,

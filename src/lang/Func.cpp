@@ -22,8 +22,11 @@ struct RVarBinding {
   size_t DimIndex = 0;
 };
 
+/// One registry per thread: a Func is defined on one thread, so
+/// concurrent instance builds (ltp-serve sessions) never see each other's
+/// reduction domains and need no lock.
 std::map<std::string, RVarBinding> &rvarRegistry() {
-  static std::map<std::string, RVarBinding> Registry;
+  thread_local std::map<std::string, RVarBinding> Registry;
   return Registry;
 }
 

@@ -12,9 +12,11 @@
 /// an optional `where` predicate restricts the domain further.
 ///
 /// Reduction variables are resolved by name when an update definition is
-/// created: the RDom registers its variables in a process-wide registry
-/// that the definition scanner consults (see Func.cpp). `where` predicates
-/// must therefore be added before the update definition that uses them.
+/// created: the RDom registers its variables in a per-thread registry
+/// that the definition scanner consults (see Func.cpp). An RDom and the
+/// update definitions that use it must therefore be created on the same
+/// thread, and `where` predicates added before the update definition that
+/// uses them.
 ///
 //===----------------------------------------------------------------------===//
 

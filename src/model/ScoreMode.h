@@ -7,17 +7,15 @@
 /// \file
 /// Selects how optimizer and autotuner candidates are scored:
 ///
-///  * Analytic — closed-form only. The tile bound comes from the
-///    closed-form solution of Algorithm 1 and autotuner candidates are
-///    ranked by the closed-form miss model; inapplicable cases still fall
-///    back to the emulator/simulator (the closed form has hard
-///    applicability conditions), but the fallback is counted so the
-///    `model.*.fallback` telemetry exposes it.
+///  * Auto (default) — closed form whenever its applicability check
+///    passes: the tile bound comes from the closed-form solution of
+///    Algorithm 1 and autotuner candidates are ranked by the closed-form
+///    miss model. Inapplicable cases fall back to the emulator/simulator,
+///    and the fallback is counted so the `model.*.fallback` telemetry
+///    exposes it.
 ///  * Sim — legacy path: the iterative cache emulation of Algorithm 1 for
 ///    tile bounds and the trace-driven `AccessProgram` simulator for
 ///    autotuner scoring.
-///  * Auto (default) — closed form whenever its applicability check
-///    passes, emulation/simulation otherwise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,15 +26,14 @@ namespace ltp {
 namespace model {
 
 enum class ScoreMode {
-  Analytic,
   Sim,
   Auto,
 };
 
-/// Parses "analytic" | "sim" | "auto" (anything else returns false and
-/// leaves \p Out untouched).
+/// Parses "sim" | "auto" (anything else returns false and leaves \p Out
+/// untouched).
 inline bool parseScoreMode(const char *Text, ScoreMode &Out) {
-  const char *A = "analytic", *S = "sim", *U = "auto";
+  const char *S = "sim", *U = "auto";
   auto Eq = [](const char *X, const char *Y) {
     while (*X && *X == *Y) {
       ++X;
@@ -44,10 +41,6 @@ inline bool parseScoreMode(const char *Text, ScoreMode &Out) {
     }
     return *X == *Y;
   };
-  if (Eq(Text, A)) {
-    Out = ScoreMode::Analytic;
-    return true;
-  }
   if (Eq(Text, S)) {
     Out = ScoreMode::Sim;
     return true;
@@ -61,8 +54,6 @@ inline bool parseScoreMode(const char *Text, ScoreMode &Out) {
 
 inline const char *scoreModeName(ScoreMode Mode) {
   switch (Mode) {
-  case ScoreMode::Analytic:
-    return "analytic";
   case ScoreMode::Sim:
     return "sim";
   case ScoreMode::Auto:

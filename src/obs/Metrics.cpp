@@ -1,8 +1,8 @@
-//===- Metrics.cpp - histograms, gauges and Prometheus export -------------===//
+//===- Metrics.cpp - the metrics registry and its renderers ---------------===//
 
 #include "obs/Metrics.h"
 
-#include "obs/Telemetry.h"
+#include "obs/Log.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -142,70 +142,101 @@ double Histogram::Snapshot::quantile(double Q) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Registries
+// Registry and snapshot
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Never-destroyed registries (worker threads may record during process
-/// teardown), matching the Counter registry in Telemetry.cpp.
-template <typename T> struct NamedRegistry {
+/// The one registry, never destroyed (worker threads may record during
+/// process teardown). unique_ptr entries keep handle addresses stable.
+struct Registry {
   std::mutex Mutex;
-  std::map<std::string, std::unique_ptr<T>> Entries;
-
-  T &get(const std::string &Name) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    std::unique_ptr<T> &Slot = Entries[Name];
-    if (!Slot)
-      Slot.reset(new T());
-    return *Slot;
-  }
+  std::map<std::string, std::unique_ptr<Counter>> Counters;
+  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
+  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
 };
 
-NamedRegistry<Histogram> &histogramRegistry() {
-  static NamedRegistry<Histogram> *Registry = new NamedRegistry<Histogram>();
-  return *Registry;
+Registry &registry() {
+  static Registry *R = new Registry();
+  return *R;
 }
 
-NamedRegistry<Gauge> &gaugeRegistry() {
-  static NamedRegistry<Gauge> *Registry = new NamedRegistry<Gauge>();
-  return *Registry;
+template <typename T>
+T &findOrCreate(std::map<std::string, std::unique_ptr<T>> Registry::*Kind,
+                const std::string &Name) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  std::unique_ptr<T> &Slot = (R.*Kind)[Name];
+  if (!Slot)
+    Slot = std::make_unique<T>();
+  return *Slot;
 }
 
 } // namespace
 
-Histogram &ltp::obs::histogram(const std::string &Name) {
-  return histogramRegistry().get(Name);
-}
-
-std::vector<std::pair<std::string, Histogram::Snapshot>>
-ltp::obs::histogramSnapshot() {
-  NamedRegistry<Histogram> &Registry = histogramRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, Histogram::Snapshot>> Out;
-  Out.reserve(Registry.Entries.size());
-  for (const auto &[Name, H] : Registry.Entries)
-    Out.emplace_back(Name, H->snapshot());
-  return Out; // std::map iteration is already name-sorted
+Counter &ltp::obs::counter(const std::string &Name) {
+  return findOrCreate(&Registry::Counters, Name);
 }
 
 Gauge &ltp::obs::gauge(const std::string &Name) {
-  return gaugeRegistry().get(Name);
+  return findOrCreate(&Registry::Gauges, Name);
 }
 
-std::vector<std::pair<std::string, int64_t>> ltp::obs::gaugeSnapshot() {
-  NamedRegistry<Gauge> &Registry = gaugeRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, int64_t>> Out;
-  Out.reserve(Registry.Entries.size());
-  for (const auto &[Name, G] : Registry.Entries)
-    Out.emplace_back(Name, G->value());
-  return Out;
+Histogram &ltp::obs::histogram(const std::string &Name) {
+  return findOrCreate(&Registry::Histograms, Name);
+}
+
+void ltp::obs::resetCounters() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  for (auto &[Name, C] : R.Counters)
+    C->Value.store(0, std::memory_order_relaxed);
+}
+
+MetricsSnapshot ltp::obs::snapshotMetrics() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  MetricsSnapshot S; // std::map iteration is already name-sorted
+  for (const auto &[Name, C] : R.Counters)
+    S.Counters.emplace_back(Name, C->value());
+  for (const auto &[Name, G] : R.Gauges)
+    S.Gauges.emplace_back(Name, G->value());
+  for (const auto &[Name, H] : R.Histograms)
+    S.Histograms.emplace_back(Name, H->snapshot());
+  return S;
 }
 
 //===----------------------------------------------------------------------===//
-// Prometheus export
+// Renderers
 //===----------------------------------------------------------------------===//
+
+std::string ltp::obs::renderJsonObject(const NamedValues &Values,
+                                       const std::string &Indent) {
+  if (Values.empty())
+    return "{}";
+  const std::string Open = Indent.empty() ? "" : "\n" + Indent + "  ";
+  const std::string Sep = Indent.empty() ? ", " : "," + Open;
+  std::string Out = "{" + Open;
+  for (size_t I = 0; I != Values.size(); ++I)
+    Out += (I ? Sep : "") + "\"" + jsonEscape(Values[I].first) +
+           "\": " + std::to_string(Values[I].second);
+  return Out + (Indent.empty() ? "}" : "\n" + Indent + "}");
+}
+
+std::string ltp::obs::renderStatsJson(const MetricsSnapshot &S) {
+  return "\"counters\": " + renderJsonObject(S.Counters) +
+         ", \"gauges\": " + renderJsonObject(S.Gauges);
+}
+
+std::string ltp::obs::renderFooter(const MetricsSnapshot &S) {
+  if (S.Counters.empty() && S.Gauges.empty())
+    return "";
+  std::string Out = "telemetry        :";
+  for (const NamedValues *Values : {&S.Counters, &S.Gauges})
+    for (const auto &[Name, Value] : *Values)
+      Out += " " + Name + "=" + std::to_string(Value);
+  return Out + "\n";
+}
 
 std::string ltp::obs::prometheusName(const std::string &Name) {
   std::string Out = "ltp_";
@@ -218,23 +249,20 @@ std::string ltp::obs::prometheusName(const std::string &Name) {
   return Out;
 }
 
-std::string ltp::obs::renderPrometheusText() {
+std::string ltp::obs::renderPrometheusText(const MetricsSnapshot &S) {
   std::string Out;
   Out.reserve(4096);
 
-  for (const auto &[Name, Value] : counterSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s counter\n%s %lld\n", PName.c_str(),
-                     PName.c_str(), static_cast<long long>(Value));
-  }
+  for (const auto &[Kind, Values] :
+       {std::make_pair("counter", &S.Counters),
+        std::make_pair("gauge", &S.Gauges)})
+    for (const auto &[Name, Value] : *Values) {
+      std::string PName = prometheusName(Name);
+      Out += strFormat("# TYPE %s %s\n%s %lld\n", PName.c_str(), Kind,
+                       PName.c_str(), static_cast<long long>(Value));
+    }
 
-  for (const auto &[Name, Value] : gaugeSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s gauge\n%s %lld\n", PName.c_str(),
-                     PName.c_str(), static_cast<long long>(Value));
-  }
-
-  for (const auto &[Name, Snap] : histogramSnapshot()) {
+  for (const auto &[Name, Snap] : S.Histograms) {
     std::string PName = prometheusName(Name);
     Out += strFormat("# TYPE %s histogram\n", PName.c_str());
     uint64_t Cumulative = 0;
@@ -257,7 +285,7 @@ std::string ltp::obs::renderPrometheusText() {
 
 bool ltp::obs::writeMetricsSnapshot(const std::string &Path,
                                     std::string *Error) {
-  std::string Text = renderPrometheusText();
+  std::string Text = renderPrometheusText(snapshotMetrics());
   std::string TmpPath = Path + ".tmp";
   std::FILE *Out = std::fopen(TmpPath.c_str(), "w");
   if (!Out) {

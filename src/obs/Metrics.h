@@ -1,16 +1,23 @@
-//===- Metrics.h - histograms, gauges and Prometheus export -----*- C++ -*-===//
+//===- Metrics.h - the metrics registry and its renderers -------*- C++ -*-===//
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The production-metrics half of the telemetry layer: always-on,
-/// lock-free latency *histograms* and point-in-time *gauges*, exported
-/// (together with the monotonic counters of Telemetry.h) as Prometheus
-/// text-exposition format via `renderPrometheusText` — scraped over the
-/// wire by the `metrics` serve op and optionally written to a snapshot
-/// file on an interval by `MetricsSnapshotter`.
+/// The one metrics registry of the telemetry layer. It hands out three
+/// kinds of named handle:
+///
+///  * `Counter` — monotonic, always on (one relaxed fetch_add per bump);
+///  * `Gauge` — a point-in-time value that may go down;
+///  * `Histogram` — a lock-free log-linear latency distribution.
+///
+/// `snapshotMetrics()` copies every registered metric into one
+/// `MetricsSnapshot`, and every output surface is a renderer of that
+/// snapshot: the Prometheus text of the `metrics` serve op and of
+/// `MetricsSnapshotter`, the `stats` op's JSON, the bench `--json`
+/// counters block, the `telemetry :` footer and the trace's counter
+/// events (`writeTrace`).
 ///
 /// Histograms use log-linear bucketing over nanoseconds: each power-of-2
 /// octave is split into 8 linear sub-buckets, bounding the relative
@@ -22,8 +29,9 @@
 /// are derived from any snapshot by a cumulative-rank walk with linear
 /// interpolation inside the landing bucket.
 ///
-/// Recording honours `metricsEnabled()` at the call site (callers guard
-/// their observe calls); `-DLTP_OBS_DISABLED` compiles the guard to a
+/// Counters are always on. Histogram observations (and gauges whose
+/// call site chooses to) honour `metricsEnabled()`: callers guard their
+/// observe calls, and `-DLTP_OBS_DISABLED` compiles the guard to a
 /// constant false.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,7 +59,7 @@ namespace detail {
 extern std::atomic<bool> MetricsEnabled;
 } // namespace detail
 
-/// True when histogram/gauge recording is active.
+/// True when guarded histogram/gauge recording is active.
 inline bool metricsEnabled() {
 #ifdef LTP_OBS_DISABLED
   return false;
@@ -63,6 +71,25 @@ inline bool metricsEnabled() {
 /// Turns metric recording on or off (bench/serve_load measures the
 /// overhead of the "on" state against this "off" state).
 void setMetricsEnabled(bool Enabled);
+
+//===----------------------------------------------------------------------===//
+// Counter
+//===----------------------------------------------------------------------===//
+
+/// One named monotonic counter, always on.
+class Counter {
+public:
+  Counter() = default;
+  Counter(const Counter &) = delete;
+  Counter &operator=(const Counter &) = delete;
+
+  void add(int64_t N = 1) { Value.fetch_add(N, std::memory_order_relaxed); }
+  int64_t value() const { return Value.load(std::memory_order_relaxed); }
+
+private:
+  friend void resetCounters();
+  std::atomic<int64_t> Value{0};
+};
 
 //===----------------------------------------------------------------------===//
 // Histogram
@@ -121,14 +148,6 @@ private:
   std::atomic<uint64_t> SumNanos{0};
 };
 
-/// Finds or creates the histogram named \p Name. Thread-safe; the
-/// returned reference stays valid for the process lifetime — cache it in
-/// a function-local static when observing from a hot path.
-Histogram &histogram(const std::string &Name);
-
-/// Snapshots of every registered histogram, sorted by name.
-std::vector<std::pair<std::string, Histogram::Snapshot>> histogramSnapshot();
-
 //===----------------------------------------------------------------------===//
 // Gauge
 //===----------------------------------------------------------------------===//
@@ -151,29 +170,61 @@ private:
   std::atomic<int64_t> Value{0};
 };
 
-/// Finds or creates the gauge named \p Name (same lifetime contract as
-/// histogram()).
+//===----------------------------------------------------------------------===//
+// Registry and snapshot
+//===----------------------------------------------------------------------===//
+
+/// Find or create the metric of that kind named \p Name. Thread-safe; the
+/// returned reference stays valid for the process lifetime — cache it in
+/// a function-local static when recording from a hot path.
+Counter &counter(const std::string &Name);
 Gauge &gauge(const std::string &Name);
+Histogram &histogram(const std::string &Name);
 
-/// All registered gauges with their current values, sorted by name.
-std::vector<std::pair<std::string, int64_t>> gaugeSnapshot();
+/// Zeroes every registered counter; handles stay valid (tests).
+void resetCounters();
+
+using NamedValues = std::vector<std::pair<std::string, int64_t>>;
+
+/// A point-in-time copy of every registered metric, each kind sorted by
+/// name.
+struct MetricsSnapshot {
+  NamedValues Counters;
+  NamedValues Gauges;
+  std::vector<std::pair<std::string, Histogram::Snapshot>> Histograms;
+};
+
+MetricsSnapshot snapshotMetrics();
 
 //===----------------------------------------------------------------------===//
-// Prometheus export
+// Renderers
 //===----------------------------------------------------------------------===//
+
+/// Renders \p Values as a JSON object of integers: `{"a": 1, "b": 2}` on
+/// one line, or one member per line when \p Indent is non-empty (members
+/// at \p Indent plus two spaces, the closing brace at \p Indent).
+std::string renderJsonObject(const NamedValues &Values,
+                             const std::string &Indent = "");
+
+/// The `stats` op's members: `"counters": {...}, "gauges": {...}`.
+std::string renderStatsJson(const MetricsSnapshot &S);
+
+/// The `telemetry :` footer line (every counter, then every gauge, as
+/// `name=value`), or an empty string when nothing is registered.
+std::string renderFooter(const MetricsSnapshot &S);
 
 /// Mangles a registry name into a Prometheus metric name: "ltp_" prefix,
 /// non-alphanumerics to '_' ("serve.request_ms" → "ltp_serve_request_ms").
 std::string prometheusName(const std::string &Name);
 
-/// Renders every counter, gauge and histogram in Prometheus text
+/// Renders every counter, gauge and histogram of \p S in Prometheus text
 /// exposition format (`# TYPE` line per family; cumulative `_bucket`
 /// samples with an explicit `+Inf`, then `_sum` and `_count`, per
 /// histogram). Empty histogram buckets are elided.
-std::string renderPrometheusText();
+std::string renderPrometheusText(const MetricsSnapshot &S);
 
-/// Writes renderPrometheusText() to \p Path (atomically, via a .tmp
-/// rename). Returns false and fills \p Error on I/O failure.
+/// Writes the Prometheus text of a fresh snapshot to \p Path (atomically,
+/// via a .tmp rename). Returns false and fills \p Error on I/O failure.
 bool writeMetricsSnapshot(const std::string &Path,
                           std::string *Error = nullptr);
 

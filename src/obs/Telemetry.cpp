@@ -1,4 +1,4 @@
-//===- Telemetry.cpp - spans, counters and trace export -------------------===//
+//===- Telemetry.cpp - spans and trace export -----------------------------===//
 
 #include "obs/Telemetry.h"
 
@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 
@@ -140,51 +139,6 @@ void ltp::obs::clearTrace() {
 }
 
 //===----------------------------------------------------------------------===//
-// Counter registry
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct CounterRegistry {
-  std::mutex Mutex;
-  /// unique_ptr entries keep Counter addresses stable across rehashing.
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-};
-
-CounterRegistry &counterRegistry() {
-  static CounterRegistry *Registry = new CounterRegistry();
-  return *Registry;
-}
-
-} // namespace
-
-Counter &ltp::obs::counter(const std::string &Name) {
-  CounterRegistry &Registry = counterRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::unique_ptr<Counter> &Slot = Registry.Counters[Name];
-  if (!Slot)
-    Slot.reset(new Counter());
-  return *Slot;
-}
-
-std::vector<std::pair<std::string, int64_t>> ltp::obs::counterSnapshot() {
-  CounterRegistry &Registry = counterRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, int64_t>> Out;
-  Out.reserve(Registry.Counters.size());
-  for (const auto &[Name, C] : Registry.Counters)
-    Out.emplace_back(Name, C->value());
-  return Out; // std::map iteration is already name-sorted
-}
-
-void ltp::obs::resetCounters() {
-  CounterRegistry &Registry = counterRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  for (auto &[Name, C] : Registry.Counters)
-    C->set(0);
-}
-
-//===----------------------------------------------------------------------===//
 // Trace export
 //===----------------------------------------------------------------------===//
 
@@ -255,7 +209,7 @@ bool ltp::obs::writeTrace(const std::string &Path, std::string *Error) {
   }
 
   // One terminal sample per counter, as Chrome counter events.
-  for (const auto &[Name, Value] : counterSnapshot()) {
+  for (const auto &[Name, Value] : snapshotMetrics().Counters) {
     Comma();
     std::fprintf(Out,
                  "{\"name\":\"%s\",\"cat\":\"ltp\",\"ph\":\"C\","

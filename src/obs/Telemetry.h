@@ -1,18 +1,16 @@
-//===- Telemetry.h - spans, counters and trace export -----------*- C++ -*-===//
+//===- Telemetry.h - spans and trace export ---------------------*- C++ -*-===//
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The instrumentation core of the unified telemetry layer:
-///
-///  * RAII *scoped spans* recording wall-clock intervals into per-thread
-///    buffers, exported as a Chrome-trace-event JSON file that Perfetto
-///    and chrome://tracing load directly (`writeTrace`);
-///  * a process-wide *counter registry* of named monotonic counters
-///    (always on — one relaxed fetch_add per bump) that every bench
-///    prints as a single consistent telemetry footer.
+/// The tracing half of the telemetry layer: RAII *scoped spans*
+/// recording wall-clock intervals into per-thread buffers, exported as a
+/// Chrome-trace-event JSON file that Perfetto and chrome://tracing load
+/// directly (`writeTrace`). Counters, gauges and histograms live in the
+/// metrics registry (Metrics.h), included here so that every
+/// instrumented layer reaches `obs::counter` through this header.
 ///
 /// Tracing is off by default. It is enabled programmatically
 /// (`setTracingEnabled`) — the `--trace-json=FILE` flag of ltp-opt and of
@@ -27,11 +25,12 @@
 #ifndef LTP_OBS_TELEMETRY_H
 #define LTP_OBS_TELEMETRY_H
 
+#include "obs/Metrics.h"
+
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace ltp {
 namespace obs {
@@ -58,38 +57,6 @@ inline bool tracingEnabled() {
 /// Turns span recording on or off (on also honours LTP_TRACE=1 at
 /// process start, checked during static initialization).
 void setTracingEnabled(bool Enabled);
-
-//===----------------------------------------------------------------------===//
-// Counter registry
-//===----------------------------------------------------------------------===//
-
-/// One named monotonic counter. Handles returned by counter() are stable
-/// for the process lifetime; cache them in a function-local static when
-/// bumping from a hot path.
-class Counter {
-public:
-  void add(int64_t N = 1) { Value.fetch_add(N, std::memory_order_relaxed); }
-  /// Gauge-style overwrite (e.g. "last run's access count").
-  void set(int64_t N) { Value.store(N, std::memory_order_relaxed); }
-  int64_t value() const { return Value.load(std::memory_order_relaxed); }
-
-private:
-  friend Counter &counter(const std::string &Name);
-  Counter() = default;
-  std::atomic<int64_t> Value{0};
-};
-
-/// Finds or creates the counter named \p Name. Thread-safe; the returned
-/// reference stays valid forever (resetCounters zeroes values, it never
-/// removes entries).
-Counter &counter(const std::string &Name);
-
-/// All counters with non-default values need not be filtered here: the
-/// snapshot returns every registered counter, sorted by name.
-std::vector<std::pair<std::string, int64_t>> counterSnapshot();
-
-/// Zeroes every registered counter (tests).
-void resetCounters();
 
 //===----------------------------------------------------------------------===//
 // Scoped spans
@@ -151,7 +118,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Writes every recorded span (all threads) plus one terminal sample per
-/// registered counter as Chrome trace events:
+/// counter of a metrics snapshot as Chrome trace events:
 /// `{"traceEvents":[{"name":...,"ph":"X","ts":...,"dur":...,...}]}`.
 /// Timestamps are microseconds from the trace epoch. Returns false and
 /// fills \p Error on I/O failure.

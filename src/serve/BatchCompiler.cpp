@@ -2,7 +2,6 @@
 
 #include "serve/BatchCompiler.h"
 
-#include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "support/Format.h"
 
@@ -11,9 +10,9 @@ using namespace ltp::serve;
 
 namespace {
 
-obs::Counter &queueDepthGauge() {
-  static obs::Counter &C = obs::counter("serve.queue_depth");
-  return C;
+obs::Gauge &queueDepthGauge() {
+  static obs::Gauge &G = obs::gauge("serve.batch_queue_depth");
+  return G;
 }
 obs::Counter &flushesCounter() {
   static obs::Counter &C = obs::counter("serve.batch.flushes");
@@ -22,17 +21,6 @@ obs::Counter &flushesCounter() {
 obs::Counter &jobsCounter() {
   static obs::Counter &C = obs::counter("serve.batch.jobs");
   return C;
-}
-
-/// Mirrors the queue depth into the metrics registry so the Prometheus
-/// exposition types it as the gauge it is (the Counter above stays for
-/// the stats-op surface).
-void setQueueDepth(int64_t Depth) {
-  queueDepthGauge().set(Depth);
-  if (obs::metricsEnabled()) {
-    static obs::Gauge &G = obs::gauge("serve.batch_queue_depth");
-    G.set(Depth);
-  }
 }
 
 } // namespace
@@ -59,7 +47,7 @@ BatchCompiler::submit(std::vector<CompileJob> Jobs, std::string RequestId) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Queue.push_back(std::move(P));
-    setQueueDepth(static_cast<int64_t>(Queue.size()));
+    queueDepthGauge().set(static_cast<int64_t>(Queue.size()));
   }
   HasWork.notify_one();
   return F;
@@ -75,7 +63,7 @@ void BatchCompiler::drainLoop() {
     // runs coalesce into the next flush.
     std::vector<Pending> Taken;
     Taken.swap(Queue);
-    setQueueDepth(0);
+    queueDepthGauge().set(0);
     Lock.unlock();
 
     std::vector<CompileJob> All;

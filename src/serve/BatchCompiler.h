@@ -14,10 +14,9 @@
 /// costs a handful of compileMany calls (each fanning cold builds across
 /// the process thread pool) instead of N serialized compiles.
 ///
-/// Telemetry: `serve.queue_depth` (gauge: batches waiting when the
-/// drainer last looked; mirrored into the metrics-registry gauge
-/// `serve.batch_queue_depth` for the Prometheus surface),
-/// `serve.batch.flushes`, `serve.batch.jobs`. Each flush's span lists
+/// Telemetry: the gauge `serve.batch_queue_depth` (batches waiting when
+/// the drainer last looked) and the counters `serve.batch.flushes` and
+/// `serve.batch.jobs`. Each flush's span lists
 /// the request IDs whose jobs it carried, so a batched compile is
 /// attributable to the requests that coalesced into it.
 ///

@@ -125,7 +125,7 @@ Response OptimizerService::handleKeyed(const Request &Req) {
   model::ScoreMode Mode = model::ScoreMode::Auto;
   if (!model::parseScoreMode(EReq.ScoreModeText.c_str(), Mode))
     return badRequest(Req, "bad score_mode '" + EReq.ScoreModeText +
-                               "' (want analytic|sim|auto)");
+                               "' (want sim|auto)");
   if (!findBenchmark(EReq.Kernel))
     return badRequest(Req, "unknown kernel '" + EReq.Kernel + "'");
 

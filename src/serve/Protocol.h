@@ -70,7 +70,7 @@ struct Request {
   /// Inline platform description (ArchFile key=value text); when
   /// non-empty it overrides ArchName.
   std::string ArchText;
-  /// Candidate scoring path: analytic | sim | auto (default auto).
+  /// Candidate scoring path: sim | auto (default auto).
   std::string ScoreModeText = "auto";
   /// Allow non-temporal stores (default true).
   bool EnableNTI = true;

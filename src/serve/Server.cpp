@@ -43,26 +43,8 @@ bool writeLine(int Fd, const std::string &Data) {
 }
 
 std::string statsJson() {
-  std::string Out = "{\"ok\": true, \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : obs::counterSnapshot()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += strFormat("\"%s\": %lld", Name.c_str(),
-                     static_cast<long long>(Value));
-  }
-  Out += "}, \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : obs::gaugeSnapshot()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += strFormat("\"%s\": %lld", Name.c_str(),
-                     static_cast<long long>(Value));
-  }
-  Out += "}}";
-  return Out;
+  return "{\"ok\": true, " + obs::renderStatsJson(obs::snapshotMetrics()) +
+         "}";
 }
 
 /// Common prefix of the inline-op responses: ok + echoed id + the
@@ -81,7 +63,8 @@ std::string metricsJson(const Request &Req) {
   // string field, keeping the wire protocol uniformly line-JSON; the
   // client's --metrics flag unescapes it back to scrapeable text.
   return responseHead(Req) + ", \"metrics\": \"" +
-         obs::jsonEscape(obs::renderPrometheusText()) + "\"}";
+         obs::jsonEscape(obs::renderPrometheusText(obs::snapshotMetrics())) +
+         "\"}";
 }
 
 std::string dumpJson(const Request &Req) {
@@ -131,13 +114,13 @@ bool Server::start(std::string *Error) {
   if (::listen(ListenFd, 128) < 0)
     return Fail("listen");
 
-  Acceptor = std::thread([this] { acceptLoop(); });
+  Acceptor = std::thread([this, Fd = ListenFd] { acceptLoop(Fd); });
   return true;
 }
 
-void Server::acceptLoop() {
+void Server::acceptLoop(int ListenSocket) {
   for (;;) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    int Fd = ::accept(ListenSocket, nullptr, nullptr);
     if (Fd < 0) {
       if (errno == EINTR)
         continue;

@@ -71,7 +71,9 @@ public:
   OptimizerService &service() { return Service; }
 
 private:
-  void acceptLoop();
+  /// Accepts on \p ListenSocket, a copy of ListenFd: teardown resets the
+  /// member while this loop may still be reading it.
+  void acceptLoop(int ListenSocket);
   void handleConnection(int Fd);
   /// Closes the listening socket, wakes handlers, joins all threads.
   void teardown();

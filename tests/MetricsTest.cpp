@@ -26,6 +26,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -145,7 +147,7 @@ TEST(Gauge, SetAddAndRegistryIdentity) {
   // The registry hands back the same instance for the same name.
   EXPECT_EQ(&G, &gauge("test.metrics_gauge"));
   bool Found = false;
-  for (const auto &[Name, Value] : gaugeSnapshot())
+  for (const auto &[Name, Value] : snapshotMetrics().Gauges)
     if (Name == "test.metrics_gauge") {
       Found = true;
       EXPECT_EQ(Value, 4);
@@ -165,7 +167,7 @@ TEST(Exposition, RenderedTextPassesTheChecker) {
   histogram("test.render_ms").observe(40.0);
   gauge("test.render_gauge").set(7);
 
-  std::string Text = renderPrometheusText();
+  std::string Text = renderPrometheusText(snapshotMetrics());
   std::string Summary, Error;
   EXPECT_TRUE(checkMetricsText(Text, &Summary, &Error)) << Error;
 
@@ -174,6 +176,64 @@ TEST(Exposition, RenderedTextPassesTheChecker) {
     if (Name == "ltp_test_render_ms")
       SawHistogram = true;
   EXPECT_TRUE(SawHistogram) << Text;
+}
+
+// Every surface renders the one snapshot: each counter and gauge must
+// show the same value in the Prometheus text, the stats JSON and the
+// footer, and no surface may list a metric the snapshot lacks.
+TEST(Exposition, RenderersAgreeOnOneSnapshot) {
+  counter("test.agree_counter").add(5);
+  gauge("test.agree_gauge").set(-3);
+  histogram("test.agree_ms").observe(2.0);
+  const MetricsSnapshot S = snapshotMetrics();
+  ASSERT_FALSE(S.Counters.empty());
+  ASSERT_FALSE(S.Gauges.empty());
+
+  // Prometheus: the `name value` sample of each counter/gauge family.
+  std::map<std::string, std::string> Prom;
+  std::istringstream Lines(renderPrometheusText(S));
+  std::string Kind;
+  for (std::string Line; std::getline(Lines, Line);) {
+    std::istringstream Fields(Line);
+    std::string First, Second, Family;
+    Fields >> First >> Second;
+    if (First == "#")
+      Fields >> Family >> Kind; // `# TYPE <family> <kind>`
+    else if (Kind != "histogram")
+      Prom[First] = Second;
+  }
+
+  std::string Error;
+  std::unique_ptr<JsonValue> Stats =
+      parseJson("{\"ok\": true, " + renderStatsJson(S) + "}", &Error);
+  ASSERT_TRUE(Stats) << Error;
+
+  const std::string FooterLine = renderFooter(S);
+  ASSERT_EQ(FooterLine.rfind("telemetry        :", 0), 0u) << FooterLine;
+  std::map<std::string, std::string> Footer;
+  std::istringstream Tokens(FooterLine.substr(FooterLine.find(':') + 1));
+  for (std::string Token; Tokens >> Token;)
+    Footer[Token.substr(0, Token.find('='))] =
+        Token.substr(Token.find('=') + 1);
+
+  size_t Listed = 0;
+  for (const auto &[Block, Values] : {std::make_pair("counters", &S.Counters),
+                                      std::make_pair("gauges", &S.Gauges)}) {
+    const JsonValue *Object = Stats->find(Block);
+    ASSERT_NE(Object, nullptr) << Block;
+    EXPECT_EQ(Object->Members.size(), Values->size()) << Block;
+    for (const auto &[Name, Value] : *Values) {
+      const std::string Want = std::to_string(Value);
+      EXPECT_EQ(Prom[prometheusName(Name)], Want) << Name;
+      const JsonValue *Member = Object->find(Name);
+      ASSERT_NE(Member, nullptr) << Name;
+      EXPECT_EQ(Member->NumberValue, static_cast<double>(Value)) << Name;
+      EXPECT_EQ(Footer[Name], Want) << Name;
+    }
+    Listed += Values->size();
+  }
+  EXPECT_EQ(Prom.size(), Listed);
+  EXPECT_EQ(Footer.size(), Listed);
 }
 
 TEST(Exposition, CheckerRejectsSeededCorruptions) {

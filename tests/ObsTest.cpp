@@ -73,9 +73,10 @@ TEST_F(ObsTest, CounterHandlesAreStable) {
 }
 
 TEST_F(ObsTest, CounterSnapshotIsSortedAndComplete) {
-  obs::counter("test.zz").set(7);
-  obs::counter("test.aa").set(3);
-  auto Snapshot = obs::counterSnapshot();
+  obs::resetCounters();
+  obs::counter("test.zz").add(7);
+  obs::counter("test.aa").add(3);
+  const obs::NamedValues Snapshot = obs::snapshotMetrics().Counters;
   ASSERT_GE(Snapshot.size(), 2u);
   for (size_t I = 1; I != Snapshot.size(); ++I)
     EXPECT_LT(Snapshot[I - 1].first, Snapshot[I].first);

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Legality.h"
 #include "benchmarks/Benchmarks.h"
 #include "benchmarks/PipelineRunner.h"
 #include "model/CacheEmu.h"
@@ -45,6 +46,12 @@ struct ClassCase {
   StatementClass Want;
   bool WantNTI;
 };
+
+/// Prints the benchmark name; gtest's default byte dump would embed the
+/// address of Name, which changes from run to run under ASLR.
+void PrintTo(const ClassCase &Case, std::ostream *OS) {
+  *OS << '"' << Case.Name << '"';
+}
 
 class ClassifierSuite : public ::testing::TestWithParam<ClassCase> {};
 
@@ -87,29 +94,55 @@ INSTANTIATE_TEST_SUITE_P(
       return Name;
     });
 
-class OptimizedCorrectness
-    : public ::testing::TestWithParam<const char *> {};
+/// A benchmark at its test size, or at an explicit \p Size.
+struct SizedCase {
+  SizedCase(const char *Name, int64_t Size = 0) : Name(Name), Size(Size) {}
+  const char *Name;
+  int64_t Size;
+};
 
-TEST_P(OptimizedCorrectness, OptimizedScheduleMatchesReference) {
-  const BenchmarkDef *Def = findBenchmark(GetParam());
-  ASSERT_NE(Def, nullptr);
-  BenchmarkInstance Instance = Def->Create(testSize(GetParam()));
-  optimizeInstance(Instance, intelI7_6700());
-  runInterpreted(Instance);
-  EXPECT_TRUE(verifyOutput(Instance)) << "benchmark " << GetParam();
+/// Prints a default-size case exactly as its bare name would print.
+void PrintTo(const SizedCase &Case, std::ostream *OS) {
+  *OS << '"' << Case.Name << '"';
+  if (Case.Size)
+    *OS << " at size " << Case.Size;
 }
 
+class OptimizedCorrectness : public ::testing::TestWithParam<SizedCase> {};
+
+TEST_P(OptimizedCorrectness, OptimizedScheduleMatchesReference) {
+  const SizedCase &Case = GetParam();
+  const BenchmarkDef *Def = findBenchmark(Case.Name);
+  ASSERT_NE(Def, nullptr);
+  BenchmarkInstance Instance =
+      Def->Create(Case.Size ? Case.Size : testSize(Case.Name));
+  optimizeInstance(Instance, intelI7_6700());
+  for (size_t S = 0; S != Instance.Stages.size(); ++S)
+    for (const analysis::LegalityReport &R : analysis::verifyFuncSchedule(
+             Instance.Stages[S], Instance.StageExtents[S]))
+      EXPECT_FALSE(R.hasErrors()) << Case.Name << ": " << R.message();
+  runInterpreted(Instance);
+  EXPECT_TRUE(verifyOutput(Instance)) << "benchmark " << Case.Name;
+}
+
+// Sizes below one cache line of columns leave the spatial optimizer no
+// feasible tiling; tp and tpm at size 8 pin the parallel+vectorize
+// fallback.
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, OptimizedCorrectness,
                          ::testing::Values("convlayer", "doitgen", "matmul",
                                            "3mm", "gemm", "trmm", "syrk",
                                            "syr2k", "tpm", "tp", "copy",
-                                           "mask"),
-                         [](const ::testing::TestParamInfo<const char *>
+                                           "mask", SizedCase("tpm", 8),
+                                           SizedCase("tp", 8)),
+                         [](const ::testing::TestParamInfo<SizedCase>
                                 &Info) {
-                           std::string Name = Info.param;
+                           std::string Name = Info.param.Name;
                            for (char &C : Name)
                              if (C == '3')
                                C = 'T';
+                           if (Info.param.Size)
+                             Name += "_size" +
+                                     std::to_string(Info.param.Size);
                            return Name;
                          });
 

@@ -13,6 +13,7 @@
 #include "benchmarks/Benchmarks.h"
 #include "benchmarks/PipelineRunner.h"
 #include "core/Optimizer.h"
+#include "ir/IRPrinter.h"
 #include "lang/ScheduleText.h"
 #include "obs/Telemetry.h"
 #include "serve/OptimizerService.h"
@@ -40,13 +41,13 @@ namespace {
 TEST(ServeProtocol, ParsesFullRequestAndDefaults) {
   auto Req = parseRequest(
       "{\"op\": \"optimize\", \"kernel\": \"matmul\", \"size\": 64, "
-      "\"arch\": \"6700\", \"score_mode\": \"analytic\", \"nti\": false, "
+      "\"arch\": \"6700\", \"score_mode\": \"sim\", \"nti\": false, "
       "\"compile\": false, \"id\": \"r1\"}");
   ASSERT_TRUE(static_cast<bool>(Req)) << Req.getError();
   EXPECT_EQ(Req->Kernel, "matmul");
   EXPECT_EQ(Req->Size, 64);
   EXPECT_EQ(Req->ArchName, "6700");
-  EXPECT_EQ(Req->ScoreModeText, "analytic");
+  EXPECT_EQ(Req->ScoreModeText, "sim");
   EXPECT_FALSE(Req->EnableNTI);
   EXPECT_FALSE(Req->Compile);
   EXPECT_EQ(Req->Id, "r1");
@@ -168,11 +169,14 @@ TEST(ServeService, RejectsUnknownKernelAndBadMode) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
 
-  Req = optimizeRequest("copy", 32);
-  Req.ScoreModeText = "bogus";
-  R = Service.handle(Req);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
+  // "analytic" is not a score mode: "auto" is the closed-form path.
+  for (const char *Mode : {"bogus", "analytic"}) {
+    Req = optimizeRequest("copy", 32);
+    Req.ScoreModeText = Mode;
+    R = Service.handle(Req);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
+  }
   // Bad requests never enter the dedup table.
   EXPECT_EQ(Service.dedupTableSize(), 0u);
 }
@@ -222,6 +226,34 @@ TEST(ServeService, DefaultSizeDedupsWithExplicitDefault) {
   ASSERT_TRUE(B.Ok);
   EXPECT_EQ(A.KeyHash, B.KeyHash);
   EXPECT_EQ(B.Dedup, DedupOutcome::Cached);
+}
+
+// Concurrent instance builds must each bind their own reduction domains:
+// every thread builds matmul/syrk at its own size, and the reduction loop
+// of the lowered nest must span exactly that size.
+TEST(ServeService, ConcurrentBuildsBindTheirOwnReductionDomains) {
+  constexpr int NumThreads = 8;
+  constexpr int BuildsPerThread = 16;
+  std::vector<std::string> Failures(NumThreads);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([T, &Failures] {
+      const BenchmarkDef *Def = findBenchmark(T % 2 ? "syrk" : "matmul");
+      const int64_t Size = 16 + 4 * T;
+      const std::string Want =
+          "for k in [0, 0 + " + std::to_string(Size) + ")";
+      for (int I = 0; I != BuildsPerThread && Failures[T].empty(); ++I) {
+        BenchmarkInstance Instance = Def->Create(Size);
+        std::string Nest = ir::printStmt(lowerPipeline(Instance).back());
+        if (Nest.find(Want) == std::string::npos)
+          Failures[T] = Def->Name + " size " + std::to_string(Size) +
+                        " lowered to:\n" + Nest;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::string &F : Failures)
+    EXPECT_EQ(F, "");
 }
 
 TEST(ServeService, IllegalScheduleIsClassifiedAndCached) {

@@ -10,7 +10,7 @@
 // Usage:
 //   ltp-opt <benchmark>|all [--arch 5930k|6700|a15|host] [--size N]
 //           [--schedule "<directives>"] [--emit-c] [--simulate]
-//           [--score-mode analytic|sim|auto] [--no-nti] [--run]
+//           [--score-mode sim|auto] [--no-nti] [--run]
 //           [--compile] [--verify] [--lint] [--lint-fix] [--json]
 //           [--explain] [--trace-json FILE]
 //
@@ -71,12 +71,10 @@ void printUsage() {
       "  --emit-c                     print the generated C kernel(s)\n"
       "  --simulate                   run the cache simulator and report "
       "misses\n"
-      "  --score-mode analytic|sim|auto\n"
-      "                               candidate scoring path: closed-form "
-      "miss model,\n"
-      "                               cache emulation/simulation, or "
-      "closed-form with\n"
-      "                               automatic fallback (default auto)\n"
+      "  --score-mode sim|auto         candidate scoring path: cache "
+      "emulation/simulation,\n"
+      "                               or closed-form with automatic "
+      "fallback (default auto)\n"
       "  --no-nti                     disable non-temporal stores\n"
       "  --run                        JIT-compile and time the pipeline\n"
       "  --compile                    JIT-compile the pipeline into the\n"
@@ -239,7 +237,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   if (!model::parseScoreMode(Args.getString("score-mode", "auto").c_str(),
                              Mode)) {
     std::fprintf(stderr,
-                 "error: bad --score-mode '%s' (want analytic|sim|auto)\n",
+                 "error: bad --score-mode '%s' (want sim|auto)\n",
                  Args.getString("score-mode", "").c_str());
     return 1;
   }
@@ -445,34 +443,9 @@ int main(int Argc, char **Argv) {
   }
 
   // Scoring-path telemetry: how many candidates each path handled and how
-  // often the closed-form tile bound applied.
-  if (Rc == 0 && !Args.has("schedule")) {
-    int64_t Cand = 0, CandAnalytic = 0, CandSim = 0;
-    int64_t BoundAnalytic = 0, BoundEmulated = 0, BoundFallback = 0;
-    for (const auto &[CounterName, Value] : obs::counterSnapshot()) {
-      if (CounterName == "opt.candidates")
-        Cand = Value;
-      else if (CounterName == "opt.candidates.analytic")
-        CandAnalytic = Value;
-      else if (CounterName == "opt.candidates.sim")
-        CandSim = Value;
-      else if (CounterName == "model.bound.analytic")
-        BoundAnalytic = Value;
-      else if (CounterName == "model.bound.emulated")
-        BoundEmulated = Value;
-      else if (CounterName == "model.bound.fallback")
-        BoundFallback = Value;
-    }
-    std::printf("telemetry : %lld candidates scored (analytic %lld, "
-                "sim %lld); tile bounds: analytic %lld, emulated %lld, "
-                "fallback %lld\n",
-                static_cast<long long>(Cand),
-                static_cast<long long>(CandAnalytic),
-                static_cast<long long>(CandSim),
-                static_cast<long long>(BoundAnalytic),
-                static_cast<long long>(BoundEmulated),
-                static_cast<long long>(BoundFallback));
-  }
+  // often the closed-form tile bound applied, among every other metric.
+  if (Rc == 0 && !Args.has("schedule"))
+    std::fputs(obs::renderFooter(obs::snapshotMetrics()).c_str(), stdout);
 
   if (Args.has("trace-json")) {
     std::string Path = Args.getString("trace-json", "trace.json");
