@@ -32,17 +32,12 @@ namespace {
 /// 3-tap horizontal blur: a pure streaming stencil, no reduction loops.
 /// Not part of the Table-4 suite; defined here to cover the stencil shape
 /// in the SIMD-vs-pragma comparison.
-BenchmarkInstance makeBlur(int64_t N) {
+BenchmarkInstance blurShape(int64_t N) {
   BenchmarkInstance I;
   I.Name = "blur";
-  auto In = std::make_shared<Buffer<float>>(std::vector<int64_t>{N + 2, N});
-  In->fillRandom(21);
-  auto Out = std::make_shared<Buffer<float>>(std::vector<int64_t>{N, N});
-  auto Exp = std::make_shared<Buffer<float>>(std::vector<int64_t>{N, N});
-  I.Buffers["In"] = In->ref();
-  I.Buffers["Blur"] = Out->ref();
-  I.ExpectedRef = Exp->ref();
-  I.Storage = {In, Out, Exp};
+  addBuffer<float>(I, "In", {N + 2, N}, 21);
+  addBuffer<float>(I, "Blur", {N, N}, 0);
+  addExpected<float>(I, {N, N});
 
   Var X("x"), Y("y");
   InputBuffer InB("In", ir::Type::float32(), 2);
@@ -54,10 +49,9 @@ BenchmarkInstance makeBlur(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Blur";
   I.Work = 3.0 * static_cast<double>(N) * N;
-  Buffer<float> *PIn = In.get(), *PExp = Exp.get();
-  I.FillExpected = [PIn, PExp, N] {
-    const float *P = PIn->data();
-    float *E = PExp->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *P = Self.data<float>("In");
+    float *E = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col)
         E[Row * N + Col] = (P[Row * (N + 2) + Col] +
@@ -69,8 +63,10 @@ BenchmarkInstance makeBlur(int64_t N) {
 }
 
 BenchmarkInstance makeInstance(const std::string &Name, int64_t Size) {
+  static const BenchmarkDef Blur{"blur", "3-tap horizontal blur", 0, 0,
+                                 blurShape};
   if (Name == "blur")
-    return makeBlur(Size);
+    return Blur.Create(Size);
   return findBenchmark(Name)->Create(Size);
 }
 

@@ -2,35 +2,63 @@
 
 #include "benchmarks/Benchmarks.h"
 
+#include "support/Format.h"
+
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace ltp;
 
 namespace {
 
-/// Allocates a named buffer inside the instance and returns the typed
-/// handle (kept alive by Instance.Storage).
-template <typename T>
-Buffer<T> *addBuffer(BenchmarkInstance &Instance, const std::string &Name,
-                     std::vector<int64_t> Extents, uint32_t Seed) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  if (Seed != 0)
-    Owned->fillRandom(Seed);
-  Instance.Buffers[Name] = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
+/// Why buffer \p Name cannot be allocated; empty when it can. The byte
+/// size includes Buffer<T>'s round-up to its 64-byte alignment.
+std::string bufferError(const std::string &Name, const BufferRef &Ref) {
+  int64_t Elements = 1;
+  for (int64_t Extent : Ref.Extents) {
+    if (Extent <= 0)
+      return strFormat("buffer '%s' has extent %lld", Name.c_str(),
+                       static_cast<long long>(Extent));
+    if (__builtin_mul_overflow(Elements, Extent, &Elements))
+      return strFormat("buffer '%s' element count overflows int64",
+                       Name.c_str());
+  }
+  uint64_t Bytes = 0;
+  if (__builtin_mul_overflow(static_cast<uint64_t>(Elements),
+                             static_cast<uint64_t>(Ref.ElemType.bytes()),
+                             &Bytes) ||
+      __builtin_add_overflow(Bytes, uint64_t{63}, &Bytes))
+    return strFormat("buffer '%s' byte size overflows 64 bits",
+                     Name.c_str());
+  return "";
 }
 
-/// Allocates the expected-output buffer (not visible to the pipeline).
+/// Allocates one Buffer<T> like \p Shape, fills it from \p Seed, and
+/// keeps it alive in \p Instance. Returns null when allocation fails.
 template <typename T>
-Buffer<T> *addExpected(BenchmarkInstance &Instance,
-                       std::vector<int64_t> Extents) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  Instance.ExpectedRef = Owned->ref();
+void *allocateAs(BenchmarkInstance &Instance, const BufferRef &Shape,
+                 uint32_t Seed) {
+  auto Owned = std::make_shared<Buffer<T>>(Shape.Extents, std::nothrow);
+  if (!Owned->data())
+    return nullptr;
+  if (Seed != 0)
+    Owned->fillRandom(Seed);
   Instance.Storage.push_back(Owned);
-  return Owned.get();
+  return Owned->data();
+}
+
+/// allocateAs for the element types the suites declare (float32, uint32).
+void *allocate(BenchmarkInstance &Instance, const BufferRef &Shape,
+               uint32_t Seed) {
+  if (Shape.ElemType == ir::Type::float32())
+    return allocateAs<float>(Instance, Shape, Seed);
+  assert(Shape.ElemType == ir::Type::uint32() &&
+         "unsupported benchmark buffer element type");
+  return allocateAs<uint32_t>(Instance, Shape, Seed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -40,10 +68,10 @@ Buffer<T> *addExpected(BenchmarkInstance &Instance,
 BenchmarkInstance makeMatmul(int64_t N) {
   BenchmarkInstance I;
   I.Name = "matmul";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 1);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 2);
+  addBuffer<float>(I, "A", {N, N}, 1);
+  addBuffer<float>(I, "B", {N, N}, 2);
   addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -57,9 +85,9 @@ BenchmarkInstance makeMatmul(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, E, N] {
-    const float *PA = A->data(), *PB = B->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PB = Self.data<float>("B");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = 0.0f;
@@ -75,11 +103,11 @@ BenchmarkInstance makeGemm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "gemm";
   const float Alpha = 1.5f, Beta = 1.2f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 3);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 4);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 5);
+  addBuffer<float>(I, "A", {N, N}, 3);
+  addBuffer<float>(I, "B", {N, N}, 4);
+  addBuffer<float>(I, "Cin", {N, N}, 5);
   addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -94,9 +122,10 @@ BenchmarkInstance makeGemm(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PB = B->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PB = Self.data<float>("B"),
+                *PC = Self.data<float>("Cin");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -111,14 +140,14 @@ BenchmarkInstance makeGemm(int64_t N) {
 BenchmarkInstance make3mm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "3mm";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 6);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 7);
-  Buffer<float> *Cm = addBuffer<float>(I, "Cm", {N, N}, 8);
-  Buffer<float> *D = addBuffer<float>(I, "D", {N, N}, 9);
+  addBuffer<float>(I, "A", {N, N}, 6);
+  addBuffer<float>(I, "B", {N, N}, 7);
+  addBuffer<float>(I, "Cm", {N, N}, 8);
+  addBuffer<float>(I, "D", {N, N}, 9);
   addBuffer<float>(I, "E", {N, N}, 0);
   addBuffer<float>(I, "F", {N, N}, 0);
   addBuffer<float>(I, "G", {N, N}, 0);
-  Buffer<float> *Want = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   Var J("j"), Iv("i");
   InputBuffer AIn("A", ir::Type::float32(), 2);
@@ -147,11 +176,11 @@ BenchmarkInstance make3mm(int64_t N) {
   I.StageExtents = {{N, N}, {N, N}, {N, N}};
   I.OutputName = "G";
   I.Work = 6.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cm, D, Want, N] {
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
     std::vector<float> TE(static_cast<size_t>(N * N));
     std::vector<float> TF(static_cast<size_t>(N * N));
-    const float *PA = A->data(), *PB = B->data(), *PC = Cm->data(),
-                *PD = D->data();
+    const float *PA = Self.data<float>("A"), *PB = Self.data<float>("B"),
+                *PC = Self.data<float>("Cm"), *PD = Self.data<float>("D");
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C2 = 0; C2 != N; ++C2) {
         float AccE = 0.0f, AccF = 0.0f;
@@ -162,7 +191,7 @@ BenchmarkInstance make3mm(int64_t N) {
         TE[static_cast<size_t>(R * N + C2)] = AccE;
         TF[static_cast<size_t>(R * N + C2)] = AccF;
       }
-    float *PW = Want->data();
+    float *PW = Self.expected<float>();
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C2 = 0; C2 != N; ++C2) {
         float Acc = 0.0f;
@@ -179,10 +208,10 @@ BenchmarkInstance makeTrmm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "trmm";
   const float Alpha = 1.1f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 10);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 11);
+  addBuffer<float>(I, "A", {N, N}, 10);
+  addBuffer<float>(I, "B", {N, N}, 11);
   addBuffer<float>(I, "Bout", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   // Out-of-place triangular matmul: Bout = alpha * (A^T_lower * B + B),
   // with the strictly-lower-triangular part of A (k > i) contributing.
@@ -199,9 +228,9 @@ BenchmarkInstance makeTrmm(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Bout";
   I.Work = static_cast<double>(N) * N * N; // ~half the cube, x2 flops
-  I.FillExpected = [A, B, E, N, Alpha] {
-    const float *PA = A->data(), *PB = B->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PB = Self.data<float>("B");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = PB[Row * N + Col];
@@ -217,10 +246,10 @@ BenchmarkInstance makeSyrk(int64_t N) {
   BenchmarkInstance I;
   I.Name = "syrk";
   const float Alpha = 1.3f, Beta = 0.7f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 12);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 13);
+  addBuffer<float>(I, "A", {N, N}, 12);
+  addBuffer<float>(I, "Cin", {N, N}, 13);
   addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -234,9 +263,9 @@ BenchmarkInstance makeSyrk(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PC = Self.data<float>("Cin");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -252,11 +281,11 @@ BenchmarkInstance makeSyr2k(int64_t N) {
   BenchmarkInstance I;
   I.Name = "syr2k";
   const float Alpha = 0.8f, Beta = 1.4f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 14);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 15);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 16);
+  addBuffer<float>(I, "A", {N, N}, 14);
+  addBuffer<float>(I, "B", {N, N}, 15);
+  addBuffer<float>(I, "Cin", {N, N}, 16);
   addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -272,9 +301,10 @@ BenchmarkInstance makeSyr2k(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 4.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PB = B->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PB = Self.data<float>("B"),
+                *PC = Self.data<float>("Cin");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -291,10 +321,10 @@ BenchmarkInstance makeDoitgen(int64_t N) {
   BenchmarkInstance I;
   I.Name = "doitgen";
   // Out(p, q, r) = sum_s A(s, q, r) * C4(p, s).
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N, N}, 17);
-  Buffer<float> *C4 = addBuffer<float>(I, "C4", {N, N}, 18);
+  addBuffer<float>(I, "A", {N, N, N}, 17);
+  addBuffer<float>(I, "C4", {N, N}, 18);
   addBuffer<float>(I, "Out", {N, N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N, N});
+  addExpected<float>(I, {N, N, N});
 
   Var P("p"), Q("q"), R("r");
   RDom S(0, static_cast<int>(N), "s");
@@ -308,9 +338,9 @@ BenchmarkInstance makeDoitgen(int64_t N) {
   I.StageExtents = {{N, N, N}};
   I.OutputName = "Out";
   I.Work = 2.0 * static_cast<double>(N) * N * N * N;
-  I.FillExpected = [A, C4, E, N] {
-    const float *PA = A->data(), *PC = C4->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PC = Self.data<float>("C4");
+    float *PE = Self.expected<float>();
     for (int64_t R2 = 0; R2 != N; ++R2)
       for (int64_t Q2 = 0; Q2 != N; ++Q2)
         for (int64_t P2 = 0; P2 != N; ++P2) {
@@ -331,11 +361,10 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
   const int64_t Ch = std::min<int64_t>(64, std::max<int64_t>(8, Size / 4));
   const int64_t K = Ch;
   const int64_t B = std::max<int64_t>(1, Size / 64);
-  Buffer<float> *In =
-      addBuffer<float>(I, "In", {W + 2, H + 2, Ch, B}, 19);
-  Buffer<float> *Wgt = addBuffer<float>(I, "Wgt", {3, 3, Ch, K}, 20);
+  addBuffer<float>(I, "In", {W + 2, H + 2, Ch, B}, 19);
+  addBuffer<float>(I, "Wgt", {3, 3, Ch, K}, 20);
   addBuffer<float>(I, "Out", {W, H, K, B}, 0);
-  Buffer<float> *E = addExpected<float>(I, {W, H, K, B});
+  addExpected<float>(I, {W, H, K, B});
 
   Var X("x"), Y("y"), Kv("ko"), Bv("b");
   RDom R(std::vector<RVar>{RVar("rx", 0, 3), RVar("ry", 0, 3),
@@ -352,9 +381,9 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
   I.StageExtents = {{W, H, K, B}};
   I.OutputName = "Out";
   I.Work = 2.0 * 9.0 * static_cast<double>(Ch) * W * H * K * B;
-  I.FillExpected = [In, Wgt, E, W, H, Ch, K, B] {
-    const float *PI = In->data(), *PW = Wgt->data();
-    float *PE = E->data();
+  I.FillExpected = [W, H, Ch, K, B](const BenchmarkInstance &Self) {
+    const float *PI = Self.data<float>("In"), *PW = Self.data<float>("Wgt");
+    float *PE = Self.expected<float>();
     int64_t IW = W + 2, IH = H + 2;
     for (int64_t B2 = 0; B2 != B; ++B2)
       for (int64_t K2 = 0; K2 != K; ++K2)
@@ -380,9 +409,9 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
 BenchmarkInstance makeTranspose(int64_t N) {
   BenchmarkInstance I;
   I.Name = "tp";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 21);
+  addBuffer<uint32_t>(I, "A", {N, N}, 21);
   addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  addExpected<uint32_t>(I, {N, N});
 
   Var X("x"), Y("y");
   InputBuffer AIn("A", ir::Type::uint32(), 2);
@@ -393,9 +422,9 @@ BenchmarkInstance makeTranspose(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, E, N] {
-    const uint32_t *PA = A->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const uint32_t *PA = Self.data<uint32_t>("A");
+    uint32_t *PE = Self.expected<uint32_t>();
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)
         PE[Y2 * N + X2] = PA[X2 * N + Y2];
@@ -406,10 +435,10 @@ BenchmarkInstance makeTranspose(int64_t N) {
 BenchmarkInstance makeTpm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "tpm";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 22);
-  Buffer<uint32_t> *B = addBuffer<uint32_t>(I, "B", {N, N}, 23);
+  addBuffer<uint32_t>(I, "A", {N, N}, 22);
+  addBuffer<uint32_t>(I, "B", {N, N}, 23);
   addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  addExpected<uint32_t>(I, {N, N});
 
   // Listing 2: out[y][x] = A[x][y] & B[y][x].
   Var X("x"), Y("y");
@@ -422,9 +451,10 @@ BenchmarkInstance makeTpm(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, B, E, N] {
-    const uint32_t *PA = A->data(), *PB = B->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const uint32_t *PA = Self.data<uint32_t>("A"),
+                   *PB = Self.data<uint32_t>("B");
+    uint32_t *PE = Self.expected<uint32_t>();
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)
         PE[Y2 * N + X2] = PA[X2 * N + Y2] & PB[Y2 * N + X2];
@@ -435,9 +465,9 @@ BenchmarkInstance makeTpm(int64_t N) {
 BenchmarkInstance makeCopy(int64_t N) {
   BenchmarkInstance I;
   I.Name = "copy";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 24);
+  addBuffer<uint32_t>(I, "A", {N, N}, 24);
   addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  addExpected<uint32_t>(I, {N, N});
 
   Var X("x"), Y("y");
   InputBuffer AIn("A", ir::Type::uint32(), 2);
@@ -448,9 +478,9 @@ BenchmarkInstance makeCopy(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, E, N] {
-    const uint32_t *PA = A->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const uint32_t *PA = Self.data<uint32_t>("A");
+    uint32_t *PE = Self.expected<uint32_t>();
     std::copy(PA, PA + N * N, PE);
   };
   return I;
@@ -459,10 +489,10 @@ BenchmarkInstance makeCopy(int64_t N) {
 BenchmarkInstance makeMask(int64_t N) {
   BenchmarkInstance I;
   I.Name = "mask";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 25);
-  Buffer<uint32_t> *B = addBuffer<uint32_t>(I, "B", {N, N}, 26);
+  addBuffer<uint32_t>(I, "A", {N, N}, 25);
+  addBuffer<uint32_t>(I, "B", {N, N}, 26);
   addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  addExpected<uint32_t>(I, {N, N});
 
   Var X("x"), Y("y");
   InputBuffer AIn("A", ir::Type::uint32(), 2);
@@ -474,9 +504,10 @@ BenchmarkInstance makeMask(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, B, E, N] {
-    const uint32_t *PA = A->data(), *PB = B->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const uint32_t *PA = Self.data<uint32_t>("A"),
+                   *PB = Self.data<uint32_t>("B");
+    uint32_t *PE = Self.expected<uint32_t>();
     for (int64_t Idx = 0; Idx != N * N; ++Idx)
       PE[Idx] = PA[Idx] & PB[Idx];
   };
@@ -504,6 +535,80 @@ const std::vector<BenchmarkDef> &ltp::allBenchmarks() {
   return Defs;
 }
 
+BufferRef ltp::shapeRef(ir::Type ElemType, std::vector<int64_t> Extents) {
+  BufferRef R;
+  R.ElemType = ElemType;
+  R.Strides.resize(Extents.size());
+  int64_t Stride = 1;
+  for (size_t D = 0; D != Extents.size(); ++D) {
+    R.Strides[D] = Stride;
+    // Wraps on overflow (no UB); shapeError() rejects such shapes.
+    (void)__builtin_mul_overflow(Stride, Extents[D], &Stride);
+  }
+  R.Extents = std::move(Extents);
+  return R;
+}
+
+std::string ltp::shapeError(const BenchmarkInstance &Instance) {
+  for (const auto &[Name, Ref] : Instance.Buffers) {
+    std::string Error = bufferError(Name, Ref);
+    if (!Error.empty())
+      return Error;
+  }
+  return bufferError("expected output", Instance.ExpectedRef);
+}
+
+std::string ltp::materialize(BenchmarkInstance &Instance) {
+  assert(Instance.Storage.empty() && "instance is already materialized");
+  std::string Error = shapeError(Instance);
+  if (!Error.empty())
+    return Error;
+  auto Fail = [&](const std::string &Name, const BufferRef &Shape) {
+    Instance.Storage.clear();
+    for (auto &[BufName, Ref] : Instance.Buffers)
+      Ref.Data = nullptr;
+    Instance.ExpectedRef.Data = nullptr;
+    return strFormat("cannot allocate buffer '%s' of %s (%llu bytes)",
+                     Name.c_str(), Instance.Name.c_str(),
+                     static_cast<unsigned long long>(Shape.numElements()) *
+                         Shape.ElemType.bytes());
+  };
+  for (const BufferDecl &Decl : Instance.Decls) {
+    BufferRef &Ref = Instance.Buffers.at(Decl.Name);
+    Ref.Data = allocate(Instance, Ref, Decl.Seed);
+    if (!Ref.Data)
+      return Fail(Decl.Name, Ref);
+  }
+  Instance.ExpectedRef.Data = allocate(Instance, Instance.ExpectedRef, 0);
+  if (!Instance.ExpectedRef.Data)
+    return Fail("expected output", Instance.ExpectedRef);
+  return "";
+}
+
+ErrorOr<BenchmarkInstance> BenchmarkDef::checkedShape(int64_t Size) const {
+  if (Size < 1 || Size > INT32_MAX)
+    return ErrorOr<BenchmarkInstance>::makeError(
+        strFormat("size %lld of %s is outside [1, %d]",
+                  static_cast<long long>(Size), Name.c_str(), INT32_MAX));
+  BenchmarkInstance Instance = Shape(Size);
+  std::string Error = shapeError(Instance);
+  if (!Error.empty())
+    return ErrorOr<BenchmarkInstance>::makeError(
+        strFormat("size %lld of %s: %s", static_cast<long long>(Size),
+                  Name.c_str(), Error.c_str()));
+  return Instance;
+}
+
+BenchmarkInstance BenchmarkDef::Create(int64_t Size) const {
+  BenchmarkInstance Instance = Shape(Size);
+  std::string Error = materialize(Instance);
+  if (!Error.empty()) {
+    std::fprintf(stderr, "fatal: %s\n", Error.c_str());
+    std::abort();
+  }
+  return Instance;
+}
+
 const BenchmarkDef *ltp::findBenchmark(const std::string &Name) {
   for (const BenchmarkDef &Def : allBenchmarks())
     if (Def.Name == Name)
@@ -516,7 +621,8 @@ const BenchmarkDef *ltp::findBenchmark(const std::string &Name) {
 
 bool ltp::verifyOutput(const BenchmarkInstance &Instance) {
   assert(Instance.FillExpected && "benchmark lacks a reference oracle");
-  Instance.FillExpected();
+  assert(Instance.ExpectedRef.Data && "verifying an unmaterialized shape");
+  Instance.FillExpected(Instance);
   auto It = Instance.Buffers.find(Instance.OutputName);
   assert(It != Instance.Buffers.end() && "output buffer missing");
   const BufferRef &Out = It->second;

@@ -29,6 +29,7 @@
 
 #include "lang/Func.h"
 #include "runtime/Buffer.h"
+#include "support/ErrorOr.h"
 
 #include <cstdint>
 #include <functional>
@@ -39,8 +40,20 @@
 
 namespace ltp {
 
-/// A fully materialized benchmark: pipeline stages, bound buffers, and a
-/// reference oracle.
+/// One named data buffer of an instance, in declaration order.
+struct BufferDecl {
+  std::string Name;
+  /// fillRandom seed; 0 leaves the buffer zeroed.
+  uint32_t Seed = 0;
+};
+
+/// A benchmark: pipeline stages, their buffers, and a reference oracle.
+///
+/// An instance starts as a *shape* (BenchmarkDef::Shape): every buffer
+/// has its element type, extents and strides but a null Data pointer.
+/// That is all the optimizer, legality, lint, lowering and codegen read.
+/// materialize() allocates and fills the buffers for the paths that run
+/// or simulate the kernel.
 struct BenchmarkInstance {
   std::string Name;
   /// Pipeline stages in realization order (compute_root semantics: each
@@ -52,14 +65,61 @@ struct BenchmarkInstance {
   std::map<std::string, BufferRef> Buffers;
   /// Name of the final output buffer.
   std::string OutputName;
-  /// Computes the expected output into ExpectedRef (native loops).
-  std::function<void()> FillExpected;
+  /// Computes the expected output into ExpectedRef (native loops),
+  /// reading the inputs of the instance it is handed.
+  std::function<void(const BenchmarkInstance &)> FillExpected;
   BufferRef ExpectedRef;
   /// Floating-point (or element) operations per full run, for reporting.
   double Work = 0.0;
-  /// Keeps the typed buffers alive.
+  /// The named buffers in declaration order; materialize() allocates
+  /// them in this order, then ExpectedRef.
+  std::vector<BufferDecl> Decls;
+  /// Keeps the typed buffers alive (empty on a shape).
   std::vector<std::shared_ptr<void>> Storage;
+
+  /// Typed base pointer of buffer \p BufName (null on a shape).
+  template <typename T>
+  T *data(const std::string &BufName) const {
+    return static_cast<T *>(Buffers.at(BufName).Data);
+  }
+  /// Typed base pointer of the expected-output buffer.
+  template <typename T>
+  T *expected() const {
+    return static_cast<T *>(ExpectedRef.Data);
+  }
 };
+
+/// A shape-only buffer view: dense column-contiguous strides, null Data.
+/// Strides that overflow int64 wrap; shapeError() reports them.
+BufferRef shapeRef(ir::Type ElemType, std::vector<int64_t> Extents);
+
+/// Declares pipeline buffer \p BufName on a shape, filled from \p Seed
+/// when materialized.
+template <typename T>
+void addBuffer(BenchmarkInstance &Instance, const std::string &BufName,
+               std::vector<int64_t> Extents, uint32_t Seed) {
+  Instance.Buffers[BufName] =
+      shapeRef(Buffer<T>::elemType(), std::move(Extents));
+  Instance.Decls.push_back({BufName, Seed});
+}
+
+/// Declares the expected-output buffer (not visible to the pipeline).
+template <typename T>
+void addExpected(BenchmarkInstance &Instance, std::vector<int64_t> Extents) {
+  Instance.ExpectedRef = shapeRef(Buffer<T>::elemType(), std::move(Extents));
+}
+
+/// Why \p Instance's buffers cannot be allocated: a non-positive extent,
+/// an element count that overflows int64, or a byte size that overflows
+/// the allocator's 64-bit size. Empty when every buffer is representable.
+std::string shapeError(const BenchmarkInstance &Instance);
+
+/// Allocates and fills every buffer of a shape, in declaration order,
+/// with the Buffer<T> allocator and the declared seeds. Returns
+/// shapeError(), or an error naming the buffer and its byte size when an
+/// allocation fails (the instance then owns no storage); empty on
+/// success.
+[[nodiscard]] std::string materialize(BenchmarkInstance &Instance);
 
 /// Static description of one benchmark.
 struct BenchmarkDef {
@@ -69,8 +129,16 @@ struct BenchmarkDef {
   int64_t DefaultSize;
   /// The paper's Table-4 problem size.
   int64_t PaperSize;
-  /// Materializes an instance at the given size.
-  std::function<BenchmarkInstance(int64_t)> Create;
+  /// Builds the shape of an instance at the given size (no storage).
+  std::function<BenchmarkInstance(int64_t)> Shape;
+
+  /// Shape(Size) after rejecting sizes it cannot represent: outside
+  /// [1, INT32_MAX] (reduction domains are int) or failing shapeError().
+  ErrorOr<BenchmarkInstance> checkedShape(int64_t Size) const;
+
+  /// A materialized instance: Shape(Size) followed by materialize().
+  /// Aborts with the allocation error when the buffers do not fit.
+  BenchmarkInstance Create(int64_t Size) const;
 };
 
 /// All Table-4 benchmarks, in the paper's order.

@@ -26,35 +26,15 @@ using namespace ltp;
 
 namespace {
 
-template <typename T>
-Buffer<T> *addBuffer(BenchmarkInstance &Instance, const std::string &Name,
-                     std::vector<int64_t> Extents, uint32_t Seed) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  if (Seed != 0)
-    Owned->fillRandom(Seed);
-  Instance.Buffers[Name] = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
-}
-
-template <typename T>
-Buffer<T> *addExpected(BenchmarkInstance &Instance,
-                       std::vector<int64_t> Extents) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  Instance.ExpectedRef = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
-}
-
 BenchmarkInstance makeAtax(int64_t N) {
   BenchmarkInstance I;
   I.Name = "atax";
   // tmp = A x;  y = A^T tmp.  A(j, i) stores row i contiguously in j.
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 31);
-  Buffer<float> *X = addBuffer<float>(I, "x", {N}, 32);
+  addBuffer<float>(I, "A", {N, N}, 31);
+  addBuffer<float>(I, "x", {N}, 32);
   addBuffer<float>(I, "tmp", {N}, 0);
   addBuffer<float>(I, "y", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  addExpected<float>(I, {N});
 
   Var Iv("i"), Jv("j");
   InputBuffer AIn("A", ir::Type::float32(), 2);
@@ -75,9 +55,9 @@ BenchmarkInstance makeAtax(int64_t N) {
   I.StageExtents = {{N}, {N}};
   I.OutputName = "y";
   I.Work = 4.0 * static_cast<double>(N) * N;
-  I.FillExpected = [A, X, E, N] {
-    const float *PA = A->data(), *PX = X->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PX = Self.data<float>("x");
+    float *PE = Self.expected<float>();
     std::vector<float> Tmp(static_cast<size_t>(N), 0.0f);
     for (int64_t R = 0; R != N; ++R) {
       float Acc = 0.0f;
@@ -101,12 +81,12 @@ BenchmarkInstance makeBicg(int64_t N) {
   // s = r A (column sums), q = A p (row sums); output is q, s is a second
   // realized stage whose correctness the q oracle implies only partially,
   // so the oracle checks q and the s stage feeds nothing.
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 41);
-  Buffer<float> *R = addBuffer<float>(I, "r", {N}, 42);
-  Buffer<float> *P = addBuffer<float>(I, "p", {N}, 43);
+  addBuffer<float>(I, "A", {N, N}, 41);
+  addBuffer<float>(I, "r", {N}, 42);
+  addBuffer<float>(I, "p", {N}, 43);
   addBuffer<float>(I, "s", {N}, 0);
   addBuffer<float>(I, "q", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  addExpected<float>(I, {N});
 
   Var Iv("i"), Jv("j");
   InputBuffer AIn("A", ir::Type::float32(), 2);
@@ -127,9 +107,9 @@ BenchmarkInstance makeBicg(int64_t N) {
   I.StageExtents = {{N}, {N}};
   I.OutputName = "q";
   I.Work = 4.0 * static_cast<double>(N) * N;
-  I.FillExpected = [A, P, E, N] {
-    const float *PA = A->data(), *PP = P->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PP = Self.data<float>("p");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row) {
       float Acc = 0.0f;
       for (int64_t C = 0; C != N; ++C)
@@ -137,18 +117,17 @@ BenchmarkInstance makeBicg(int64_t N) {
       PE[Row] = Acc;
     }
   };
-  (void)R;
   return I;
 }
 
 BenchmarkInstance makeMvt(int64_t N) {
   BenchmarkInstance I;
   I.Name = "mvt";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 51);
-  Buffer<float> *Y1 = addBuffer<float>(I, "y1", {N}, 52);
-  Buffer<float> *X1In = addBuffer<float>(I, "x1in", {N}, 54);
+  addBuffer<float>(I, "A", {N, N}, 51);
+  addBuffer<float>(I, "y1", {N}, 52);
+  addBuffer<float>(I, "x1in", {N}, 54);
   addBuffer<float>(I, "x1", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  addExpected<float>(I, {N});
 
   // x1 = x1in + A y1.
   Var Iv("i");
@@ -164,9 +143,10 @@ BenchmarkInstance makeMvt(int64_t N) {
   I.StageExtents = {{N}};
   I.OutputName = "x1";
   I.Work = 2.0 * static_cast<double>(N) * N;
-  I.FillExpected = [A, Y1, X1In, E, N] {
-    const float *PA = A->data(), *PY = Y1->data(), *PX = X1In->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A"), *PY = Self.data<float>("y1"),
+                *PX = Self.data<float>("x1in");
+    float *PE = Self.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row) {
       float Acc = PX[Row];
       for (int64_t C = 0; C != N; ++C)
@@ -181,17 +161,17 @@ BenchmarkInstance makeGemver(int64_t N) {
   BenchmarkInstance I;
   I.Name = "gemver";
   const float Alpha = 1.2f, Beta = 1.1f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 61);
-  Buffer<float> *U1 = addBuffer<float>(I, "u1", {N}, 62);
-  Buffer<float> *V1 = addBuffer<float>(I, "v1", {N}, 63);
-  Buffer<float> *U2 = addBuffer<float>(I, "u2", {N}, 64);
-  Buffer<float> *V2 = addBuffer<float>(I, "v2", {N}, 65);
-  Buffer<float> *Y = addBuffer<float>(I, "y", {N}, 66);
-  Buffer<float> *Z = addBuffer<float>(I, "z", {N}, 67);
+  addBuffer<float>(I, "A", {N, N}, 61);
+  addBuffer<float>(I, "u1", {N}, 62);
+  addBuffer<float>(I, "v1", {N}, 63);
+  addBuffer<float>(I, "u2", {N}, 64);
+  addBuffer<float>(I, "v2", {N}, 65);
+  addBuffer<float>(I, "y", {N}, 66);
+  addBuffer<float>(I, "z", {N}, 67);
   addBuffer<float>(I, "Ah", {N, N}, 0);
   addBuffer<float>(I, "x", {N}, 0);
   addBuffer<float>(I, "w", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  addExpected<float>(I, {N});
 
   Var Iv("i"), Jv("j");
   InputBuffer AIn("A", ir::Type::float32(), 2);
@@ -225,22 +205,24 @@ BenchmarkInstance makeGemver(int64_t N) {
   I.StageExtents = {{N, N}, {N}, {N}};
   I.OutputName = "w";
   I.Work = 2.0 * static_cast<double>(N) * N * 3.0;
-  I.FillExpected = [=] {
-    const float *PA = A->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Self) {
+    const float *PA = Self.data<float>("A");
+    const float *PU1 = Self.data<float>("u1"), *PV1 = Self.data<float>("v1");
+    const float *PU2 = Self.data<float>("u2"), *PV2 = Self.data<float>("v2");
+    const float *PY = Self.data<float>("y"), *PZ = Self.data<float>("z");
     std::vector<float> AH(static_cast<size_t>(N * N));
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C = 0; C != N; ++C)
         AH[static_cast<size_t>(R * N + C)] =
-            PA[R * N + C] + U1->data()[R] * V1->data()[C] +
-            U2->data()[R] * V2->data()[C];
+            PA[R * N + C] + PU1[R] * PV1[C] + PU2[R] * PV2[C];
     std::vector<float> XV(static_cast<size_t>(N));
     for (int64_t C = 0; C != N; ++C) {
-      float Acc = Z->data()[C];
+      float Acc = PZ[C];
       for (int64_t R = 0; R != N; ++R)
-        Acc += Beta * AH[static_cast<size_t>(R * N + C)] * Y->data()[R];
+        Acc += Beta * AH[static_cast<size_t>(R * N + C)] * PY[R];
       XV[static_cast<size_t>(C)] = Acc;
     }
-    float *PE = E->data();
+    float *PE = Self.expected<float>();
     for (int64_t R = 0; R != N; ++R) {
       float Acc = 0.0f;
       for (int64_t C = 0; C != N; ++C)
@@ -256,9 +238,9 @@ BenchmarkInstance makeJacobi2d(int64_t N) {
   BenchmarkInstance I;
   I.Name = "jacobi2d";
   // One out-of-place 5-point sweep over a padded grid.
-  Buffer<float> *In = addBuffer<float>(I, "In", {N + 2, N + 2}, 71);
+  addBuffer<float>(I, "In", {N + 2, N + 2}, 71);
   addBuffer<float>(I, "Out", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  addExpected<float>(I, {N, N});
 
   Var X("x"), Y("y");
   InputBuffer InB("In", ir::Type::float32(), 2);
@@ -273,9 +255,9 @@ BenchmarkInstance makeJacobi2d(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = 5.0 * static_cast<double>(N) * N;
-  I.FillExpected = [In, E, N] {
-    const float *PI = In->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Self) {
+    const float *PI = Self.data<float>("In");
+    float *PE = Self.expected<float>();
     int64_t W = N + 2;
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <random>
 #include <vector>
 
@@ -73,6 +74,13 @@ public:
   /// Allocates a buffer with the given per-dimension extents (dimension 0
   /// contiguous), zero-initialized.
   explicit Buffer(std::vector<int64_t> Extents)
+      : Buffer(std::move(Extents), std::nothrow) {
+    assert(Data && "buffer allocation failed");
+  }
+
+  /// As above, but a failed allocation leaves data() null instead of
+  /// asserting, for callers that report it as an error.
+  Buffer(std::vector<int64_t> Extents, const std::nothrow_t &)
       : Extents(std::move(Extents)) {
     assert(!this->Extents.empty() && "buffer requires at least 1 dimension");
     Strides.resize(this->Extents.size());
@@ -88,8 +96,8 @@ public:
     // stores may safely run whole vectors at the tail.
     size_t Padded = (Bytes + Alignment - 1) / Alignment * Alignment;
     Data = static_cast<T *>(std::aligned_alloc(Alignment, Padded));
-    assert(Data && "buffer allocation failed");
-    std::memset(Data, 0, Padded);
+    if (Data)
+      std::memset(Data, 0, Padded);
   }
 
   Buffer(const Buffer &) = delete;

@@ -269,8 +269,20 @@ Response OptimizerService::runSession(const Request &Req,
   Sess.Resp.Kernel = Req.Kernel;
   Sess.Resp.KeyHash = keyHash(Key);
 
-  const BenchmarkDef *Def = findBenchmark(Req.Kernel);
-  Sess.Instance = Def->Create(Req.Size);
+  // Planning, lint, lowering and codegen read only the shape: no request
+  // allocates or fills data buffers.
+  auto ShapeStart = std::chrono::steady_clock::now();
+  ErrorOr<BenchmarkInstance> Shape = [&] {
+    obs::ScopedSpan Span("benchmarks.shape");
+    return findBenchmark(Req.Kernel)->checkedShape(Req.Size);
+  }();
+  Sess.Resp.StageMillis.emplace_back("shape", millisSince(ShapeStart));
+  if (!Shape) {
+    Sess.Resp.Kind = ErrorKind::BadRequest;
+    Sess.Resp.Error = Shape.getError();
+    return Sess.Resp;
+  }
+  Sess.Instance = std::move(*Shape);
 
   auto OptStart = std::chrono::steady_clock::now();
   if (!scheduleSession(Sess)) {

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// All state materialized for one serve request that missed the dedup
-/// table: the benchmark instance (buffers, stages), the plans chosen for
-/// each stage, the lowered statements, and the response under
-/// construction. The OptimizerService itself is stateless across
-/// requests apart from its caches — everything mutable during an
-/// optimization lives here, so concurrent sessions never share Funcs or
-/// buffers.
+/// All state built for one serve request that missed the dedup table:
+/// the benchmark's shape (stages, buffer extents and strides; it never
+/// owns data buffers), the plans chosen for each stage, the lowered
+/// statements, and the response under construction. The
+/// OptimizerService itself is stateless across requests apart from its
+/// caches — everything mutable during an optimization lives here, so
+/// concurrent sessions never share Funcs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,7 @@ struct Session {
   Request Req;
   ArchParams Arch;
   model::ScoreMode Mode = model::ScoreMode::Auto;
-  /// The session's own kernel instance; stages are scheduled in place.
+  /// The session's own kernel shape; stages are scheduled in place.
   BenchmarkInstance Instance;
   /// One optimizer result per stage (empty when replaying a user
   /// schedule).

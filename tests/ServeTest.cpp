@@ -256,6 +256,44 @@ TEST(ServeService, ConcurrentBuildsBindTheirOwnReductionDomains) {
     EXPECT_EQ(F, "");
 }
 
+// Planning and lint read only the benchmark's shape: a transpose whose
+// buffers would take 4 TiB is served like a small one.
+TEST(ServeService, PlansAndLintsShapesBeyondMemory) {
+  OptimizerService Service;
+  Request Req = optimizeRequest("tp", int64_t{1} << 20);
+  Response R = Service.handle(Req);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_FALSE(R.Schedule.empty());
+  ASSERT_FALSE(R.StageMillis.empty());
+  EXPECT_EQ(R.StageMillis.front().first, "shape");
+
+  Req.Op = "lint";
+  R = Service.handle(Req);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_TRUE(R.LintRan);
+}
+
+// Sizes the shape cannot represent are the client's error, not a crash:
+// a size beyond int truncates the reduction domain, and doitgen's N^3
+// element count overflows int64 long before N does.
+TEST(ServeService, UnrepresentableSizesAreBadRequests) {
+  struct Case {
+    const char *Kernel;
+    int64_t Size;
+    const char *Why;
+  };
+  OptimizerService Service;
+  for (const Case &C : {Case{"matmul", 3000000000, "outside [1, "},
+                        Case{"doitgen", 3000000, "overflows int64"}}) {
+    Response R = Service.handle(optimizeRequest(C.Kernel, C.Size));
+    EXPECT_FALSE(R.Ok) << C.Kernel;
+    EXPECT_EQ(R.Kind, ErrorKind::BadRequest) << C.Kernel;
+    EXPECT_NE(R.Error.find(C.Why), std::string::npos) << R.Error;
+  }
+  Response After = Service.handle(optimizeRequest("copy", 64));
+  EXPECT_TRUE(After.Ok) << After.Error;
+}
+
 TEST(ServeService, IllegalScheduleIsClassifiedAndCached) {
   OptimizerService Service;
   Request Req = optimizeRequest("matmul", 48);

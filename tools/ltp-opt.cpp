@@ -230,7 +230,12 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
 int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
                      const ArchParams &Arch) {
   int64_t Size = Args.getInt("size", Def->DefaultSize);
-  BenchmarkInstance Instance = Def->Create(Size);
+  ErrorOr<BenchmarkInstance> Shape = Def->checkedShape(Size);
+  if (!Shape) {
+    std::fprintf(stderr, "error: %s\n", Shape.getError().c_str());
+    return 1;
+  }
+  BenchmarkInstance Instance = std::move(*Shape);
 
   // Validate before any output so a typo'd mode fails fast.
   model::ScoreMode Mode = model::ScoreMode::Auto;
@@ -334,6 +339,16 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
       std::printf("%s\n",
                   generateC(Lowered[S], Signature, "ltp_kernel", Options)
                       .c_str());
+    }
+  }
+
+  if (Args.has("simulate") || Args.has("run")) {
+    // Only running or simulating the kernel reads buffer contents and
+    // base addresses; everything above works on the shape.
+    std::string Error = materialize(Instance);
+    if (!Error.empty()) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      return 1;
     }
   }
 
