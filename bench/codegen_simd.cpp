@@ -4,7 +4,7 @@
 //
 // Micro-benchmark for the explicit SIMD back end: each kernel is
 // scheduled by the proposed optimizer, then compiled twice — once with
-// intrinsic vector codegen (vector loads/stores/FMA, register tiling of
+// explicit vector codegen (vector loads/stores/FMA, register tiling of
 // unroll_jam loops) and once with the pragma-only fallback
 // (ExplicitSIMD=false, `#pragma GCC ivdep`) — and timed head to head.
 // Every kernel is also checked for equivalence against the interpreter
@@ -12,7 +12,9 @@
 //
 // Both variants compile in a single compilePipelines batch, so the bench
 // doubles as a smoke test of the parallel JIT pipeline and, on reruns,
-// of the on-disk kernel cache (see the JIT stats footer).
+// of the on-disk kernel cache (see the JIT stats footer). A failed
+// compile or an interpreter mismatch makes it exit 1, so CI runs it
+// (`--runs 1`) as a check of the blur stencil shape too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -181,17 +183,20 @@ int main(int Argc, char **Argv) {
             "isa"},
            Widths);
 
+  bool Failed = false;
   for (size_t K = 0; K != Kernels.size(); ++K) {
     const ErrorOr<CompiledPipeline> &SimdPipe = Compiled[2 * K];
     const ErrorOr<CompiledPipeline> &PragmaPipe = Compiled[2 * K + 1];
     if (!SimdPipe || !PragmaPipe) {
-      std::fprintf(stderr, "warning: JIT compile failed for %s: %s\n",
+      std::fprintf(stderr, "error: JIT compile failed for %s: %s\n",
                    Kernels[K].c_str(),
                    (!SimdPipe ? SimdPipe : PragmaPipe).getError().c_str());
+      Failed = true;
       continue;
     }
     bool Equivalent = verifyAgainstInterpreter(
         Kernels[K], smallSize(Kernels[K]), Arch, Compiler);
+    Failed |= !Equivalent;
 
     double SimdSeconds = timeCompiled(*SimdPipe, Instances[K], Runs);
     double PragmaSeconds = timeCompiled(*PragmaPipe, Instances[K], Runs);
@@ -205,5 +210,5 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
   printJITStats(Compiler);
   printTelemetryFooter();
-  return 0;
+  return Failed ? 1 : 0;
 }

@@ -5,7 +5,9 @@
 #include "ir/IRVisitor.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <map>
 #include <optional>
 #include <set>
@@ -72,6 +74,386 @@ const char *minMaxSuffix(Type T) {
   return "i64";
 }
 
+//===----------------------------------------------------------------------===//
+// Prelude tables
+//===----------------------------------------------------------------------===//
+//
+// Generated kernels include no compiler intrinsics header. Each helper is
+// written as the GNU C vector operator or the `__builtin_ia32_*` call that
+// GCC's own <immintrin.h> uses for the intrinsic it replaces, so the
+// machine code matches the intrinsic spelling while `cc` skips a header
+// that costs far more to parse than the kernel does to compile.
+
+/// The level the prelude is written for: the target ISA's, raised to
+/// SSE2 on x86-64, where SSE2 is baseline and scalar kernels still stream
+/// with MOVNTI. Elsewhere the streaming helpers are plain stores.
+codegen::SimdLevel preludeLevel(codegen::TargetISA ISA) {
+#if defined(__x86_64__)
+  return std::max(ISA.Level, codegen::SimdLevel::SSE2);
+#else
+  return ISA.Level;
+#endif
+}
+
+/// Bit per codegen::SimdLevel: the levels a helper definition serves.
+enum : unsigned {
+  LvScalar = 1u << static_cast<unsigned>(codegen::SimdLevel::Scalar),
+  LvSSE2 = 1u << static_cast<unsigned>(codegen::SimdLevel::SSE2),
+  LvAVX2 = 1u << static_cast<unsigned>(codegen::SimdLevel::AVX2),
+  LvVector = LvSSE2 | LvAVX2,
+  LvAll = LvScalar | LvVector,
+};
+
+/// A vector type, sized to the prelude level's register width. The
+/// register types mirror GCC's __m256/__m256d/__m256i (and __m128*):
+/// __may_alias__, since they load from scalar buffers, with `_u`
+/// unaligned variants; the integer register has 64-bit lanes like
+/// __m256i. ltp_vi32, ltp_vu32, ltp_vi64 and ltp_vu64 are the lane views
+/// the helpers cast through, as the intrinsics do.
+struct PreludeType {
+  const char *Name;
+  const char *Elem;
+  const char *Attrs;
+};
+
+const PreludeType PreludeTypes[] = {
+    {"ltp_vf32", "float", ", __may_alias__"},
+    {"ltp_vf32_u", "float", ", __may_alias__, __aligned__(1)"},
+    {"ltp_vf64", "double", ", __may_alias__"},
+    {"ltp_vf64_u", "double", ", __may_alias__, __aligned__(1)"},
+    {"ltp_vint", "long long", ", __may_alias__"},
+    {"ltp_vint_u", "long long", ", __may_alias__, __aligned__(1)"},
+    {"ltp_vi32", "int", ""},
+    {"ltp_vu32", "unsigned int", ""},
+    {"ltp_vi64", "long long", ""},
+    {"ltp_vu64", "unsigned long long", ""},
+};
+
+/// One helper definition and the levels it serves. A name may appear
+/// once per level; the vector helpers exist only at the levels where
+/// CEmitter emits calls to them (vecOpSupported, the AVX2 masked tail).
+struct PreludeHelper {
+  const char *Name;
+  unsigned Levels;
+  const char *Text;
+};
+
+const PreludeHelper PreludeHelpers[] = {
+    // Scalar min/max of the Min/Max IR operators.
+    {"ltp_min_i64", LvAll,
+     "static inline int64_t ltp_min_i64(int64_t a, int64_t b) "
+     "{ return a < b ? a : b; }"},
+    {"ltp_max_i64", LvAll,
+     "static inline int64_t ltp_max_i64(int64_t a, int64_t b) "
+     "{ return a > b ? a : b; }"},
+    {"ltp_min_f32", LvAll,
+     "static inline float ltp_min_f32(float a, float b) "
+     "{ return a < b ? a : b; }"},
+    {"ltp_max_f32", LvAll,
+     "static inline float ltp_max_f32(float a, float b) "
+     "{ return a > b ? a : b; }"},
+    {"ltp_min_f64", LvAll,
+     "static inline double ltp_min_f64(double a, double b) "
+     "{ return a < b ? a : b; }"},
+    {"ltp_max_f64", LvAll,
+     "static inline double ltp_max_f64(double a, double b) "
+     "{ return a > b ? a : b; }"},
+
+    // Non-temporal stores: MOVNTI per element, a fence after the kernel.
+    {"ltp_stream_store_u32", LvVector,
+     "static inline void ltp_stream_store_u32(void *p, uint32_t v) "
+     "{ __builtin_ia32_movnti((int *)p, (int)v); }"},
+    {"ltp_stream_store_f32", LvVector,
+     "static inline void ltp_stream_store_f32(float *p, float v) {\n"
+     "  union { float f; int i; } u;\n"
+     "  u.f = v;\n"
+     "  __builtin_ia32_movnti((int *)(void *)p, u.i);\n"
+     "}"},
+    {"ltp_stream_store_f64", LvVector,
+     "static inline void ltp_stream_store_f64(double *p, double v) {\n"
+     "  union { double f; long long i; } u;\n"
+     "  u.f = v;\n"
+     "  __builtin_ia32_movnti64((long long *)(void *)p, u.i);\n"
+     "}"},
+    {"ltp_stream_fence", LvVector,
+     "static inline void ltp_stream_fence(void) "
+     "{ __builtin_ia32_sfence(); }"},
+    {"ltp_stream_store_u32", LvScalar,
+     "static inline void ltp_stream_store_u32(void *p, uint32_t v) "
+     "{ *(uint32_t *)p = v; }"},
+    {"ltp_stream_store_f32", LvScalar,
+     "static inline void ltp_stream_store_f32(float *p, float v) "
+     "{ *p = v; }"},
+    {"ltp_stream_store_f64", LvScalar,
+     "static inline void ltp_stream_store_f64(double *p, double v) "
+     "{ *p = v; }"},
+    {"ltp_stream_fence", LvScalar,
+     "static inline void ltp_stream_fence(void) {}"},
+
+    // 64-element (256 B) block flush of a software write-combining buffer;
+    // the source is 64 B aligned.
+    {"ltp_stream_block_u32", LvAVX2,
+     "static inline void ltp_stream_block_u32(uint32_t *dst, "
+     "const uint32_t *src) {\n"
+     "  for (int i = 0; i != 8; ++i)\n"
+     "    __builtin_ia32_movntdq256((ltp_vi64 *)(void *)(dst + 8 * i),\n"
+     "        (ltp_vi64)*(const ltp_vint *)(const void *)(src + 8 * i));\n"
+     "}"},
+    {"ltp_stream_block_f32", LvAVX2,
+     "static inline void ltp_stream_block_f32(float *dst, "
+     "const float *src) {\n"
+     "  for (int i = 0; i != 8; ++i)\n"
+     "    __builtin_ia32_movntps256(dst + 8 * i, "
+     "*(const ltp_vf32 *)(src + 8 * i));\n"
+     "}"},
+    {"ltp_stream_block_u32", LvSSE2,
+     "static inline void ltp_stream_block_u32(uint32_t *dst, "
+     "const uint32_t *src) {\n"
+     "  for (int i = 0; i != 16; ++i)\n"
+     "    __builtin_ia32_movntdq((ltp_vi64 *)(void *)(dst + 4 * i),\n"
+     "        (ltp_vi64)*(const ltp_vint *)(const void *)(src + 4 * i));\n"
+     "}"},
+    {"ltp_stream_block_f32", LvSSE2,
+     "static inline void ltp_stream_block_f32(float *dst, "
+     "const float *src) {\n"
+     "  for (int i = 0; i != 16; ++i)\n"
+     "    __builtin_ia32_movntps(dst + 4 * i, "
+     "*(const ltp_vf32 *)(src + 4 * i));\n"
+     "}"},
+    {"ltp_stream_block_u32", LvScalar,
+     "static inline void ltp_stream_block_u32(uint32_t *dst, "
+     "const uint32_t *src) {\n"
+     "  for (int i = 0; i != 64; ++i)\n"
+     "    dst[i] = src[i];\n"
+     "}"},
+    {"ltp_stream_block_f32", LvScalar,
+     "static inline void ltp_stream_block_f32(float *dst, "
+     "const float *src) {\n"
+     "  for (int i = 0; i != 64; ++i)\n"
+     "    dst[i] = src[i];\n"
+     "}"},
+
+    // float32 vectors.
+    {"ltp_vload_f32", LvVector,
+     "static inline ltp_vf32 ltp_vload_f32(const float *p) "
+     "{ return *(const ltp_vf32_u *)p; }"},
+    {"ltp_vstore_f32", LvVector,
+     "static inline void ltp_vstore_f32(float *p, ltp_vf32 v) "
+     "{ *(ltp_vf32_u *)p = v; }"},
+    {"ltp_vstream_f32", LvAVX2,
+     "static inline void ltp_vstream_f32(float *p, ltp_vf32 v) "
+     "{ __builtin_ia32_movntps256(p, v); }"},
+    {"ltp_vstream_f32", LvSSE2,
+     "static inline void ltp_vstream_f32(float *p, ltp_vf32 v) "
+     "{ __builtin_ia32_movntps(p, v); }"},
+    {"ltp_vset1_f32", LvAVX2,
+     "static inline ltp_vf32 ltp_vset1_f32(float x) "
+     "{ return (ltp_vf32){x, x, x, x, x, x, x, x}; }"},
+    {"ltp_vset1_f32", LvSSE2,
+     "static inline ltp_vf32 ltp_vset1_f32(float x) "
+     "{ return (ltp_vf32){x, x, x, x}; }"},
+    {"ltp_vadd_f32", LvVector,
+     "static inline ltp_vf32 ltp_vadd_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return a + b; }"},
+    {"ltp_vsub_f32", LvVector,
+     "static inline ltp_vf32 ltp_vsub_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return a - b; }"},
+    {"ltp_vmul_f32", LvVector,
+     "static inline ltp_vf32 ltp_vmul_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return a * b; }"},
+    {"ltp_vdiv_f32", LvVector,
+     "static inline ltp_vf32 ltp_vdiv_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return a / b; }"},
+    {"ltp_vmin_f32", LvAVX2,
+     "static inline ltp_vf32 ltp_vmin_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return __builtin_ia32_minps256(a, b); }"},
+    {"ltp_vmin_f32", LvSSE2,
+     "static inline ltp_vf32 ltp_vmin_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return __builtin_ia32_minps(a, b); }"},
+    {"ltp_vmax_f32", LvAVX2,
+     "static inline ltp_vf32 ltp_vmax_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return __builtin_ia32_maxps256(a, b); }"},
+    {"ltp_vmax_f32", LvSSE2,
+     "static inline ltp_vf32 ltp_vmax_f32(ltp_vf32 a, ltp_vf32 b) "
+     "{ return __builtin_ia32_maxps(a, b); }"},
+    {"ltp_vfma_f32", LvAVX2,
+     "static inline ltp_vf32 ltp_vfma_f32(ltp_vf32 a, ltp_vf32 b, "
+     "ltp_vf32 c) { return __builtin_ia32_vfmaddps256(a, b, c); }"},
+    {"ltp_vfma_f32", LvSSE2,
+     "static inline ltp_vf32 ltp_vfma_f32(ltp_vf32 a, ltp_vf32 b, "
+     "ltp_vf32 c) { return a * b + c; }"},
+    {"ltp_maskload_f32", LvAVX2,
+     "static inline ltp_vf32 ltp_maskload_f32(const float *p, ltp_vint m) "
+     "{ return __builtin_ia32_maskloadps256((const ltp_vf32 *)p, "
+     "(ltp_vi32)m); }"},
+    {"ltp_maskstore_f32", LvAVX2,
+     "static inline void ltp_maskstore_f32(float *p, ltp_vint m, "
+     "ltp_vf32 v) { __builtin_ia32_maskstoreps256((ltp_vf32 *)p, "
+     "(ltp_vi32)m, v); }"},
+
+    // float64 vectors.
+    {"ltp_vload_f64", LvVector,
+     "static inline ltp_vf64 ltp_vload_f64(const double *p) "
+     "{ return *(const ltp_vf64_u *)p; }"},
+    {"ltp_vstore_f64", LvVector,
+     "static inline void ltp_vstore_f64(double *p, ltp_vf64 v) "
+     "{ *(ltp_vf64_u *)p = v; }"},
+    {"ltp_vstream_f64", LvAVX2,
+     "static inline void ltp_vstream_f64(double *p, ltp_vf64 v) "
+     "{ __builtin_ia32_movntpd256(p, v); }"},
+    {"ltp_vstream_f64", LvSSE2,
+     "static inline void ltp_vstream_f64(double *p, ltp_vf64 v) "
+     "{ __builtin_ia32_movntpd(p, v); }"},
+    {"ltp_vset1_f64", LvAVX2,
+     "static inline ltp_vf64 ltp_vset1_f64(double x) "
+     "{ return (ltp_vf64){x, x, x, x}; }"},
+    {"ltp_vset1_f64", LvSSE2,
+     "static inline ltp_vf64 ltp_vset1_f64(double x) "
+     "{ return (ltp_vf64){x, x}; }"},
+    {"ltp_vadd_f64", LvVector,
+     "static inline ltp_vf64 ltp_vadd_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return a + b; }"},
+    {"ltp_vsub_f64", LvVector,
+     "static inline ltp_vf64 ltp_vsub_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return a - b; }"},
+    {"ltp_vmul_f64", LvVector,
+     "static inline ltp_vf64 ltp_vmul_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return a * b; }"},
+    {"ltp_vdiv_f64", LvVector,
+     "static inline ltp_vf64 ltp_vdiv_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return a / b; }"},
+    {"ltp_vmin_f64", LvAVX2,
+     "static inline ltp_vf64 ltp_vmin_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return __builtin_ia32_minpd256(a, b); }"},
+    {"ltp_vmin_f64", LvSSE2,
+     "static inline ltp_vf64 ltp_vmin_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return __builtin_ia32_minpd(a, b); }"},
+    {"ltp_vmax_f64", LvAVX2,
+     "static inline ltp_vf64 ltp_vmax_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return __builtin_ia32_maxpd256(a, b); }"},
+    {"ltp_vmax_f64", LvSSE2,
+     "static inline ltp_vf64 ltp_vmax_f64(ltp_vf64 a, ltp_vf64 b) "
+     "{ return __builtin_ia32_maxpd(a, b); }"},
+    {"ltp_vfma_f64", LvAVX2,
+     "static inline ltp_vf64 ltp_vfma_f64(ltp_vf64 a, ltp_vf64 b, "
+     "ltp_vf64 c) { return __builtin_ia32_vfmaddpd256(a, b, c); }"},
+    {"ltp_vfma_f64", LvSSE2,
+     "static inline ltp_vf64 ltp_vfma_f64(ltp_vf64 a, ltp_vf64 b, "
+     "ltp_vf64 c) { return a * b + c; }"},
+    {"ltp_maskload_f64", LvAVX2,
+     "static inline ltp_vf64 ltp_maskload_f64(const double *p, ltp_vint m) "
+     "{ return __builtin_ia32_maskloadpd256((const ltp_vf64 *)p, "
+     "(ltp_vi64)m); }"},
+    {"ltp_maskstore_f64", LvAVX2,
+     "static inline void ltp_maskstore_f64(double *p, ltp_vint m, "
+     "ltp_vf64 v) { __builtin_ia32_maskstorepd256((ltp_vf64 *)p, "
+     "(ltp_vi64)m, v); }"},
+
+    // int32/uint32 vectors (shared; void pointers bind both element
+    // types). Operators go through the lane views GCC's header uses.
+    {"ltp_vload_i32", LvVector,
+     "static inline ltp_vint ltp_vload_i32(const void *p) "
+     "{ return *(const ltp_vint_u *)p; }"},
+    {"ltp_vstore_i32", LvVector,
+     "static inline void ltp_vstore_i32(void *p, ltp_vint v) "
+     "{ *(ltp_vint_u *)p = v; }"},
+    {"ltp_vstream_i32", LvAVX2,
+     "static inline void ltp_vstream_i32(void *p, ltp_vint v) "
+     "{ __builtin_ia32_movntdq256((ltp_vi64 *)p, (ltp_vi64)v); }"},
+    {"ltp_vstream_i32", LvSSE2,
+     "static inline void ltp_vstream_i32(void *p, ltp_vint v) "
+     "{ __builtin_ia32_movntdq((ltp_vi64 *)p, (ltp_vi64)v); }"},
+    {"ltp_vset1_i32", LvAVX2,
+     "static inline ltp_vint ltp_vset1_i32(uint32_t x) {\n"
+     "  int v = (int)x;\n"
+     "  return (ltp_vint)(ltp_vi32){v, v, v, v, v, v, v, v};\n"
+     "}"},
+    {"ltp_vset1_i32", LvSSE2,
+     "static inline ltp_vint ltp_vset1_i32(uint32_t x) {\n"
+     "  int v = (int)x;\n"
+     "  return (ltp_vint)(ltp_vi32){v, v, v, v};\n"
+     "}"},
+    {"ltp_vadd_i32", LvVector,
+     "static inline ltp_vint ltp_vadd_i32(ltp_vint a, ltp_vint b) "
+     "{ return (ltp_vint)((ltp_vu32)a + (ltp_vu32)b); }"},
+    {"ltp_vsub_i32", LvVector,
+     "static inline ltp_vint ltp_vsub_i32(ltp_vint a, ltp_vint b) "
+     "{ return (ltp_vint)((ltp_vu32)a - (ltp_vu32)b); }"},
+    {"ltp_vmul_i32", LvAVX2,
+     "static inline ltp_vint ltp_vmul_i32(ltp_vint a, ltp_vint b) "
+     "{ return (ltp_vint)((ltp_vu32)a * (ltp_vu32)b); }"},
+    {"ltp_vmin_i32", LvAVX2,
+     "static inline ltp_vint ltp_vmin_i32(ltp_vint a, ltp_vint b) {\n"
+     "  return (ltp_vint)__builtin_ia32_pminsd256((ltp_vi32)a, (ltp_vi32)b);\n"
+     "}"},
+    {"ltp_vmax_i32", LvAVX2,
+     "static inline ltp_vint ltp_vmax_i32(ltp_vint a, ltp_vint b) {\n"
+     "  return (ltp_vint)__builtin_ia32_pmaxsd256((ltp_vi32)a, (ltp_vi32)b);\n"
+     "}"},
+    {"ltp_vmin_u32", LvAVX2,
+     "static inline ltp_vint ltp_vmin_u32(ltp_vint a, ltp_vint b) {\n"
+     "  return (ltp_vint)__builtin_ia32_pminud256((ltp_vi32)a, (ltp_vi32)b);\n"
+     "}"},
+    {"ltp_vmax_u32", LvAVX2,
+     "static inline ltp_vint ltp_vmax_u32(ltp_vint a, ltp_vint b) {\n"
+     "  return (ltp_vint)__builtin_ia32_pmaxud256((ltp_vi32)a, (ltp_vi32)b);\n"
+     "}"},
+    {"ltp_vand_i32", LvVector,
+     "static inline ltp_vint ltp_vand_i32(ltp_vint a, ltp_vint b) "
+     "{ return (ltp_vint)((ltp_vu64)a & (ltp_vu64)b); }"},
+    {"ltp_vor_i32", LvVector,
+     "static inline ltp_vint ltp_vor_i32(ltp_vint a, ltp_vint b) "
+     "{ return (ltp_vint)((ltp_vu64)a | (ltp_vu64)b); }"},
+    {"ltp_vxor_i32", LvVector,
+     "static inline ltp_vint ltp_vxor_i32(ltp_vint a, ltp_vint b) "
+     "{ return (ltp_vint)((ltp_vu64)a ^ (ltp_vu64)b); }"},
+    {"ltp_maskload_i32", LvAVX2,
+     "static inline ltp_vint ltp_maskload_i32(const void *p, ltp_vint m) {\n"
+     "  return (ltp_vint)__builtin_ia32_maskloadd256((const ltp_vi32 *)p,\n"
+     "                                               (ltp_vi32)m);\n"
+     "}"},
+    {"ltp_maskstore_i32", LvAVX2,
+     "static inline void ltp_maskstore_i32(void *p, ltp_vint m, "
+     "ltp_vint v) {\n"
+     "  __builtin_ia32_maskstored256((ltp_vi32 *)p, (ltp_vi32)m, "
+     "(ltp_vi32)v);\n"
+     "}"},
+
+    // Lane masks for an N-element masked tail (N in [1, lanes)).
+    {"ltp_tailmask_32", LvAVX2,
+     "static inline ltp_vint ltp_tailmask_32(int64_t rem) {\n"
+     "  int r = (int)rem;\n"
+     "  return (ltp_vint)((ltp_vi32){r, r, r, r, r, r, r, r} >\n"
+     "                    (ltp_vi32){0, 1, 2, 3, 4, 5, 6, 7});\n"
+     "}"},
+    {"ltp_tailmask_64", LvAVX2,
+     "static inline ltp_vint ltp_tailmask_64(int64_t rem) {\n"
+     "  return (ltp_vint)((ltp_vi64){rem, rem, rem, rem} >\n"
+     "                    (ltp_vi64){0, 1, 2, 3});\n"
+     "}"},
+};
+
+/// Every `ltp_`-prefixed identifier in \p Text.
+std::set<std::string> ltpIdentifiers(const std::string &Text) {
+  auto IsIdentChar = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  std::set<std::string> Ids;
+  for (size_t I = 0; I != Text.size();) {
+    if (!IsIdentChar(Text[I])) {
+      ++I;
+      continue;
+    }
+    size_t End = I;
+    while (End != Text.size() && IsIdentChar(Text[End]))
+      ++End;
+    if (Text.compare(I, 4, "ltp_") == 0)
+      Ids.insert(Text.substr(I, End - I));
+    I = End;
+  }
+  return Ids;
+}
+
 class CEmitter {
 public:
   CEmitter(const std::vector<BufferBinding> &Signature,
@@ -96,19 +478,17 @@ public:
     std::string Body;
     emitStmt(S, 1, Body);
 
-    std::string Out = preamble(UsesStreaming);
-    Out += simdPreamble();
-    Out += OutlinedFunctions;
-    Out += strFormat(
+    std::string Code = OutlinedFunctions;
+    Code += strFormat(
         "void %s(void *const *bufs, const ltp_jit_runtime *rt) {\n",
         KernelName.c_str());
-    Out += bufferDecls(1, "bufs");
-    Out += "  (void)rt;\n";
-    Out += Body;
+    Code += bufferDecls(1, "bufs");
+    Code += "  (void)rt;\n";
+    Code += Body;
     if (UsesStreaming)
-      Out += "  ltp_stream_fence();\n";
-    Out += "}\n";
-    return Out;
+      Code += "  ltp_stream_fence();\n";
+    Code += "}\n";
+    return prelude(Code) + Code;
   }
 
 private:
@@ -338,7 +718,6 @@ private:
     const char *ScalarFn = Binding.ElemType == Type::float32()
                                ? "ltp_stream_store_f32"
                                : "ltp_stream_store_u32";
-    UsedStreamBlocks = true;
 
     std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
     std::string P2 = Pad + "  ";
@@ -779,7 +1158,6 @@ private:
     if (!checkVecStmt(F->Body, Ctx, Stores) || Stores.empty())
       return false;
 
-    SimdSuffixesUsed.insert(vecSuffix(Ctx.VT));
     std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
     std::string P2 = Pad + "  ";
     const std::string &V = F->VarName;
@@ -789,7 +1167,7 @@ private:
     Out += P2 + "const int64_t ltp_vend = ltp_vmin + (" +
            emitExpr(F->Extent) + ");\n";
     Out += P2 + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
-    // -O3 alone does not unroll intrinsic loops; ask for it so short
+    // -O3 alone does not unroll explicit vector loops; ask for it so short
     // vector bodies amortize the loop overhead like the autovectorizer's
     // unrolled epilogue-free main loops do.
     Out += P2 + "#pragma GCC unroll 4\n";
@@ -803,12 +1181,8 @@ private:
       // lanes read as zero, which is safe for the supported operators.
       const char *MaskFn =
           Ctx.VT == Type::float64() ? "ltp_tailmask_64" : "ltp_tailmask_32";
-      if (Ctx.VT == Type::float64())
-        UsedMask64 = true;
-      else
-        UsedMask32 = true;
       Out += P2 + strFormat("if (%s < ltp_vend) {\n", V.c_str());
-      Out += P2 + strFormat("  const __m256i ltp_mask = %s(ltp_vend - %s);"
+      Out += P2 + strFormat("  const ltp_vint ltp_mask = %s(ltp_vend - %s);"
                             "\n",
                             MaskFn, V.c_str());
       VecCtx Masked = Ctx;
@@ -845,7 +1219,6 @@ private:
                            : Ctx.VT == Type::float64()
                                ? "ltp_stream_store_f64"
                                : "ltp_stream_store_u32";
-    SimdSuffixesUsed.insert(Sfx);
 
     std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
     std::string P2 = Pad + "  ";
@@ -884,14 +1257,13 @@ private:
     return true;
   }
 
-  /// Raw register type of a vector of \p VT at the selected ISA.
-  const char *vecCType(Type VT) const {
-    bool AVX2 = Options.ISA.Level == codegen::SimdLevel::AVX2;
+  /// Prelude register type of a vector of \p VT (sized by the ISA).
+  static const char *vecCType(Type VT) {
     if (VT == Type::float32())
-      return AVX2 ? "__m256" : "__m128";
+      return "ltp_vf32";
     if (VT == Type::float64())
-      return AVX2 ? "__m256d" : "__m128d";
-    return AVX2 ? "__m256i" : "__m128i";
+      return "ltp_vf64";
+    return "ltp_vint";
   }
 
   /// The register-accumulator form of a jammed loop. When the (single)
@@ -961,7 +1333,6 @@ private:
       return false; // nothing to hoist across
 
     const char *Sfx = vecSuffix(Ctx.VT);
-    SimdSuffixesUsed.insert(Sfx);
     auto Pad = [](int I) {
       return std::string(static_cast<size_t>(I) * 2, ' ');
     };
@@ -1218,7 +1589,6 @@ private:
                                  Out))
       return true;
 
-    SimdSuffixesUsed.insert(vecSuffix(Ctx.VT));
     auto Pad = [](int I) {
       return std::string(static_cast<size_t>(I) * 2, ' ');
     };
@@ -1389,297 +1759,44 @@ private:
     return Out;
   }
 
-  std::string preamble(bool UsesStreaming) const {
-    std::string Out;
-    Out += "/* Generated by ltp codegen; do not edit. */\n";
-    Out += "#include <stdint.h>\n";
-    Out += "#include <stddef.h>\n";
-    Out += "#if defined(__SSE2__)\n#include <immintrin.h>\n#endif\n\n";
-    Out += "typedef struct ltp_jit_runtime {\n"
-           "  void (*parallel_for)(const struct ltp_jit_runtime *rt,\n"
-           "                       int64_t min, int64_t extent,\n"
-           "                       void (*body)(int64_t idx, void *closure),"
-           "\n"
-           "                       void *closure);\n"
-           "} ltp_jit_runtime;\n\n";
-    Out += "static inline int64_t ltp_min_i64(int64_t a, int64_t b) "
-           "{ return a < b ? a : b; }\n"
-           "static inline int64_t ltp_max_i64(int64_t a, int64_t b) "
-           "{ return a > b ? a : b; }\n"
-           "static inline float ltp_min_f32(float a, float b) "
-           "{ return a < b ? a : b; }\n"
-           "static inline float ltp_max_f32(float a, float b) "
-           "{ return a > b ? a : b; }\n"
-           "static inline double ltp_min_f64(double a, double b) "
-           "{ return a < b ? a : b; }\n"
-           "static inline double ltp_max_f64(double a, double b) "
-           "{ return a > b ? a : b; }\n\n";
-    if (!UsesStreaming)
-      return Out;
-    Out += "#if defined(__SSE2__)\n"
-           "static inline void ltp_stream_store_u32(void *p, uint32_t v) {\n"
-           "  _mm_stream_si32((int32_t *)p, (int32_t)v);\n"
-           "}\n"
-           "static inline void ltp_stream_store_f32(float *p, float v) {\n"
-           "  union { float f; int32_t i; } u;\n"
-           "  u.f = v;\n"
-           "  _mm_stream_si32((int32_t *)(void *)p, u.i);\n"
-           "}\n"
-           "#if defined(__x86_64__)\n"
-           "static inline void ltp_stream_store_f64(double *p, double v) {\n"
-           "  union { double f; long long i; } u;\n"
-           "  u.f = v;\n"
-           "  _mm_stream_si64((long long *)(void *)p, u.i);\n"
-           "}\n"
-           "#else\n"
-           "static inline void ltp_stream_store_f64(double *p, double v) "
-           "{ *p = v; }\n"
-           "#endif\n"
-           "static inline void ltp_stream_fence(void) { _mm_sfence(); }\n"
-           "/* 64-element (256B) block flush for software write-combined\n"
-           "   non-temporal stores; source is 64B aligned. */\n"
-           "#if defined(__AVX2__)\n"
-           "static inline void ltp_stream_block_u32(uint32_t *dst,\n"
-           "                                        const uint32_t *src) {\n"
-           "  for (int i = 0; i != 8; ++i)\n"
-           "    _mm256_stream_si256((__m256i *)(void *)(dst + 8 * i),\n"
-           "                        _mm256_load_si256((const __m256i *)"
-           "(const void *)(src + 8 * i)));\n"
-           "}\n"
-           "static inline void ltp_stream_block_f32(float *dst,\n"
-           "                                        const float *src) {\n"
-           "  for (int i = 0; i != 8; ++i)\n"
-           "    _mm256_stream_ps(dst + 8 * i, _mm256_load_ps(src + 8 * i));"
-           "\n"
-           "}\n"
-           "#else\n"
-           "static inline void ltp_stream_block_u32(uint32_t *dst,\n"
-           "                                        const uint32_t *src) {\n"
-           "  for (int i = 0; i != 16; ++i)\n"
-           "    _mm_stream_si128((__m128i *)(void *)(dst + 4 * i),\n"
-           "                     _mm_load_si128((const __m128i *)(const "
-           "void *)(src + 4 * i)));\n"
-           "}\n"
-           "static inline void ltp_stream_block_f32(float *dst,\n"
-           "                                        const float *src) {\n"
-           "  for (int i = 0; i != 16; ++i)\n"
-           "    _mm_stream_ps(dst + 4 * i, _mm_load_ps(src + 4 * i));\n"
-           "}\n"
-           "#endif\n"
-           "#else\n"
-           "static inline void ltp_stream_store_u32(void *p, uint32_t v) "
-           "{ *(uint32_t *)p = v; }\n"
-           "static inline void ltp_stream_store_f32(float *p, float v) "
-           "{ *p = v; }\n"
-           "static inline void ltp_stream_store_f64(double *p, double v) "
-           "{ *p = v; }\n"
-           "static inline void ltp_stream_fence(void) {}\n"
-           "static inline void ltp_stream_block_u32(uint32_t *dst,\n"
-           "                                        const uint32_t *src) {\n"
-           "  for (int i = 0; i != 64; ++i)\n"
-           "    dst[i] = src[i];\n"
-           "}\n"
-           "static inline void ltp_stream_block_f32(float *dst,\n"
-           "                                        const float *src) {\n"
-           "  for (int i = 0; i != 64; ++i)\n"
-           "    dst[i] = src[i];\n"
-           "}\n"
-           "#endif\n\n";
-    return Out;
-  }
+  /// The fixed head of every translation unit, then the prelude: the
+  /// helpers \p Code calls, at the prelude level, and the vector types
+  /// they and the code name. Helpers never call each other, so one pass
+  /// over the table finds them all.
+  std::string prelude(const std::string &Code) const {
+    const codegen::SimdLevel Level = preludeLevel(Options.ISA);
+    const unsigned LevelBit = 1u << static_cast<unsigned>(Level);
+    std::set<std::string> Used = ltpIdentifiers(Code);
+    std::string Helpers;
+    for (const PreludeHelper &H : PreludeHelpers) {
+      if (!(H.Levels & LevelBit) || !Used.contains(H.Name))
+        continue;
+      Helpers += H.Text;
+      Helpers += '\n';
+      Used.merge(ltpIdentifiers(H.Text));
+    }
+    std::string Types;
+    for (const PreludeType &T : PreludeTypes)
+      if (Used.contains(T.Name))
+        Types += strFormat("typedef %s %s __attribute__((__vector_size__(%d)"
+                           "%s));\n",
+                           T.Elem, T.Name,
+                           codegen::TargetISA(Level).vectorBytes(), T.Attrs);
 
-  /// Defines the ltp_v* vector helpers for the suffixes the kernel body
-  /// used, at the width of the selected ISA. Emitted after the body so
-  /// only referenced helpers are defined (keeps host-compile time down).
-  std::string simdPreamble() const {
-    if (SimdSuffixesUsed.empty())
-      return "";
-    const bool AVX2 = Options.ISA.Level == codegen::SimdLevel::AVX2;
-    std::string Out;
-    Out += strFormat("/* Explicit SIMD helpers (%s). */\n",
-                     Options.ISA.name());
-    if (SimdSuffixesUsed.contains("f32")) {
-      if (AVX2)
-        Out +=
-            "static inline __m256 ltp_vload_f32(const float *p) "
-            "{ return _mm256_loadu_ps(p); }\n"
-            "static inline void ltp_vstore_f32(float *p, __m256 v) "
-            "{ _mm256_storeu_ps(p, v); }\n"
-            "static inline void ltp_vstream_f32(float *p, __m256 v) "
-            "{ _mm256_stream_ps(p, v); }\n"
-            "static inline __m256 ltp_vset1_f32(float x) "
-            "{ return _mm256_set1_ps(x); }\n"
-            "static inline __m256 ltp_vadd_f32(__m256 a, __m256 b) "
-            "{ return _mm256_add_ps(a, b); }\n"
-            "static inline __m256 ltp_vsub_f32(__m256 a, __m256 b) "
-            "{ return _mm256_sub_ps(a, b); }\n"
-            "static inline __m256 ltp_vmul_f32(__m256 a, __m256 b) "
-            "{ return _mm256_mul_ps(a, b); }\n"
-            "static inline __m256 ltp_vdiv_f32(__m256 a, __m256 b) "
-            "{ return _mm256_div_ps(a, b); }\n"
-            "static inline __m256 ltp_vmin_f32(__m256 a, __m256 b) "
-            "{ return _mm256_min_ps(a, b); }\n"
-            "static inline __m256 ltp_vmax_f32(__m256 a, __m256 b) "
-            "{ return _mm256_max_ps(a, b); }\n"
-            "static inline __m256 ltp_vfma_f32(__m256 a, __m256 b, "
-            "__m256 c) { return _mm256_fmadd_ps(a, b, c); }\n"
-            "static inline __m256 ltp_maskload_f32(const float *p, "
-            "__m256i m) { return _mm256_maskload_ps(p, m); }\n"
-            "static inline void ltp_maskstore_f32(float *p, __m256i m, "
-            "__m256 v) { _mm256_maskstore_ps(p, m, v); }\n";
-      else
-        Out +=
-            "static inline __m128 ltp_vload_f32(const float *p) "
-            "{ return _mm_loadu_ps(p); }\n"
-            "static inline void ltp_vstore_f32(float *p, __m128 v) "
-            "{ _mm_storeu_ps(p, v); }\n"
-            "static inline void ltp_vstream_f32(float *p, __m128 v) "
-            "{ _mm_stream_ps(p, v); }\n"
-            "static inline __m128 ltp_vset1_f32(float x) "
-            "{ return _mm_set1_ps(x); }\n"
-            "static inline __m128 ltp_vadd_f32(__m128 a, __m128 b) "
-            "{ return _mm_add_ps(a, b); }\n"
-            "static inline __m128 ltp_vsub_f32(__m128 a, __m128 b) "
-            "{ return _mm_sub_ps(a, b); }\n"
-            "static inline __m128 ltp_vmul_f32(__m128 a, __m128 b) "
-            "{ return _mm_mul_ps(a, b); }\n"
-            "static inline __m128 ltp_vdiv_f32(__m128 a, __m128 b) "
-            "{ return _mm_div_ps(a, b); }\n"
-            "static inline __m128 ltp_vmin_f32(__m128 a, __m128 b) "
-            "{ return _mm_min_ps(a, b); }\n"
-            "static inline __m128 ltp_vmax_f32(__m128 a, __m128 b) "
-            "{ return _mm_max_ps(a, b); }\n"
-            "static inline __m128 ltp_vfma_f32(__m128 a, __m128 b, "
-            "__m128 c) { return _mm_add_ps(_mm_mul_ps(a, b), c); }\n";
-    }
-    if (SimdSuffixesUsed.contains("f64")) {
-      if (AVX2)
-        Out +=
-            "static inline __m256d ltp_vload_f64(const double *p) "
-            "{ return _mm256_loadu_pd(p); }\n"
-            "static inline void ltp_vstore_f64(double *p, __m256d v) "
-            "{ _mm256_storeu_pd(p, v); }\n"
-            "static inline void ltp_vstream_f64(double *p, __m256d v) "
-            "{ _mm256_stream_pd(p, v); }\n"
-            "static inline __m256d ltp_vset1_f64(double x) "
-            "{ return _mm256_set1_pd(x); }\n"
-            "static inline __m256d ltp_vadd_f64(__m256d a, __m256d b) "
-            "{ return _mm256_add_pd(a, b); }\n"
-            "static inline __m256d ltp_vsub_f64(__m256d a, __m256d b) "
-            "{ return _mm256_sub_pd(a, b); }\n"
-            "static inline __m256d ltp_vmul_f64(__m256d a, __m256d b) "
-            "{ return _mm256_mul_pd(a, b); }\n"
-            "static inline __m256d ltp_vdiv_f64(__m256d a, __m256d b) "
-            "{ return _mm256_div_pd(a, b); }\n"
-            "static inline __m256d ltp_vmin_f64(__m256d a, __m256d b) "
-            "{ return _mm256_min_pd(a, b); }\n"
-            "static inline __m256d ltp_vmax_f64(__m256d a, __m256d b) "
-            "{ return _mm256_max_pd(a, b); }\n"
-            "static inline __m256d ltp_vfma_f64(__m256d a, __m256d b, "
-            "__m256d c) { return _mm256_fmadd_pd(a, b, c); }\n"
-            "static inline __m256d ltp_maskload_f64(const double *p, "
-            "__m256i m) { return _mm256_maskload_pd(p, m); }\n"
-            "static inline void ltp_maskstore_f64(double *p, __m256i m, "
-            "__m256d v) { _mm256_maskstore_pd(p, m, v); }\n";
-      else
-        Out +=
-            "static inline __m128d ltp_vload_f64(const double *p) "
-            "{ return _mm_loadu_pd(p); }\n"
-            "static inline void ltp_vstore_f64(double *p, __m128d v) "
-            "{ _mm_storeu_pd(p, v); }\n"
-            "static inline void ltp_vstream_f64(double *p, __m128d v) "
-            "{ _mm_stream_pd(p, v); }\n"
-            "static inline __m128d ltp_vset1_f64(double x) "
-            "{ return _mm_set1_pd(x); }\n"
-            "static inline __m128d ltp_vadd_f64(__m128d a, __m128d b) "
-            "{ return _mm_add_pd(a, b); }\n"
-            "static inline __m128d ltp_vsub_f64(__m128d a, __m128d b) "
-            "{ return _mm_sub_pd(a, b); }\n"
-            "static inline __m128d ltp_vmul_f64(__m128d a, __m128d b) "
-            "{ return _mm_mul_pd(a, b); }\n"
-            "static inline __m128d ltp_vdiv_f64(__m128d a, __m128d b) "
-            "{ return _mm_div_pd(a, b); }\n"
-            "static inline __m128d ltp_vmin_f64(__m128d a, __m128d b) "
-            "{ return _mm_min_pd(a, b); }\n"
-            "static inline __m128d ltp_vmax_f64(__m128d a, __m128d b) "
-            "{ return _mm_max_pd(a, b); }\n"
-            "static inline __m128d ltp_vfma_f64(__m128d a, __m128d b, "
-            "__m128d c) { return _mm_add_pd(_mm_mul_pd(a, b), c); }\n";
-    }
-    if (SimdSuffixesUsed.contains("i32")) {
-      // Int32 and UInt32 share these; pointers are void* so both element
-      // types bind without casts at the call sites.
-      if (AVX2)
-        Out +=
-            "static inline __m256i ltp_vload_i32(const void *p) "
-            "{ return _mm256_loadu_si256((const __m256i *)p); }\n"
-            "static inline void ltp_vstore_i32(void *p, __m256i v) "
-            "{ _mm256_storeu_si256((__m256i *)p, v); }\n"
-            "static inline void ltp_vstream_i32(void *p, __m256i v) "
-            "{ _mm256_stream_si256((__m256i *)p, v); }\n"
-            "static inline __m256i ltp_vset1_i32(uint32_t x) "
-            "{ return _mm256_set1_epi32((int32_t)x); }\n"
-            "static inline __m256i ltp_vadd_i32(__m256i a, __m256i b) "
-            "{ return _mm256_add_epi32(a, b); }\n"
-            "static inline __m256i ltp_vsub_i32(__m256i a, __m256i b) "
-            "{ return _mm256_sub_epi32(a, b); }\n"
-            "static inline __m256i ltp_vmul_i32(__m256i a, __m256i b) "
-            "{ return _mm256_mullo_epi32(a, b); }\n"
-            "static inline __m256i ltp_vmin_i32(__m256i a, __m256i b) "
-            "{ return _mm256_min_epi32(a, b); }\n"
-            "static inline __m256i ltp_vmax_i32(__m256i a, __m256i b) "
-            "{ return _mm256_max_epi32(a, b); }\n"
-            "static inline __m256i ltp_vmin_u32(__m256i a, __m256i b) "
-            "{ return _mm256_min_epu32(a, b); }\n"
-            "static inline __m256i ltp_vmax_u32(__m256i a, __m256i b) "
-            "{ return _mm256_max_epu32(a, b); }\n"
-            "static inline __m256i ltp_vand_i32(__m256i a, __m256i b) "
-            "{ return _mm256_and_si256(a, b); }\n"
-            "static inline __m256i ltp_vor_i32(__m256i a, __m256i b) "
-            "{ return _mm256_or_si256(a, b); }\n"
-            "static inline __m256i ltp_vxor_i32(__m256i a, __m256i b) "
-            "{ return _mm256_xor_si256(a, b); }\n"
-            "static inline __m256i ltp_maskload_i32(const void *p, "
-            "__m256i m) { return _mm256_maskload_epi32((const int *)p, m); "
-            "}\n"
-            "static inline void ltp_maskstore_i32(void *p, __m256i m, "
-            "__m256i v) { _mm256_maskstore_epi32((int *)p, m, v); }\n";
-      else
-        Out +=
-            "static inline __m128i ltp_vload_i32(const void *p) "
-            "{ return _mm_loadu_si128((const __m128i *)p); }\n"
-            "static inline void ltp_vstore_i32(void *p, __m128i v) "
-            "{ _mm_storeu_si128((__m128i *)p, v); }\n"
-            "static inline void ltp_vstream_i32(void *p, __m128i v) "
-            "{ _mm_stream_si128((__m128i *)p, v); }\n"
-            "static inline __m128i ltp_vset1_i32(uint32_t x) "
-            "{ return _mm_set1_epi32((int32_t)x); }\n"
-            "static inline __m128i ltp_vadd_i32(__m128i a, __m128i b) "
-            "{ return _mm_add_epi32(a, b); }\n"
-            "static inline __m128i ltp_vsub_i32(__m128i a, __m128i b) "
-            "{ return _mm_sub_epi32(a, b); }\n"
-            "static inline __m128i ltp_vand_i32(__m128i a, __m128i b) "
-            "{ return _mm_and_si128(a, b); }\n"
-            "static inline __m128i ltp_vor_i32(__m128i a, __m128i b) "
-            "{ return _mm_or_si128(a, b); }\n"
-            "static inline __m128i ltp_vxor_i32(__m128i a, __m128i b) "
-            "{ return _mm_xor_si128(a, b); }\n";
-    }
-    if (UsedMask32)
-      Out += "/* Lane mask for an N-element tail (N in [1, 8)). */\n"
-             "static inline __m256i ltp_tailmask_32(int64_t rem) {\n"
-             "  return _mm256_cmpgt_epi32(\n"
-             "      _mm256_set1_epi32((int32_t)rem),\n"
-             "      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));\n"
-             "}\n";
-    if (UsedMask64)
-      Out += "/* Lane mask for an N-element tail (N in [1, 4)). */\n"
-             "static inline __m256i ltp_tailmask_64(int64_t rem) {\n"
-             "  return _mm256_cmpgt_epi64(\n"
-             "      _mm256_set1_epi64x(rem),\n"
-             "      _mm256_setr_epi64x(0, 1, 2, 3));\n"
-             "}\n";
-    Out += "\n";
+    std::string Out = "/* Generated by ltp codegen; do not edit. */\n"
+                      "#include <stdint.h>\n"
+                      "#include <stddef.h>\n\n"
+                      "typedef struct ltp_jit_runtime {\n"
+                      "  void (*parallel_for)(const struct ltp_jit_runtime "
+                      "*rt,\n"
+                      "                       int64_t min, int64_t extent,\n"
+                      "                       void (*body)(int64_t idx, "
+                      "void *closure),\n"
+                      "                       void *closure);\n"
+                      "} ltp_jit_runtime;\n\n";
+    if (!Types.empty() || !Helpers.empty())
+      Out += strFormat("/* Prelude (%s). */\n", Options.ISA.name()) + Types +
+             Helpers + "\n";
     return Out;
   }
 
@@ -1691,12 +1808,6 @@ private:
   std::vector<std::string> ScopeVars;
   std::string OutlinedFunctions;
   int ClosureCounter = 0;
-  bool UsedStreamBlocks = false;
-  /// Vector-helper suffixes ("f32"/"f64"/"i32") the body referenced; the
-  /// preamble only defines helpers that are actually used.
-  std::set<std::string> SimdSuffixesUsed;
-  bool UsedMask32 = false;
-  bool UsedMask64 = false;
 };
 
 } // namespace

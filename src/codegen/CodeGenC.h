@@ -9,6 +9,10 @@
 /// This is the project's equivalent of Halide's LLVM back end: the JIT
 /// compiles the generated source with the host C compiler at -O3 so that
 /// tiled, reordered, parallel and vectorized schedules run at native speed.
+/// The unit includes only <stdint.h> and <stddef.h>: a prelude chosen for
+/// the target ISA defines the vector types (GNU C vector extensions) and
+/// the `ltp_*` helpers (GCC x86 builtins) the kernel calls, and nothing
+/// else, so the host compiler never parses an intrinsics header.
 ///
 /// Notable lowering decisions:
 ///  * Parallel loops are outlined into closure-taking functions and
@@ -16,7 +20,7 @@
 ///    host (see jit/JITRuntime.h), mirroring Halide's do_par_for runtime
 ///    hook.
 ///  * Vectorized loops over a unit-stride dimension are emitted as explicit
-///    vector intrinsics (AVX2/SSE2 selected by codegen::TargetISA) with a
+///    vector helper calls (AVX2/SSE2 selected by codegen::TargetISA) with a
 ///    masked or scalar epilogue for non-divisible extents; loops the
 ///    explicit path cannot prove vectorizable fall back to
 ///    `#pragma GCC ivdep` and the host compiler's vectorizer.
@@ -25,10 +29,10 @@
 ///    inner reduction loops (the classic matmul micro-kernel shape).
 ///  * Non-temporal stores (the scheduling directive this project adds,
 ///    Section 4 of the paper) are emitted as MOVNTI/MOVNTPS-class
-///    intrinsics: whole-vector `_mm256_stream_ps`/`_mm_stream_ps` when the
-///    innermost vectorized loop stores contiguously with suitable
-///    alignment, scalar `_mm_stream_si32/64` otherwise, with a scalar
-///    fallback on ISAs without streaming stores.
+///    instructions: whole-vector `ltp_vstream_*`/`ltp_stream_block_*`
+///    (VMOVNTPS, VMOVNTDQ) when the innermost vectorized loop stores
+///    contiguously with suitable alignment, scalar `ltp_stream_store_*`
+///    (MOVNTI) otherwise, and plain stores on hosts other than x86-64.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,16 +62,15 @@ struct BufferBinding {
 
 /// Options controlling code generation.
 struct CodeGenOptions {
-  /// Emit streaming-store intrinsics for non-temporal stores; when false
+  /// Emit streaming stores for non-temporal stores; when false
   /// they degrade to regular stores (the ARM configuration).
   bool EnableNonTemporal = true;
-  /// Emit explicit vector intrinsics for vectorized loops instead of
+  /// Emit explicit vector code for vectorized loops instead of
   /// relying on the host compiler's auto-vectorizer. Loops the explicit
   /// path cannot handle fall back to the pragma path either way.
   bool ExplicitSIMD = true;
-  /// Instruction set for explicit SIMD and for the JIT's -m flags.
-  /// Defaults to the host's best level; cap with TargetISA::select(Arch)
-  /// when modelling a narrower machine.
+  /// Instruction set for explicit SIMD, the prelude and the JIT's -m
+  /// flags. Defaults to the host's best level.
   codegen::TargetISA ISA = codegen::TargetISA::host();
 };
 

@@ -2,13 +2,11 @@
 
 #include "codegen/TargetISA.h"
 
-#include "arch/ArchParams.h"
-
 using namespace ltp;
 using namespace ltp::codegen;
 
 TargetISA TargetISA::host() {
-#if defined(__x86_64__) || defined(__i386__)
+#if defined(__x86_64__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
     return TargetISA(SimdLevel::AVX2);
@@ -16,16 +14,6 @@ TargetISA TargetISA::host() {
     return TargetISA(SimdLevel::SSE2);
 #endif
   return TargetISA(SimdLevel::Scalar);
-}
-
-TargetISA TargetISA::select(const ArchParams &Arch) {
-  TargetISA Host = host();
-  SimdLevel Cap = SimdLevel::Scalar;
-  if (Arch.VectorWidth >= 8)
-    Cap = SimdLevel::AVX2;
-  else if (Arch.VectorWidth >= 4)
-    Cap = SimdLevel::SSE2;
-  return TargetISA(Host.Level < Cap ? Host.Level : Cap);
 }
 
 int TargetISA::vectorBytes() const {

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Describes the SIMD instruction set the explicit vector code generator
-/// targets. The level is probed from the host CPU and capped by the
-/// modelled architecture's vector width (arch/ArchParams.h), so a schedule
-/// tuned for a 4-lane machine is not silently compiled with 8-lane AVX2.
+/// targets. The level is probed from the host CPU; callers may pin a
+/// lower one (tests run every level the host executes).
 ///
 /// The selected level also determines the `-m` flags handed to the host C
 /// compiler, replacing `-march=native`: generated kernels are reproducible
@@ -26,8 +25,6 @@
 
 namespace ltp {
 
-struct ArchParams;
-
 namespace codegen {
 
 /// SIMD capability tiers, ordered: higher levels include the lower ones.
@@ -41,12 +38,8 @@ struct TargetISA {
   explicit TargetISA(SimdLevel L) : Level(L) {}
 
   /// The best level the host CPU supports (AVX2 requires FMA as well;
-  /// non-x86 hosts report Scalar).
+  /// hosts other than x86-64 report Scalar).
   static TargetISA host();
-
-  /// Caps the host level by the modelled architecture's vector width:
-  /// width >= 8 allows AVX2, width >= 4 allows SSE2, otherwise scalar.
-  static TargetISA select(const ArchParams &Arch);
 
   static TargetISA scalar() { return TargetISA(SimdLevel::Scalar); }
 

@@ -56,10 +56,13 @@ std::string slurp(const std::string &Path) {
 /// experiment; the back-end compiler must vectorize and register-allocate
 /// it, not re-tile it. The SIMD level comes from the codegen target ISA
 /// (never -march=native) so a cached object is valid on any host that
-/// runs it and the cache key fully describes the binary.
+/// runs it and the cache key fully describes the binary. A call to a
+/// helper the prelude lacks is a compile error naming it, not an
+/// undefined symbol at dlopen.
 std::string buildFlags(const CodeGenOptions &Options) {
   return "-O3" + Options.ISA.compilerFlags() +
-         " -fno-loop-interchange -fno-loop-unroll-and-jam -fPIC -shared";
+         " -fno-loop-interchange -fno-loop-unroll-and-jam"
+         " -Werror=implicit-function-declaration -fPIC -shared";
 }
 
 /// 64-bit FNV-1a of \p Data as fixed-width hex; names disk-cache entries.
@@ -488,12 +491,13 @@ JITCompiler::compileMany(const std::vector<CompileJob> &Jobs) {
 }
 
 bool ltp::jitAvailable() {
-  static int Cached = -1;
-  if (Cached >= 0)
-    return Cached != 0;
-  const char *FromEnv = std::getenv("LTP_CC"); // NOLINT(concurrency-mt-unsafe)
-  std::string Compiler = FromEnv ? FromEnv : "cc";
-  std::string Command = Compiler + " --version > /dev/null 2>&1";
-  Cached = std::system(Command.c_str()) == 0 ? 1 : 0;
-  return Cached != 0;
+  // Probed once; a function-local static is initialized exactly once even
+  // when concurrent serving sessions ask at the same time.
+  static const bool Available = [] {
+    const char *FromEnv = std::getenv("LTP_CC"); // NOLINT(concurrency-mt-unsafe)
+    std::string Compiler = FromEnv ? FromEnv : "cc";
+    std::string Command = Compiler + " --version > /dev/null 2>&1";
+    return std::system(Command.c_str()) == 0;
+  }();
+  return Available;
 }

@@ -6,7 +6,8 @@
 // content-addressed store must end up with exactly one `.so` on disk —
 // the flock serializes the build, the loser loads the winner's artifact —
 // and both must be able to dlopen and run it. This is the cross-process
-// contract tools/ltp-serve's shared kernel store depends on.
+// contract tools/ltp-serve's shared kernel store depends on. Concurrent
+// sessions also race the one-time compiler probe (jitAvailable).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <dirent.h>
 #include <string>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -121,6 +124,27 @@ TEST(CacheRace, TwoProcessesOneSharedObject) {
   ASSERT_EQ(::unsetenv("LTP_JIT_CACHE_DIR"), 0);
   std::string Cleanup = std::string("rm -rf '") + Dir + "'";
   ASSERT_EQ(std::system(Cleanup.c_str()), 0);
+}
+
+/// Serving sessions ask whether a compiler exists on their first request,
+/// possibly all at once: the probe must run once, without a data race
+/// (the thread-sanitized serve leg checks), and give every caller the
+/// same answer.
+TEST(CacheRace, JitAvailableFromConcurrentThreads) {
+  std::atomic<bool> Go{false};
+  std::vector<char> Answers(8);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I != Answers.size(); ++I)
+    Threads.emplace_back([&, I] {
+      while (!Go.load())
+        std::this_thread::yield();
+      Answers[I] = jitAvailable();
+    });
+  Go.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+  for (char Answer : Answers)
+    EXPECT_EQ(Answer, Answers.front());
 }
 
 } // namespace

@@ -5,15 +5,27 @@
 // Checks the textual structure of generated C: typed buffer declarations
 // (const for read-only, restrict everywhere), stride-based index
 // linearization, parallel-loop outlining through the runtime hook,
-// vectorization pragmas and streaming-store emission.
+// vectorization pragmas, streaming-store emission, and a self-contained
+// prelude for every Table-4 kernel at every SIMD level.
 //
 //===----------------------------------------------------------------------===//
 
+#include "arch/ArchParams.h"
+#include "benchmarks/PipelineRunner.h"
 #include "codegen/CodeGenC.h"
+#include "core/Optimizer.h"
 #include "lang/Func.h"
 #include "lang/Lower.h"
+#include "tests/ScheduleVariants.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace ltp;
 
@@ -114,12 +126,14 @@ TEST(CodegenTest, StreamingStoresAndFence) {
   Func Out("Out");
   Out(X, Y) = In(X, Y);
   Out.storeNonTemporal();
-  std::string Source =
-      generateC(lowerFunc(Out, {32, 16}), simpleSignature(), "k");
+  CodeGenOptions Options;
+  Options.ISA = codegen::TargetISA(codegen::SimdLevel::SSE2);
+  std::string Source = generateC(lowerFunc(Out, {32, 16}),
+                                 simpleSignature(), "k", Options);
   EXPECT_NE(Source.find("ltp_stream_store_f32(&Out["), std::string::npos)
       << Source;
   EXPECT_NE(Source.find("ltp_stream_fence();"), std::string::npos);
-  EXPECT_NE(Source.find("_mm_stream_si32"), std::string::npos);
+  EXPECT_NE(Source.find("__builtin_ia32_movnti("), std::string::npos);
 }
 
 TEST(CodegenTest, MinMaxLoweredToHelpers) {
@@ -163,5 +177,111 @@ TEST(CodegenTest, NoStreamingHelpersWhenUnused) {
   std::string Source = generateC(lowerFunc(Out, {16}), Signature, "k");
   EXPECT_EQ(Source.find("ltp_stream_store"), std::string::npos);
 }
+
+/// Names of the `static inline` helpers \p Source defines.
+std::vector<std::string> definedHelpers(const std::string &Source) {
+  std::vector<std::string> Names;
+  std::istringstream Lines(Source);
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (Line.rfind("static inline ", 0) != 0)
+      continue;
+    size_t Paren = Line.find('(');
+    size_t Start = Line.rfind(' ', Paren) + 1;
+    Names.push_back(Line.substr(Start, Paren - Start));
+  }
+  return Names;
+}
+
+/// Size in bytes of \p Source after the host C preprocessor, or -1.
+long preprocessedBytes(const std::string &Source,
+                       const codegen::TargetISA &ISA) {
+  const char *Tmp = std::getenv("TMPDIR");
+  std::string Base = std::string(Tmp ? Tmp : "/tmp") + "/ltp-prelude-" +
+                     std::to_string(::getpid());
+  std::string In = Base + ".c", Out = Base + ".i";
+  std::ofstream(In) << Source;
+  const char *Cc = std::getenv("LTP_CC");
+  std::string Cmd = std::string(Cc ? Cc : "cc") + " -E -O3" +
+                    ISA.compilerFlags() + " '" + In + "' -o '" + Out +
+                    "' 2>/dev/null";
+  struct stat St;
+  long Bytes = -1;
+  if (std::system(Cmd.c_str()) == 0 && ::stat(Out.c_str(), &St) == 0)
+    Bytes = static_cast<long>(St.st_size);
+  ::unlink(In.c_str());
+  ::unlink(Out.c_str());
+  return Bytes;
+}
+
+/// Generated kernels carry their own prelude: for the 12 Table-4 kernels
+/// (the optimizer's schedule at the default size, and the SIMD test
+/// variants at sizes with tails) at each SIMD level, the source includes
+/// only <stdint.h>/<stddef.h>, defines only helpers it calls, has no
+/// conditional compilation, and preprocesses to at most 64 KB.
+class PreludeSelfContained
+    : public ::testing::TestWithParam<codegen::SimdLevel> {};
+
+TEST_P(PreludeSelfContained, Table4Kernels) {
+  CodeGenOptions Options;
+  Options.ISA = codegen::TargetISA(GetParam());
+  const bool HaveCompiler = jitAvailable();
+  for (const BenchmarkDef &Def : allBenchmarks()) {
+    // Shapes only: code generation never reads buffer contents.
+    std::vector<std::pair<std::string, BenchmarkInstance>> Scheduled;
+    BenchmarkInstance Chosen = Def.Shape(Def.DefaultSize);
+    for (size_t S = 0; S != Chosen.Stages.size(); ++S)
+      optimize(Chosen.Stages[S], Chosen.StageExtents[S], intelI7_6700());
+    Scheduled.emplace_back("chosen", std::move(Chosen));
+    for (test::Variant V :
+         {test::Variant::Vectorized, test::Variant::UnrollJam,
+          test::Variant::NTStore}) {
+      BenchmarkInstance Variant = Def.Shape(test::oddSize(Def.Name));
+      test::applyVariant(Variant, V);
+      Scheduled.emplace_back(test::variantName(V), std::move(Variant));
+    }
+
+    for (const auto &[Schedule, Instance] : Scheduled) {
+      PipelineCompileJob Job = makeCompileJob(Instance, Options);
+      std::vector<BufferBinding> Signature;
+      for (const auto &[Name, Ref] : *Job.Buffers)
+        Signature.push_back(BufferBinding::fromRef(Name, Ref));
+      for (size_t S = 0; S != Job.Stages.size(); ++S) {
+        SCOPED_TRACE(Def.Name + " " + Schedule + " stage " +
+                     std::to_string(S));
+        std::string Source =
+            generateC(Job.Stages[S], Signature, "ltp_kernel", Options);
+        std::istringstream Lines(Source);
+        for (std::string Line; std::getline(Lines, Line);) {
+          if (Line.rfind("#include", 0) == 0) {
+            EXPECT_TRUE(Line == "#include <stdint.h>" ||
+                        Line == "#include <stddef.h>")
+                << Line;
+          }
+        }
+        EXPECT_EQ(Source.find("#if"), std::string::npos) << Source;
+        for (const std::string &Helper : definedHelpers(Source)) {
+          EXPECT_EQ(Helper.rfind("ltp_", 0), 0u) << Helper;
+          size_t Definition = Source.find(Helper + "(");
+          EXPECT_NE(Source.find(Helper + "(", Definition + 1),
+                    std::string::npos)
+              << Helper << " is defined but never called";
+        }
+        if (HaveCompiler) {
+          long Bytes = preprocessedBytes(Source, Options.ISA);
+          EXPECT_GT(Bytes, 0);
+          EXPECT_LE(Bytes, 64 * 1024) << Source;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLevels, PreludeSelfContained,
+    ::testing::Values(codegen::SimdLevel::AVX2, codegen::SimdLevel::SSE2,
+                      codegen::SimdLevel::Scalar),
+    [](const ::testing::TestParamInfo<codegen::SimdLevel> &Info) {
+      return std::string(codegen::TargetISA(Info.param).name());
+    });
 
 } // namespace

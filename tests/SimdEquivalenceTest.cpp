@@ -2,19 +2,15 @@
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
-// The explicit SIMD back end (intrinsic vector loads/stores/FMA, masked
+// The explicit SIMD back end (prelude vector loads/stores/FMA, masked
 // tails, register-tiled unroll_jam, streaming stores) must be
 // observationally equivalent to the interpreter on every kernel of the
-// Table-4 suite. Each benchmark runs at a deliberately non-divisible
-// problem size (not a multiple of the vector width, so the masked/scalar
-// tail paths execute) under three schedule variants:
-//
-//   * Vectorized  — the innermost pure loop split and vectorized x8.
-//   * UnrollJam   — Vectorized plus unroll_jam(outermost pure loop, 4),
-//                   exercising the register-accumulator interchange.
-//   * NTStore     — Vectorized plus storeNonTemporal(), exercising the
-//                   whole-vector streaming-store path and its scalar
-//                   streaming tails.
+// Table-4 suite, at every SIMD level the host executes (the host's own
+// level keeps the plain test names; lower levels add an `_<isa>` suffix).
+// Each benchmark runs at a deliberately non-divisible problem size under
+// the three schedule variants of tests/ScheduleVariants.h. The Table-4
+// kernels are all 32-bit, so a float64 gemm built here runs the f64
+// helpers under the same variants.
 //
 // Integer kernels must match bit-exactly. Float kernels are compared
 // with a relative tolerance because the vector path contracts mul+add
@@ -24,7 +20,9 @@
 
 #include "benchmarks/Benchmarks.h"
 #include "benchmarks/PipelineRunner.h"
-#include "core/AccessInfo.h"
+#include "interp/Interpreter.h"
+#include "lang/Lower.h"
+#include "tests/ScheduleVariants.h"
 
 #include "gtest/gtest.h"
 
@@ -33,68 +31,32 @@
 #include <tuple>
 
 using namespace ltp;
+using codegen::SimdLevel;
+using codegen::TargetISA;
+using test::Variant;
 
 namespace {
 
-enum class Variant { Vectorized, UnrollJam, NTStore };
-
-const char *variantName(Variant V) {
-  switch (V) {
-  case Variant::Vectorized:
-    return "Vectorized";
-  case Variant::UnrollJam:
-    return "UnrollJam";
-  case Variant::NTStore:
-    return "NTStore";
-  }
-  return "?";
+/// Every SIMD level the host can execute, highest first.
+std::vector<SimdLevel> hostLevels() {
+  std::vector<SimdLevel> Levels;
+  for (SimdLevel L : {SimdLevel::AVX2, SimdLevel::SSE2, SimdLevel::Scalar})
+    if (L <= TargetISA::host().Level)
+      Levels.push_back(L);
+  return Levels;
 }
 
-/// Small problem sizes chosen to not be multiples of the 8-lane vector
-/// width anywhere, so every kernel runs its tail path.
-int64_t oddSize(const std::string &Name) {
-  if (Name == "doitgen")
-    return 13;
-  if (Name == "convlayer")
-    return 11;
-  if (Name == "tpm" || Name == "tp" || Name == "copy" || Name == "mask")
-    return 101;
-  return 45; // matmul / 3mm / gemm / trmm / syrk / syr2k
+/// Test-name suffix of a level: none for the host's own.
+std::string levelSuffix(SimdLevel L) {
+  if (L == TargetISA::host().Level)
+    return "";
+  return std::string("_") + TargetISA(L).name();
 }
 
-/// Applies one schedule variant to every stage of every Func: vectorize
-/// the innermost pure loop, optionally unroll_jam the outermost pure
-/// loop, optionally mark the Func's stores non-temporal. Stages whose
-/// loops are all reductions are left unscheduled.
-void applyVariant(BenchmarkInstance &Instance, Variant V) {
-  for (size_t S = 0; S != Instance.Stages.size(); ++S) {
-    Func &F = Instance.Stages[S];
-    if (V == Variant::NTStore)
-      F.storeNonTemporal();
-    for (int StageIdx = -1; StageIdx != F.numUpdates(); ++StageIdx) {
-      StageAccessInfo Info =
-          analyzeStage(F, StageIdx, Instance.StageExtents[S]);
-      const LoopInfo *VecLoop = nullptr;
-      for (const LoopInfo &L : Info.Loops)
-        if (!L.IsReduction && L.Extent >= 2) {
-          VecLoop = &L;
-          break;
-        }
-      if (!VecLoop)
-        continue;
-      Stage Handle = StageIdx < 0 ? F.pureStage() : F.update(StageIdx);
-      Handle.vectorize(VecLoop->Name, 8);
-      if (V == Variant::UnrollJam) {
-        // Outermost pure loop distinct from the vectorized one.
-        for (auto It = Info.Loops.rbegin(); It != Info.Loops.rend(); ++It)
-          if (!It->IsReduction && It->Name != VecLoop->Name &&
-              It->Extent >= 2) {
-            Handle.unrollJam(It->Name, 4);
-            break;
-          }
-      }
-    }
-  }
+CodeGenOptions optionsFor(SimdLevel L) {
+  CodeGenOptions Options;
+  Options.ISA = TargetISA(L);
+  return Options;
 }
 
 /// Element-wise comparison: bit-exact for integers, relative tolerance
@@ -127,26 +89,28 @@ void expectBuffersMatch(const BufferRef &Got, const BufferRef &Want) {
 }
 
 class SimdEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::string, Variant>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, Variant, SimdLevel>> {};
 
 TEST_P(SimdEquivalence, CompiledMatchesInterpreter) {
   if (!jitAvailable())
     GTEST_SKIP() << "no host C compiler";
-  const auto &[Name, V] = GetParam();
+  const auto &[Name, V, Level] = GetParam();
   const BenchmarkDef *Def = findBenchmark(Name);
   ASSERT_NE(Def, nullptr);
-  const int64_t Size = oddSize(Name);
+  const int64_t Size = test::oddSize(Name);
 
   // Identical seeds on both instances: inputs are bitwise equal.
   BenchmarkInstance Jitted = Def->Create(Size);
-  applyVariant(Jitted, V);
+  test::applyVariant(Jitted, V);
   JITCompiler Compiler;
-  ErrorOr<CompiledPipeline> Pipeline = compilePipeline(Jitted, Compiler);
+  ErrorOr<CompiledPipeline> Pipeline =
+      compilePipeline(Jitted, Compiler, optionsFor(Level));
   ASSERT_TRUE(static_cast<bool>(Pipeline)) << Pipeline.getError();
   Pipeline->run(Jitted);
 
   BenchmarkInstance Interpreted = Def->Create(Size);
-  applyVariant(Interpreted, V);
+  test::applyVariant(Interpreted, V);
   runInterpreted(Interpreted);
 
   expectBuffersMatch(Jitted.Buffers.at(Jitted.OutputName),
@@ -168,10 +132,91 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(table4Names()),
                        ::testing::Values(Variant::Vectorized,
                                          Variant::UnrollJam,
-                                         Variant::NTStore)),
+                                         Variant::NTStore),
+                       ::testing::ValuesIn(hostLevels())),
     [](const ::testing::TestParamInfo<SimdEquivalence::ParamType> &Info) {
       return std::get<0>(Info.param) + "_" +
-             variantName(std::get<1>(Info.param));
+             test::variantName(std::get<1>(Info.param)) +
+             levelSuffix(std::get<2>(Info.param));
+    });
+
+/// C(j, i) = beta * Cin(j, i) + sum_k alpha * A(k, i) * B(j, k) in
+/// float64 under the three variants: j vectorized by 8 (two AVX2
+/// registers of doubles), plus i unroll-jammed by 4 or every store
+/// non-temporal.
+class SimdEquivalenceF64
+    : public ::testing::TestWithParam<std::tuple<Variant, SimdLevel>> {};
+
+TEST_P(SimdEquivalenceF64, CompiledMatchesInterpreter) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  const auto &[V, Level] = GetParam();
+  constexpr int64_t N = 45; // leaves a tail at every vector width
+  Buffer<double> A({N, N}), B({N, N}), Cin({N, N}), C({N, N}),
+      Want({N, N});
+  A.fillRandom(31);
+  B.fillRandom(32);
+  Cin.fillRandom(33);
+
+  Var J("j"), I("i");
+  RDom K(0, static_cast<int>(N), "k");
+  InputBuffer AIn("A", ir::Type::float64(), 2);
+  InputBuffer BIn("B", ir::Type::float64(), 2);
+  InputBuffer CIn("Cin", ir::Type::float64(), 2);
+  Func F("C");
+  F(J, I) = CIn(J, I) * 0.5;
+  F(J, I) += 1.5 * AIn(K, I) * BIn(J, K);
+  F.pureStage().vectorize("j", 8);
+  // k between the jam and the vector loop: the register-accumulator form.
+  F.update()
+      .split("j", "j_o", "j_i", 8)
+      .reorder({"j_i", "k", "j_o", "i"})
+      .vectorize("j_i");
+  if (V == Variant::UnrollJam)
+    F.update().unrollJam("i", 4);
+  if (V == Variant::NTStore)
+    F.storeNonTemporal();
+
+  ir::StmtPtr S = lowerFunc(F, {N, N});
+  std::map<std::string, BufferRef> Buffers = {{"A", A.ref()},
+                                              {"B", B.ref()},
+                                              {"Cin", Cin.ref()},
+                                              {"C", Want.ref()}};
+  interpret(S, Buffers);
+  // The interpreter against the definition, so the comparison below is
+  // not vacuous.
+  for (int64_t Row = 0; Row != N; ++Row)
+    for (int64_t Col = 0; Col != N; ++Col) {
+      double Sum = Cin(Col, Row) * 0.5;
+      for (int64_t Red = 0; Red != N; ++Red)
+        Sum += 1.5 * A(Red, Row) * B(Col, Red);
+      ASSERT_NEAR(Want(Col, Row), Sum, 1e-9 * (1.0 + std::fabs(Sum)));
+    }
+
+  JITCompiler Compiler;
+  ErrorOr<CompiledKernel> Kernel = Compiler.compile(
+      S,
+      {BufferBinding::fromRef("C", C.ref()),
+       BufferBinding::fromRef("A", A.ref()),
+       BufferBinding::fromRef("B", B.ref()),
+       BufferBinding::fromRef("Cin", Cin.ref())},
+      optionsFor(Level));
+  ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError();
+  Buffers["C"] = C.ref();
+  Kernel->run(Buffers);
+  expectBuffersMatch(C.ref(), Want.ref());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Float64Gemm, SimdEquivalenceF64,
+    ::testing::Combine(::testing::Values(Variant::Vectorized,
+                                         Variant::UnrollJam,
+                                         Variant::NTStore),
+                       ::testing::ValuesIn(hostLevels())),
+    [](const ::testing::TestParamInfo<SimdEquivalenceF64::ParamType>
+           &Info) {
+      return std::string(test::variantName(std::get<0>(Info.param))) +
+             "_" + TargetISA(std::get<1>(Info.param)).name();
     });
 
 } // namespace
