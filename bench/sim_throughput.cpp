@@ -94,7 +94,7 @@ int main(int Argc, char **Argv) {
     SimResult Fast, Interp, Ref;
     double FastSeconds = bestSeconds(Runs, [&] {
       Fast = simulate(Lowered, Instance.Buffers, Arch, LatencyModel(),
-                      SimEngine::Compiled);
+                      SimEngine::Auto);
     });
     double InterpSeconds = bestSeconds(Runs, [&] {
       Interp = simulate(Lowered, Instance.Buffers, Arch, LatencyModel(),

@@ -7,16 +7,18 @@
 // millisecond-scale runtimes with convlayer the slow outlier (7.6 s)
 // because of its deep loop nest; the same shape is expected here.
 //
-// Two configurations run side by side: the closed-form analytic scoring
-// path (the default) and the legacy emulation/simulation path, so the
-// table doubles as the speedup demonstration for the analytic miss
-// model. Under --json each row also carries the per-phase breakdown
-// (classify / temporal / spatial milliseconds).
+// Under --json each row carries the per-phase breakdown (classify /
+// temporal / spatial milliseconds) and the search's work counts for one
+// pass: `candidates` (tile candidates scored, the `opt.candidates`
+// delta) and `bound_calls` (Algorithm-1 emulations, the
+// `model.bound.emulated` delta). The counts are deterministic, so CI
+// gates them exactly against the committed baseline.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Harness.h"
 
+#include "obs/Metrics.h"
 #include "support/Format.h"
 #include "support/Timer.h"
 
@@ -38,32 +40,39 @@ const std::map<std::string, double> &paperRuntimesSeconds() {
   return Times;
 }
 
-/// One optimizer run over every stage of a fresh instance. Returns total
-/// seconds and accumulates the per-phase breakdown.
+/// One optimizer run over every stage of a fresh shape-only instance.
+/// Returns total seconds, the per-phase breakdown and the run's counter
+/// deltas.
 struct OptRun {
   double Seconds = 0.0;
   double ClassifyMs = 0.0;
   double TemporalMs = 0.0;
   double SpatialMs = 0.0;
+  int64_t Candidates = 0;
+  int64_t BoundCalls = 0;
   std::string Class;
 };
 
 OptRun runOptimizer(const BenchmarkDef &Def, int64_t Size,
-                    const ArchParams &Arch, model::ScoreMode Score) {
-  BenchmarkInstance Instance = Def.Create(Size);
+                    const ArchParams &Arch) {
+  static obs::Counter &Candidates = obs::counter("opt.candidates");
+  static obs::Counter &BoundCalls = obs::counter("model.bound.emulated");
+  BenchmarkInstance Instance = Def.Shape(Size);
   OptRun Run;
+  const int64_t CandidatesBefore = Candidates.value();
+  const int64_t BoundCallsBefore = BoundCalls.value();
   Timer T;
   for (size_t S = 0; S != Instance.Stages.size(); ++S) {
-    OptimizerOptions Options;
-    Options.Temporal.Score = Score;
-    OptimizationResult R = optimize(Instance.Stages[S],
-                                    Instance.StageExtents[S], Arch, Options);
+    OptimizationResult R =
+        optimize(Instance.Stages[S], Instance.StageExtents[S], Arch);
     Run.ClassifyMs += R.ClassifyMillis;
     Run.TemporalMs += R.TemporalMillis;
     Run.SpatialMs += R.SpatialMillis;
     Run.Class = statementClassName(R.Class.Kind);
   }
   Run.Seconds = T.elapsedSeconds();
+  Run.Candidates = Candidates.value() - CandidatesBefore;
+  Run.BoundCalls = BoundCalls.value() - BoundCallsBefore;
   return Run;
 }
 
@@ -78,66 +87,61 @@ int main(int Argc, char **Argv) {
   const int Runs = timedRuns(Args, 3);
   printHeader("Table 5: optimizer runtime per benchmark", Arch);
 
-  std::vector<int> Widths = {10, 8, 12, 12, 9, 10, 40};
-  printRow({"benchmark", "size", "analytic(s)", "sim(s)", "speedup",
+  std::vector<int> Widths = {10, 8, 12, 11, 12, 10, 40};
+  printRow({"benchmark", "size", "time(s)", "candidates", "bound calls",
             "paper(s)", "class"},
            Widths);
 
-  double TotalAnalytic = 0.0, TotalSim = 0.0;
+  OptRun Total;
   for (const BenchmarkDef &Def : allBenchmarks()) {
     // Table 5 uses the paper's problem sizes unless overridden: the
     // optimizer runtime depends on the loop extents, not on data.
     int64_t Size =
         Args.has("default-sizes") ? Def.DefaultSize : Def.PaperSize;
 
-    // Best-of-N for both scoring paths; the analytic path's phase
-    // breakdown from its best run feeds the JSON report.
-    OptRun Analytic, Sim;
+    // Best-of-N; the best run's phase breakdown feeds the JSON report.
+    // The counter deltas are identical on every run.
+    OptRun Best;
     for (int R = 0; R != Runs; ++R) {
-      OptRun A = runOptimizer(Def, Size, Arch, model::ScoreMode::Auto);
-      if (R == 0 || A.Seconds < Analytic.Seconds)
-        Analytic = A;
-      OptRun S = runOptimizer(Def, Size, Arch, model::ScoreMode::Sim);
-      if (R == 0 || S.Seconds < Sim.Seconds)
-        Sim = S;
+      OptRun Run = runOptimizer(Def, Size, Arch);
+      if (R == 0 || Run.Seconds < Best.Seconds)
+        Best = Run;
     }
-    TotalAnalytic += Analytic.Seconds;
-    TotalSim += Sim.Seconds;
-    double Speedup =
-        Analytic.Seconds > 0.0 ? Sim.Seconds / Analytic.Seconds : 0.0;
+    Total.Seconds += Best.Seconds;
+    Total.Candidates += Best.Candidates;
+    Total.BoundCalls += Best.BoundCalls;
 
     printRow({Def.Name, strFormat("%lld", static_cast<long long>(Size)),
-              strFormat("%.4f", Analytic.Seconds),
-              strFormat("%.4f", Sim.Seconds), strFormat("%.1fx", Speedup),
+              strFormat("%.4f", Best.Seconds),
+              strFormat("%lld", static_cast<long long>(Best.Candidates)),
+              strFormat("%lld", static_cast<long long>(Best.BoundCalls)),
               strFormat("%.3f", paperRuntimesSeconds().at(Def.Name)),
-              Analytic.Class},
+              Best.Class},
              Widths);
 
     TimingStats Stats;
-    Stats.BestSeconds = Analytic.Seconds;
+    Stats.BestSeconds = Best.Seconds;
     Stats.Runs = Runs;
-    reportResult(
-        Def.Name, "analytic", Stats,
-        strFormat("\"classify_ms\":%.4f,\"temporal_ms\":%.4f,"
-                  "\"spatial_ms\":%.4f,\"sim_seconds\":%.6f,"
-                  "\"sim_classify_ms\":%.4f,\"sim_temporal_ms\":%.4f,"
-                  "\"sim_spatial_ms\":%.4f,\"speedup\":%.3f",
-                  Analytic.ClassifyMs, Analytic.TemporalMs,
-                  Analytic.SpatialMs, Sim.Seconds, Sim.ClassifyMs,
-                  Sim.TemporalMs, Sim.SpatialMs, Speedup));
+    reportResult(Def.Name, "optimizer", Stats,
+                 strFormat("\"classify_ms\":%.4f,\"temporal_ms\":%.4f,"
+                           "\"spatial_ms\":%.4f,\"candidates\":%lld,"
+                           "\"bound_calls\":%lld",
+                           Best.ClassifyMs, Best.TemporalMs, Best.SpatialMs,
+                           static_cast<long long>(Best.Candidates),
+                           static_cast<long long>(Best.BoundCalls)));
   }
 
-  std::printf("\ntotal: analytic %.4f s, sim %.4f s, speedup %.1fx\n",
-              TotalAnalytic, TotalSim,
-              TotalAnalytic > 0.0 ? TotalSim / TotalAnalytic : 0.0);
+  std::printf("\ntotal: %.4f s, %lld candidates, %lld bound calls\n",
+              Total.Seconds, static_cast<long long>(Total.Candidates),
+              static_cast<long long>(Total.BoundCalls));
   {
     TimingStats Stats;
-    Stats.BestSeconds = TotalAnalytic;
+    Stats.BestSeconds = Total.Seconds;
     Stats.Runs = Runs;
-    reportResult("total", "analytic", Stats,
-                 strFormat("\"sim_seconds\":%.6f,\"speedup\":%.3f", TotalSim,
-                           TotalAnalytic > 0.0 ? TotalSim / TotalAnalytic
-                                               : 0.0));
+    reportResult("total", "optimizer", Stats,
+                 strFormat("\"candidates\":%lld,\"bound_calls\":%lld",
+                           static_cast<long long>(Total.Candidates),
+                           static_cast<long long>(Total.BoundCalls)));
   }
   printTelemetryFooter();
   return 0;

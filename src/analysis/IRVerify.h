@@ -28,8 +28,10 @@ namespace ltp {
 namespace analysis {
 
 struct IRVerifyOptions {
-  /// Upper limit for the constant extent of a Vectorized loop.
-  int64_t MaxVectorExtent = 4096;
+  /// Upper limit for the constant extent of a Vectorized loop. The
+  /// optimizer never emits a larger vectorize and the legality verifier
+  /// rejects one from schedule text, so lowering never trips it.
+  static constexpr int64_t MaxVectorExtent = 4096;
   /// When set, every loaded or stored buffer must be a member.
   const std::set<std::string> *KnownBuffers = nullptr;
 };

@@ -2,6 +2,7 @@
 
 #include "analysis/Legality.h"
 
+#include "analysis/IRVerify.h"
 #include "ir/IRVisitor.h"
 #include "support/Format.h"
 
@@ -660,6 +661,17 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
       continue; // the loop was split after the mark; lowering drops it
     if (Mark.MarkKind == PendingMark::Kind::Unroll)
       continue; // plain unroll preserves execution order
+    const std::optional<int64_t> &Extent = Nest.Dims[Pos].ConstExtent;
+    if (Mark.MarkKind == PendingMark::Kind::Vectorize && Extent &&
+        *Extent > IRVerifyOptions::MaxVectorExtent) {
+      FailVerdict(Mark.DirIndex, Severity::Error,
+                  strFormat("vectorized loop '%s' extent %lld exceeds the "
+                            "backend limit %lld",
+                            Mark.Name.c_str(), static_cast<long long>(*Extent),
+                            static_cast<long long>(
+                                IRVerifyOptions::MaxVectorExtent)));
+      continue;
+    }
     for (const ShadowDep &Dep : Nest.Deps) {
       if (Dep.Reduction && Mark.MarkKind == PendingMark::Kind::UnrollJam)
         continue; // jamming an accumulator chain only reassociates it

@@ -15,7 +15,9 @@
 ///     negative in the final loop order;
 ///   - parallel requires that the marked loop carries no dependence;
 ///   - vectorize / unroll_jam require no carried dependence shorter than
-///     the vector width / jam factor;
+///     the vector width / jam factor, and a vectorized loop's constant
+///     extent must be within the back end's limit
+///     (IRVerifyOptions::MaxVectorExtent);
 ///   - store_nontemporal warns when the written buffer is re-read in the
 ///     same nest (non-temporal stores bypass the cache the re-read hits).
 ///

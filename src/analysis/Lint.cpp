@@ -6,7 +6,6 @@
 #include "core/Classifier.h"
 #include "lang/ScheduleText.h"
 #include "model/CacheEmu.h"
-#include "model/TileBound.h"
 #include "obs/Log.h"
 #include "support/Format.h"
 
@@ -488,7 +487,7 @@ void checkTileBounds(LintContext &C) {
     EmuL1.RowStrideElems = Bc;
     EmuL1.EffectiveWaysDivisor = std::max(1, C.Arch.NThreadsPerCore);
     EmuL1.MaxRows = MaxExtent;
-    const int64_t MaxT1 = model::boundMaxTileDim(EmuL1, C.Options.Score);
+    const int64_t MaxT1 = emulateMaxTileDim(EmuL1);
 
     CacheEmuParams EmuL2 = EmuL1;
     EmuL2.Cache = C.Arch.L2;
@@ -498,7 +497,7 @@ void checkTileBounds(LintContext &C) {
     EmuL2.L2Pref = C.Arch.L2PrefetchDegree;
     EmuL2.L2MaxPref = C.Arch.L2MaxPrefetchDistance;
     EmuL2.ForL2 = true;
-    const int64_t MaxT2 = model::boundMaxTileDim(EmuL2, C.Options.Score);
+    const int64_t MaxT2 = emulateMaxTileDim(EmuL2);
 
     // u: outermost intra-tile loop (L1 reuse pivot); v: innermost
     // inter-tile loop (L2 reuse pivot) — identified from the final nest
@@ -592,7 +591,7 @@ void checkTileBounds(LintContext &C) {
     Emu.L2MaxPref = C.Arch.L2MaxPrefetchDistance;
     Emu.ForL2 = true;
     Emu.MaxRows = By;
-    const int64_t MaxTy = model::boundMaxTileDim(Emu, C.Options.Score);
+    const int64_t MaxTy = emulateMaxTileDim(Emu);
     if (Ty <= MaxTy)
       return;
 

@@ -22,7 +22,7 @@
 ///                                    stride is not +1 (gather/scatter
 ///                                    lanes). Fix-it: retarget the mark.
 ///   tile-exceeds-bound (error)       a reuse-pivot tile exceeds the
-///                                    closed-form Algorithm-1 bound, so
+///                                    Algorithm-1 emulation bound, so
 ///                                    tile rows interfere in the cache the
 ///                                    tiling targets. Fix-it: clamp the
 ///                                    split factor to the bound.
@@ -57,7 +57,6 @@
 #include "analysis/Legality.h"
 #include "arch/ArchParams.h"
 #include "lang/Func.h"
-#include "model/ScoreMode.h"
 
 #include <cstdint>
 #include <string>
@@ -102,9 +101,6 @@ struct LintOptions {
   /// Loops at or below this extent are ignored when identifying the
   /// reuse pivots, mirroring TemporalOptions::SmallLoopExtent.
   int64_t SmallLoopExtent = 8;
-  /// Scoring path for the Algorithm-1 tile bound (closed form vs
-  /// emulation), mirroring the optimizer's --score-mode.
-  model::ScoreMode Score = model::ScoreMode::Auto;
   /// Reuse a legality report the caller already computed for this exact
   /// schedule (the autotuner verifies before linting); nullptr reruns the
   /// verifier for the nt-store-reuse rule.

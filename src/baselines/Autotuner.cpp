@@ -188,29 +188,21 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
 
   // Predicted weighted misses (Eq. 11 weights) for the candidate whose
   // schedules are currently applied to the instance. Closed form when it
-  // applies; the cache simulator otherwise (always, in Sim mode).
+  // applies; the cache simulator otherwise.
   auto ScoreCandidate = [&](bool &UsedAnalytic) {
     double Score = 0.0;
-    UsedAnalytic = Options.Score != model::ScoreMode::Sim;
-    if (UsedAnalytic) {
-      for (size_t I = 0; I != Instance.Stages.size() && UsedAnalytic; ++I) {
-        const Func &F = Instance.Stages[I];
-        int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-        StageAccessInfo Info =
-            analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
-        std::vector<model::LoopDim> Nest;
-        if (!model::scheduledNest(F, ComputeStage, Info, Nest)) {
-          UsedAnalytic = false;
-          break;
-        }
-        model::MissPrediction P =
-            model::predictMisses(Info, Nest, Arch, Strides);
-        if (!P.Analytic) {
-          UsedAnalytic = false;
-          break;
-        }
-        Score += Arch.A2 * P.L1Misses + Arch.A3 * P.L2Misses;
-      }
+    UsedAnalytic = true;
+    for (size_t I = 0; I != Instance.Stages.size() && UsedAnalytic; ++I) {
+      const Func &F = Instance.Stages[I];
+      int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      StageAccessInfo Info =
+          analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
+      std::vector<model::LoopDim> Nest;
+      model::MissPrediction P;
+      if (model::scheduledNest(F, ComputeStage, Info, Nest))
+        P = model::predictMisses(Info, Nest, Arch, Strides);
+      UsedAnalytic = P.Analytic;
+      Score += Arch.A2 * P.L1Misses + Arch.A3 * P.L2Misses;
     }
     if (!UsedAnalytic) {
       SimResult R = simulatePipeline(Instance, Arch);
@@ -276,7 +268,6 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
           Func &F = Instance.Stages[I];
           int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
           lint::LintOptions LintOpts;
-          LintOpts.Score = Options.Score;
           LintOpts.PrecomputedLegality = &StageLegality[I];
           lint::LintReport Report = lint::lintStageSchedule(
               F, ComputeStage, Instance.StageExtents[I], Arch, LintOpts);

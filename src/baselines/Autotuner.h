@@ -21,7 +21,6 @@
 
 #include "benchmarks/Benchmarks.h"
 #include "jit/JIT.h"
-#include "model/ScoreMode.h"
 
 #include <cstdint>
 #include <string>
@@ -53,13 +52,10 @@ struct AutotuneOptions {
   /// weighted misses (Eq. 11 weights) and compile only the best
   /// `ceil(fraction * legal)` of them, spending the compile+time budget
   /// on schedules the model thinks can win. 1.0 compiles every legal
-  /// candidate (the original search).
+  /// candidate (the original search). Candidates are scored by the
+  /// closed-form miss model, with a counted fallback to the cache
+  /// simulator when its applicability check fails.
   double ModelKeepFraction = 0.5;
-  /// Scoring path for the pruning stage: Analytic/Auto use the
-  /// closed-form miss model with an automatic, counted fallback to the
-  /// cache simulator when its applicability check fails; Sim always
-  /// simulates.
-  model::ScoreMode Score = model::ScoreMode::Auto;
   /// Lint pruning: after the legality verifier accepts a candidate, run
   /// the static diagnostics pass and drop the candidate when a rule of
   /// Error severity fires (an oversized tile, a scattering vectorize)

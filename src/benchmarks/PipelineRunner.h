@@ -30,7 +30,7 @@ std::vector<ir::StmtPtr> lowerPipeline(const BenchmarkInstance &Instance);
 /// default; pass `InterpEngine::Reference` for the tree-walking oracle).
 void runInterpreted(const BenchmarkInstance &Instance,
                     bool RunParallel = false,
-                    InterpEngine Engine = InterpEngine::Auto);
+                    InterpEngine Engine = InterpEngine::VM);
 
 /// A pipeline compiled to native kernels (one per stage).
 struct CompiledPipeline {

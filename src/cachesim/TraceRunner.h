@@ -44,7 +44,6 @@ namespace ltp {
 enum class SimEngine {
   Auto,        ///< compiled fast path when possible, interpreter otherwise
   Interpreter, ///< force the interpreter-hook path (bytecode VM)
-  Compiled,    ///< same as Auto (kept distinct for forcing in tests/benches)
   Reference,   ///< force the interpreter-hook path on the tree walker
 };
 

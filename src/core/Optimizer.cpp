@@ -2,6 +2,7 @@
 
 #include "core/Optimizer.h"
 
+#include "analysis/IRVerify.h"
 #include "analysis/Legality.h"
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
@@ -17,8 +18,9 @@ using namespace ltp;
 namespace {
 
 /// Chooses the plain treatment for a stage: parallelize the outermost
-/// pure loop and vectorize the innermost (column) loop — the schedule for
-/// NoTransform statements and for the pure init stages of reductions.
+/// pure loop and vectorize the innermost (column) loop when its extent is
+/// within the back end's vector limit — the schedule for NoTransform
+/// statements and for the pure init stages of reductions.
 ParVecPlan planParVec(const StageAccessInfo &Info, const ArchParams &Arch) {
   ParVecPlan Plan;
   // Outermost pure loop: the last pure loop in default order.
@@ -31,7 +33,8 @@ ParVecPlan planParVec(const StageAccessInfo &Info, const ArchParams &Arch) {
     Plan.ParallelVar = Outermost;
   const LoopInfo &Inner = Info.Loops.front();
   if (Arch.VectorWidth > 1 && !Inner.IsReduction &&
-      Inner.Extent >= Arch.VectorWidth)
+      Inner.Extent >= Arch.VectorWidth &&
+      Inner.Extent <= analysis::IRVerifyOptions::MaxVectorExtent)
     Plan.VectorVar = Inner.Name;
   return Plan;
 }
@@ -87,8 +90,7 @@ StagePlan ltp::planStage(const Func &F,
   case StatementClass::SpatialReuse: {
     if (Plan.Info.Loops.size() == 2) {
       Timer Phase;
-      Plan.Spatial = optimizeSpatial(Plan.Info, Plan.Class, Arch,
-                                     Options.Temporal.Score);
+      Plan.Spatial = optimizeSpatial(Plan.Info, Plan.Class, Arch);
       Plan.SpatialMillis = Phase.elapsedMillis();
     }
     if (Plan.Info.Loops.size() == 2 && Plan.Spatial.Cost >= 0.0) {

@@ -2,8 +2,8 @@
 
 #include "core/SpatialOptimizer.h"
 
+#include "analysis/IRVerify.h"
 #include "model/CacheEmu.h"
-#include "model/TileBound.h"
 #include "obs/Provenance.h"
 #include "obs/Telemetry.h"
 #include "support/Format.h"
@@ -15,8 +15,7 @@ using namespace ltp;
 
 SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
                                      const Classification &C,
-                                     const ArchParams &Arch,
-                                     model::ScoreMode Score) {
+                                     const ArchParams &Arch) {
   obs::ScopedSpan Span("opt.spatial");
   assert(!C.TransposedInputs.empty() &&
          "spatial optimizer requires a transposed input");
@@ -57,17 +56,13 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
   Best.Cost = -1.0;
   const bool Explain = obs::explainEnabled();
   static obs::Counter &CandidateCounter = obs::counter("opt.candidates");
-  static obs::Counter &AnalyticCounter =
-      obs::counter("opt.candidates.analytic");
-  static obs::Counter &SimCounter = obs::counter("opt.candidates.sim");
   // Only called under --explain; keeps provenance out of the search path.
-  auto Record = [&](int64_t Tx, int64_t Ty, bool BoundAnalytic,
-                    bool Accepted, const char *Reason, double Cost) {
+  auto Record = [&](int64_t Tx, int64_t Ty, bool Accepted,
+                    const char *Reason, double Cost) {
     obs::CandidateRecord R;
     R.Candidate = strFormat("tile %lldx%lld", static_cast<long long>(Tx),
                             static_cast<long long>(Ty));
     R.Cost = Cost;
-    R.ScoredBy = BoundAnalytic ? "analytic" : "sim";
     R.Accepted = Accepted;
     R.Reason = Reason;
     obs::recordCandidate(std::move(R));
@@ -88,18 +83,16 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
     Emu.L2MaxPref = Arch.L2MaxPrefetchDistance;
     Emu.ForL2 = true;
     Emu.MaxRows = By;
-    bool BoundAnalytic = false;
-    int64_t MaxTy = model::boundMaxTileDim(Emu, Score, &BoundAnalytic);
+    const int64_t MaxTy = emulateMaxTileDim(Emu);
 
     for (int64_t Ty = MaxTy; Ty >= 1; Ty = Ty / 2) {
       CandidateCounter.add();
-      (BoundAnalytic ? AnalyticCounter : SimCounter).add();
       // Working sets, Eqs. 18 and 19.
       int64_t WsL1 = Lc * Tx + Tx;
       int64_t WsL2 = 2 * Tx * Ty;
       if (WsL1 > L1Elems || WsL2 > L2Elems) {
         if (Explain)
-          Record(Tx, Ty, BoundAnalytic, false,
+          Record(Tx, Ty, false,
                  WsL1 > L1Elems ? "ws-L1 overflow" : "ws-L2 overflow", -1.0);
         continue;
       }
@@ -107,8 +100,7 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
       int64_t RowTrips = (By + Ty - 1) / Ty;
       if (Arch.totalThreads() > 1 && RowTrips < Arch.totalThreads()) {
         if (Explain)
-          Record(Tx, Ty, BoundAnalytic, false, "parallelism constraint",
-                 -1.0);
+          Record(Tx, Ty, false, "parallelism constraint", -1.0);
         continue;
       }
 
@@ -126,8 +118,8 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
       }
       bool Accepted = Best.Cost < 0.0 || Total < Best.Cost;
       if (Explain)
-        Record(Tx, Ty, BoundAnalytic, Accepted,
-               Accepted ? "best so far" : "cost above best", Total);
+        Record(Tx, Ty, Accepted, Accepted ? "best so far" : "cost above best",
+               Total);
       if (Accepted) {
         Best.Cost = Total;
         Best.TileWidth = Tx;
@@ -144,7 +136,8 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
     return Best; // no feasible tiling; the caller falls back
 
   Best.Parallel = true;
-  if (Arch.VectorWidth > 1 && Best.TileWidth >= Arch.VectorWidth)
+  if (Arch.VectorWidth > 1 && Best.TileWidth >= Arch.VectorWidth &&
+      Best.TileWidth <= analysis::IRVerifyOptions::MaxVectorExtent)
     Best.VectorWidth = Arch.VectorWidth;
   return Best;
 }

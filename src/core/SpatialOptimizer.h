@@ -22,7 +22,6 @@
 #include "arch/ArchParams.h"
 #include "core/AccessInfo.h"
 #include "core/Classifier.h"
-#include "model/ScoreMode.h"
 
 #include <cstdint>
 #include <string>
@@ -50,14 +49,12 @@ struct SpatialSchedule {
 };
 
 /// Runs Algorithm 3. The stage must be two-dimensional with at least one
-/// transposed input (as detected by \p C). \p Score picks the Algorithm 1
-/// tile-height bound path: closed form (with automatic emulator fallback)
-/// or the iterative emulation. The result's Cost is negative when no
-/// tiling is feasible (e.g. extents below one cache line).
+/// transposed input (as detected by \p C); Algorithm 1 bounds the tile
+/// height. The result's Cost is negative when no tiling is feasible
+/// (e.g. extents below one cache line).
 SpatialSchedule optimizeSpatial(const StageAccessInfo &Info,
                                 const Classification &C,
-                                const ArchParams &Arch,
-                                model::ScoreMode Score = model::ScoreMode::Auto);
+                                const ArchParams &Arch);
 
 /// Applies \p Schedule to stage \p StageIndex of \p F.
 void applySpatialSchedule(Func &F, int StageIndex,

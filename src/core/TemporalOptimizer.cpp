@@ -2,9 +2,9 @@
 
 #include "core/TemporalOptimizer.h"
 
+#include "analysis/IRVerify.h"
 #include "model/CacheEmu.h"
 #include "model/NestScorer.h"
-#include "model/TileBound.h"
 #include "obs/Provenance.h"
 #include "obs/Telemetry.h"
 #include "support/Format.h"
@@ -112,10 +112,14 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
     return M;
   }();
 
-  // Column-tile candidates: multiples of the vector width.
+  // Column-tile candidates: multiples of the vector width. The column
+  // intra-tile loop is vectorized, so its tile stays within the back
+  // end's vector-extent limit.
+  const int64_t MaxVectorTile =
+      Arch.VectorWidth > 1 ? analysis::IRVerifyOptions::MaxVectorExtent : Bc;
   std::vector<int64_t> ColumnCandidates =
-      tileCandidates(Arch.VectorWidth, Bc, Bc, /*IncludeFull=*/true,
-                     Options.MaxCandidatesPerDim);
+      tileCandidates(Arch.VectorWidth, std::min(Bc, MaxVectorTile), Bc,
+                     /*IncludeFull=*/true, Options.MaxCandidatesPerDim);
 
   TemporalSchedule Best;
   Best.Cost = -1.0;
@@ -125,23 +129,18 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
   // search itself so enabling it cannot perturb the chosen schedule.
   const bool Explain = obs::explainEnabled();
   static obs::Counter &CandidateCounter = obs::counter("opt.candidates");
-  static obs::Counter &AnalyticCounter =
-      obs::counter("opt.candidates.analytic");
-  static obs::Counter &SimCounter = obs::counter("opt.candidates.sim");
 
-  // Analytic-first scoring: the stage's access functions are compiled
-  // once into the dense NestScorer and every candidate scores without
-  // string hashing or map lookups; Sim mode keeps the original map-based
-  // cost-model path so the two runtimes can be compared honestly.
-  const bool AnalyticScoring = Options.Score != model::ScoreMode::Sim;
+  // The stage's access functions are compiled once into the dense
+  // NestScorer, so every candidate scores without string hashing or map
+  // lookups.
   const model::NestScorer Scorer(Info, Arch);
   const size_t NumLoops = Info.Loops.size();
   std::vector<int64_t> Dense(NumLoops, 1);
   const int ColumnIdx = Scorer.loopIndex(Column);
   assert(ColumnIdx >= 0 && "column variable is not a loop");
 
-  // Near-tie volume tiebreak multiplies in name order, matching TileMap
-  // iteration, so the dense path breaks ties exactly like the map path.
+  // Near-tie volume tiebreak multiplies in name order, matching the
+  // TileMap iteration that computes the best candidate's volume.
   std::vector<int> VolOrder(NumLoops);
   for (size_t I = 0; I != NumLoops; ++I)
     VolOrder[I] = static_cast<int>(I);
@@ -173,8 +172,7 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
                              V->Name.c_str(), static_cast<long long>(Tc));
           });
           // Algorithm 1 bounds: L1 rows of width Tc, then L2 rows with
-          // the constant-stride prefetcher active. The closed form
-          // replaces the per-line emulation whenever it applies.
+          // the constant-stride prefetcher active.
           CacheEmuParams EmuL1;
           EmuL1.Cache = Arch.L1;
           EmuL1.L1LineBytes = Arch.L1.LineBytes;
@@ -183,7 +181,7 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           EmuL1.RowStrideElems = Bc;
           EmuL1.EffectiveWaysDivisor = EffDivL1;
           EmuL1.MaxRows = MaxExtent;
-          MaxT1 = model::boundMaxTileDim(EmuL1, Options.Score);
+          MaxT1 = emulateMaxTileDim(EmuL1);
 
           CacheEmuParams EmuL2 = EmuL1;
           EmuL2.Cache = Arch.L2;
@@ -191,7 +189,7 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           EmuL2.L2Pref = Arch.L2PrefetchDegree;
           EmuL2.L2MaxPref = Arch.L2MaxPrefetchDistance;
           EmuL2.ForL2 = !Options.NoL2SetHalving;
-          MaxT2 = model::boundMaxTileDim(EmuL2, Options.Score);
+          MaxT2 = emulateMaxTileDim(EmuL2);
         }
 
         // Build per-loop candidate lists.
@@ -251,7 +249,6 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           R.PredL1Misses = estimateL1Misses(Info, Tiles, U->Name);
           R.PredL2Misses = estimateL2Misses(Info, Tiles, V->Name);
           R.Cost = Cost;
-          R.ScoredBy = AnalyticScoring ? "analytic" : "sim";
           R.Accepted = Accepted;
           R.Reason = Reason;
           obs::recordCandidate(std::move(R));
@@ -259,33 +256,17 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
 
         enumerateTiles(Choices, 0, Dense.data(), [&] {
           CandidateCounter.add();
-          (AnalyticScoring ? AnalyticCounter : SimCounter).add();
-          // Sim mode rebuilds the string-keyed map and scores through the
-          // original cost-model entry points, reproducing the
-          // pre-analytic runtime for the table5 comparison.
-          TileMap SimTiles;
-          if (!AnalyticScoring)
-            SimTiles = Scorer.toTileMap(Dense.data());
 
           // Working-set fit: wsL1 is the footprint of one iteration of
           // the outermost intra-tile loop (Eq. 1); wsL2 is the whole
           // tile (Eq. 6) against the prefetch-reduced L2 budget.
-          int64_t WsL1;
-          if (AnalyticScoring) {
-            WsL1 = Scorer.workingSetPivotOne(Dense.data(), UIdx);
-          } else {
-            TileMap L1Tiles = SimTiles;
-            L1Tiles[U->Name] = 1;
-            WsL1 = workingSetElements(Info, L1Tiles);
-          }
+          const int64_t WsL1 = Scorer.workingSetPivotOne(Dense.data(), UIdx);
           if (WsL1 > L1Elems) {
             if (Explain)
               Record(false, "ws-L1 overflow", -1.0);
             return;
           }
-          int64_t WsL2 = AnalyticScoring
-                             ? Scorer.workingSet(Dense.data())
-                             : workingSetElements(Info, SimTiles);
+          const int64_t WsL2 = Scorer.workingSet(Dense.data());
           if (WsL2 > L2Budget) {
             if (Explain)
               Record(false, "ws-L2 overflow", -1.0);
@@ -313,22 +294,13 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
             return;
           }
 
-          double Cost;
-          if (AnalyticScoring) {
-            Cost = Options.PrefetchUnawareModel
-                       ? Arch.A2 * Scorer.l1MissesNoPrefetch(Dense.data(),
-                                                             UIdx, Lc) +
-                             Arch.A3 * Scorer.l2MissesNoPrefetch(
-                                           Dense.data(), VIdx, Lc)
-                       : Scorer.cost(Dense.data(), UIdx, VIdx);
-          } else {
-            Cost = Options.PrefetchUnawareModel
-                       ? Arch.A2 * estimateL1MissesNoPrefetch(
-                                       Info, SimTiles, U->Name, Lc) +
-                             Arch.A3 * estimateL2MissesNoPrefetch(
-                                           Info, SimTiles, V->Name, Lc)
-                       : totalCost(Info, SimTiles, U->Name, V->Name, Arch);
-          }
+          const double Cost =
+              Options.PrefetchUnawareModel
+                  ? Arch.A2 * Scorer.l1MissesNoPrefetch(Dense.data(), UIdx,
+                                                        Lc) +
+                        Arch.A3 * Scorer.l2MissesNoPrefetch(Dense.data(),
+                                                            VIdx, Lc)
+                  : Scorer.cost(Dense.data(), UIdx, VIdx);
           if (Best.Cost >= 0.0) {
             if (Cost > Best.Cost * (1.0 + 1e-9)) {
               if (Explain)
@@ -402,8 +374,8 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
                             Best.IntraOrder.end());
       Best.IntraOrder.push_back(Best.ParallelVar);
     }
-    if (Arch.VectorWidth > 1 &&
-        Best.Tiles.at(Column) >= Arch.VectorWidth) {
+    if (Arch.VectorWidth > 1 && Bc >= Arch.VectorWidth &&
+        Bc <= analysis::IRVerifyOptions::MaxVectorExtent) {
       Best.VectorVar = Column;
       Best.VectorWidth = Arch.VectorWidth;
     }

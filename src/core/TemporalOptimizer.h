@@ -29,7 +29,6 @@
 #include "arch/ArchParams.h"
 #include "core/AccessInfo.h"
 #include "model/CostModel.h"
-#include "model/ScoreMode.h"
 
 #include <cstdint>
 #include <string>
@@ -52,12 +51,6 @@ struct TemporalOptions {
   bool SkipReorderStep = false;
   /// Ignore the Eq. 13 parallelism constraint (ablation (d)).
   bool IgnoreParallelConstraint = false;
-  /// Candidate scoring path: Analytic/Auto use the closed-form Algorithm 1
-  /// bound plus the precompiled NestScorer (bit-identical schedules, no
-  /// per-line emulation); Sim keeps the iterative emulator and the
-  /// map-based cost-model entry points. Auto falls back to the emulator
-  /// whenever the closed form's applicability check fails.
-  model::ScoreMode Score = model::ScoreMode::Auto;
 };
 
 /// The schedule Algorithm 2 produces.

@@ -325,7 +325,6 @@ void execStmt(const StmtPtr &S, Env &Environment) {
 
 const char *ltp::interpEngineName(InterpEngine Engine) {
   switch (Engine) {
-  case InterpEngine::Auto:
   case InterpEngine::VM:
     return "vm";
   case InterpEngine::Reference:

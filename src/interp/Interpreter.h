@@ -43,8 +43,6 @@ using AccessHook =
 
 /// Which executor runs the statement.
 enum class InterpEngine {
-  /// Pick the fast engine (currently always the bytecode VM).
-  Auto,
   /// Compile to register bytecode and run it on the VM (Bytecode.h, VM.h).
   /// ~10-20x faster than the walker; Float32 arithmetic runs in `float`
   /// like compiled code (the walker computes it in `double` and only
@@ -71,7 +69,7 @@ struct InterpOptions {
   std::map<std::string, int64_t> InitialScalars;
   /// Executor selection; both engines honour the same trace-order and
   /// parallel-loop contracts.
-  InterpEngine Engine = InterpEngine::Auto;
+  InterpEngine Engine = InterpEngine::VM;
 };
 
 /// Executes \p S against the named buffers in \p Buffers.

@@ -2,6 +2,8 @@
 
 #include "model/CacheEmu.h"
 
+#include "obs/Telemetry.h"
+
 #include <algorithm>
 #include <cassert>
 #include <vector>
@@ -9,6 +11,8 @@
 using namespace ltp;
 
 int64_t ltp::emulateMaxTileDim(const CacheEmuParams &Params) {
+  static obs::Counter &Emulated = obs::counter("model.bound.emulated");
+  Emulated.add();
   assert(Params.DTS > 0 && "element size must be positive");
   assert(Params.RowStrideElems > 0 && "row stride must be positive");
   assert(Params.MaxRows > 0 && "row bound must be positive");

@@ -76,7 +76,8 @@ struct CacheEmuParams {
 };
 
 /// Returns maxTi: the number of tile rows that fit without interference
-/// misses, clamped to [1, MaxRows].
+/// misses, clamped to [1, MaxRows]. Every call bumps the
+/// `model.bound.emulated` counter.
 int64_t emulateMaxTileDim(const CacheEmuParams &Params);
 
 } // namespace ltp

@@ -44,9 +44,6 @@ struct CandidateRecord {
   /// Cost-model score (Eq. 11 weighted total, or the spatial Eq. 15/17
   /// total); negative when pruned before scoring.
   double Cost = -1.0;
-  /// Which scoring path produced the numbers: "analytic" (closed-form
-  /// model) or "sim" (cache emulation / access-program simulation).
-  std::string ScoredBy;
   /// True when this candidate became the best-so-far when evaluated.
   bool Accepted = false;
   /// Why it was accepted or pruned ("best so far", "cost above best",

@@ -117,15 +117,9 @@ Response OptimizerService::handleKeyed(const Request &Req) {
   // the dedup table never splits on fields the policy overrides. Lint
   // requests never compile, so their keys collapse on that field too.
   Request EReq = Req;
-  if (!Opts.ForceScoreMode.empty())
-    EReq.ScoreModeText = Opts.ForceScoreMode;
   if (Opts.DisableCompile || EReq.Op == "lint")
     EReq.Compile = false;
 
-  model::ScoreMode Mode = model::ScoreMode::Auto;
-  if (!model::parseScoreMode(EReq.ScoreModeText.c_str(), Mode))
-    return badRequest(Req, "bad score_mode '" + EReq.ScoreModeText +
-                               "' (want sim|auto)");
   if (!findBenchmark(EReq.Kernel))
     return badRequest(Req, "unknown kernel '" + EReq.Kernel + "'");
 
@@ -265,7 +259,6 @@ Response OptimizerService::runSession(const Request &Req,
   Session Sess;
   Sess.Req = Req;
   Sess.Arch = Arch;
-  model::parseScoreMode(Req.ScoreModeText.c_str(), Sess.Mode);
   Sess.Resp.Kernel = Req.Kernel;
   Sess.Resp.KeyHash = keyHash(Key);
 
@@ -296,13 +289,11 @@ Response OptimizerService::runSession(const Request &Req,
     // replayed or the one the optimizer just chose). Findings do not
     // fail the response: an empty `diagnostics` array means clean.
     auto LintStart = std::chrono::steady_clock::now();
-    lint::LintOptions LO;
-    LO.Score = Sess.Mode;
     for (size_t S = 0; S != Sess.Instance.Stages.size(); ++S) {
       Func &F = Sess.Instance.Stages[S];
       lint::LintReport Report =
           lint::lintStageSchedule(F, scheduleStageIndex(F),
-                                  Sess.Instance.StageExtents[S], Sess.Arch, LO);
+                                  Sess.Instance.StageExtents[S], Sess.Arch);
       for (const lint::Diagnostic &D : Report.Diagnostics)
         Sess.Resp.DiagnosticsJson.push_back(
             lint::diagnosticJson(D, static_cast<int>(S)));
@@ -348,7 +339,6 @@ bool OptimizerService::scheduleSession(Session &Sess) {
 
   OptimizerOptions Options;
   Options.EnableNonTemporal = Sess.Req.EnableNTI;
-  Options.Temporal.Score = Sess.Mode;
   for (size_t S = 0; S != Sess.Instance.Stages.size(); ++S) {
     auto StageStart = std::chrono::steady_clock::now();
     Sess.StageResults.push_back(optimize(Sess.Instance.Stages[S],

@@ -48,8 +48,6 @@ struct Session;
 
 /// Service configuration (daemon flags).
 struct ServiceOptions {
-  /// Force a score mode on every request ("" = per-request field).
-  std::string ForceScoreMode;
   /// Globally disable kernel compilation (schedule-only service).
   bool DisableCompile = false;
 };

@@ -58,8 +58,6 @@ ErrorOr<Request> ltp::serve::parseRequest(const std::string &Line) {
       Req.ArchName = Value.StringValue;
     } else if (Name == "arch_text" && Value.isString()) {
       Req.ArchText = Value.StringValue;
-    } else if (Name == "score_mode" && Value.isString()) {
-      Req.ScoreModeText = Value.StringValue;
     } else if (Name == "nti" && Value.K == obs::JsonValue::Kind::Bool) {
       Req.EnableNTI = Value.BoolValue;
     } else if (Name == "compile" && Value.K == obs::JsonValue::Kind::Bool) {
@@ -112,8 +110,7 @@ std::string ltp::serve::canonicalKey(const Request &Req,
   // and still land on the content-addressed kernel store underneath.
   return "op=" + Req.Op + "\nkernel=" + Req.Kernel +
          "\nsize=" + std::to_string(Req.Size) +
-         "\nschedule=" + Req.Schedule + "\nscore=" + Req.ScoreModeText +
-         "\nnti=" + (Req.EnableNTI ? "1" : "0") +
+         "\nschedule=" + Req.Schedule + "\nnti=" + (Req.EnableNTI ? "1" : "0") +
          "\ncompile=" + (Req.Compile ? "1" : "0") + "\narch{\n" +
          archParamsToText(Arch) + "}\n";
 }

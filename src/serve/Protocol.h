@@ -24,7 +24,7 @@
 /// flight-recorder digests for that request.
 ///
 /// Requests are *canonicalized* before dedup keying: the key is the full
-/// resolved request text — kernel, size, schedule text, score mode, NTI
+/// resolved request text — kernel, size, schedule text, NTI
 /// and compile toggles, and the platform rendered through
 /// archParamsToText (so `"arch":"6700"` and an inline `arch_text` with
 /// identical parameters dedup onto one optimization).
@@ -70,8 +70,6 @@ struct Request {
   /// Inline platform description (ArchFile key=value text); when
   /// non-empty it overrides ArchName.
   std::string ArchText;
-  /// Candidate scoring path: sim | auto (default auto).
-  std::string ScoreModeText = "auto";
   /// Allow non-temporal stores (default true).
   bool EnableNTI = true;
   /// Also JIT-compile the scheduled pipeline into the shared kernel

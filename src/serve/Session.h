@@ -21,7 +21,6 @@
 #include "arch/ArchParams.h"
 #include "benchmarks/Benchmarks.h"
 #include "core/Optimizer.h"
-#include "model/ScoreMode.h"
 #include "serve/Protocol.h"
 
 #include <vector>
@@ -35,7 +34,6 @@ namespace serve {
 struct Session {
   Request Req;
   ArchParams Arch;
-  model::ScoreMode Mode = model::ScoreMode::Auto;
   /// The session's own kernel shape; stages are scheduled in place.
   BenchmarkInstance Instance;
   /// One optimizer result per stage (empty when replaying a user

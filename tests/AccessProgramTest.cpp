@@ -76,7 +76,7 @@ void expectEnginesAgree(const std::vector<ir::StmtPtr> &Stmts,
                         const std::string &Kernel, bool ExpectFastPath) {
   for (const auto &[Platform, Arch] : allPlatforms()) {
     SimResult Fast =
-        simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Compiled);
+        simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Auto);
     SimResult VM =
         simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Interpreter);
     SimResult Ref =

@@ -41,13 +41,12 @@ namespace {
 TEST(ServeProtocol, ParsesFullRequestAndDefaults) {
   auto Req = parseRequest(
       "{\"op\": \"optimize\", \"kernel\": \"matmul\", \"size\": 64, "
-      "\"arch\": \"6700\", \"score_mode\": \"sim\", \"nti\": false, "
+      "\"arch\": \"6700\", \"nti\": false, "
       "\"compile\": false, \"id\": \"r1\"}");
   ASSERT_TRUE(static_cast<bool>(Req)) << Req.getError();
   EXPECT_EQ(Req->Kernel, "matmul");
   EXPECT_EQ(Req->Size, 64);
   EXPECT_EQ(Req->ArchName, "6700");
-  EXPECT_EQ(Req->ScoreModeText, "sim");
   EXPECT_FALSE(Req->EnableNTI);
   EXPECT_FALSE(Req->Compile);
   EXPECT_EQ(Req->Id, "r1");
@@ -66,6 +65,16 @@ TEST(ServeProtocol, RejectsBadInput) {
   // Unknown fields are most likely typos; reject instead of ignoring.
   EXPECT_FALSE(static_cast<bool>(
       parseRequest("{\"kernel\": \"copy\", \"siez\": 64}")));
+  // So is the retired scoring-path selector (Algorithm 1's emulator is the
+  // only tile bound); the error names the field.
+  const std::string Retired = std::string("score") + "_mode";
+  auto RetiredReq = parseRequest("{\"kernel\": \"copy\", \"" + Retired +
+                                 "\": \"auto\"}");
+  ASSERT_FALSE(static_cast<bool>(RetiredReq));
+  EXPECT_NE(RetiredReq.getError().find(
+                "unknown or mistyped request field '" + Retired + "'"),
+            std::string::npos)
+      << RetiredReq.getError();
   // Fractional sizes are client bugs, not values to round.
   EXPECT_FALSE(static_cast<bool>(
       parseRequest("{\"kernel\": \"copy\", \"size\": 3.5}")));
@@ -169,10 +178,11 @@ TEST(ServeService, RejectsUnknownKernelAndBadMode) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
 
-  // "analytic" is not a score mode: "auto" is the closed-form path.
-  for (const char *Mode : {"bogus", "analytic"}) {
+  // The service answers only the scheduling ops; the transport-level ops
+  // and unknown ones never reach it as work.
+  for (const char *Op : {"bogus", "stats"}) {
     Req = optimizeRequest("copy", 32);
-    Req.ScoreModeText = Mode;
+    Req.Op = Op;
     R = Service.handle(Req);
     EXPECT_FALSE(R.Ok);
     EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
@@ -510,6 +520,46 @@ TEST(ServeServer, SocketRoundTrip) {
   }
   Waiter.join();
   EXPECT_NE(::access(Path.c_str(), F_OK), 0); // socket unlinked
+}
+
+TEST(ServeServer, OversizedVectorLoopsNeverAbortTheDaemon) {
+  // Above 4096 columns the back end cannot take a vectorized loop over
+  // the whole row. The optimizer must plan around the limit (the request
+  // compiles), and a user schedule asking for one is an illegal
+  // schedule — neither may abort the daemon.
+  std::string Path = "/tmp/ltp-serve-vec-test-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  {
+    ClientConn Conn(Path);
+    ASSERT_TRUE(Conn.ok());
+    std::string Planned = Conn.roundTrip(
+        "{\"op\": \"optimize\", \"kernel\": \"matmul\", \"size\": 4097, "
+        "\"arch\": \"6700\"}");
+    if (jitAvailable())
+      EXPECT_NE(Planned.find("\"ok\": true"), std::string::npos) << Planned;
+    else
+      EXPECT_NE(Planned.find("\"kind\": \"internal\""), std::string::npos)
+          << Planned;
+
+    std::string User = Conn.roundTrip(
+        "{\"op\": \"optimize\", \"kernel\": \"matmul\", \"size\": 5000, "
+        "\"arch\": \"6700\", \"schedule\": \"vectorize(j);\"}");
+    EXPECT_NE(User.find("\"kind\": \"illegal_schedule\""), std::string::npos)
+        << User;
+    EXPECT_NE(User.find("exceeds the backend limit 4096"), std::string::npos)
+        << User;
+
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"ping\"}").find("\"pong\": true"),
+              std::string::npos);
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
 }
 
 } // namespace

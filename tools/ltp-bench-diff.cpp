@@ -7,12 +7,12 @@
 // threshold. Rows are matched by (bench, config); the compared metric
 // defaults to best_s (lower is better) and can be any numeric field of
 // the row, including a dotted path into nested objects (serve_load's
-// `latency.p99`) — for cross-machine CI gates prefer a ratio metric such
-// as table5's `speedup` with --higher-better, which cancels the host's
-// absolute speed out of the comparison.
+// `latency.p99`). For cross-machine CI gates prefer a host-independent
+// metric, such as table5's deterministic `candidates` count, gated
+// exactly with --threshold 0.
 //
 //   ltp-bench-diff baseline.json current.json \
-//       --metric speedup --higher-better --threshold 0.2
+//       --metric candidates --threshold 0
 //
 // A report whose top level carries a "skipped" marker (perf_event or JIT
 // unavailable — see bench/Harness.h reportSkipped) compares as empty and
@@ -23,6 +23,7 @@
 
 #include "obs/JsonCheck.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,9 +52,10 @@ void usage(const char *Argv0) {
       "          [--threshold FRAC] [--higher-better]\n"
       "\n"
       "Fails (exit 1) when any (bench, config) row's metric regresses\n"
-      "by more than FRAC (default 0.2 = 20%%) relative to the baseline.\n"
-      "Lower is better by default; --higher-better inverts the sense\n"
-      "(use for ratio metrics like table5's speedup).\n",
+      "by more than FRAC (default 0.2 = 20%%) relative to the baseline;\n"
+      "FRAC 0 fails on any regression (exact gates on deterministic\n"
+      "counts). Lower is better by default; --higher-better inverts the\n"
+      "sense.\n",
       Argv0);
 }
 
@@ -151,7 +153,7 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
-  if (Opts.CurrentPath.empty() || Opts.Threshold <= 0.0) {
+  if (Opts.CurrentPath.empty() || Opts.Threshold < 0.0) {
     usage(Argv[0]);
     return 2;
   }
@@ -181,12 +183,16 @@ int main(int Argc, char **Argv) {
     }
     ++Compared;
     double CurValue = It->second;
-    // Relative change in the "worse" direction; negative = improved.
-    double Regress = BaseValue > 0.0
-                         ? (Opts.HigherBetter
-                                ? (BaseValue - CurValue) / BaseValue
-                                : (CurValue - BaseValue) / BaseValue)
-                         : 0.0;
+    // Relative change in the "worse" direction; negative = improved. From
+    // a zero baseline any move is an infinite relative change; negative
+    // baselines are not-measured sentinels (-1) and never gate.
+    double Worse = Opts.HigherBetter ? BaseValue - CurValue
+                                     : CurValue - BaseValue;
+    double Regress = 0.0;
+    if (BaseValue > 0.0)
+      Regress = Worse / BaseValue;
+    else if (BaseValue == 0.0 && Worse != 0.0)
+      Regress = std::copysign(HUGE_VAL, Worse);
     bool Bad = Regress > Opts.Threshold;
     std::printf("  %-8s %-28s %s: %.6g -> %.6g (%+.1f%%)\n",
                 Bad ? "REGRESS" : (Regress < 0.0 ? "improve" : "ok"),

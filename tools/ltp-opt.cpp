@@ -10,7 +10,7 @@
 // Usage:
 //   ltp-opt <benchmark>|all [--arch 5930k|6700|a15|host] [--size N]
 //           [--schedule "<directives>"] [--emit-c] [--simulate]
-//           [--score-mode sim|auto] [--no-nti] [--run]
+//           [--no-nti] [--run]
 //           [--compile] [--verify] [--lint] [--lint-fix] [--json]
 //           [--explain] [--trace-json FILE]
 //
@@ -38,7 +38,6 @@
 #include "core/Optimizer.h"
 #include "ir/IRPrinter.h"
 #include "lang/ScheduleText.h"
-#include "model/ScoreMode.h"
 #include "obs/Provenance.h"
 #include "obs/Telemetry.h"
 #include "support/ArgParse.h"
@@ -71,10 +70,6 @@ void printUsage() {
       "  --emit-c                     print the generated C kernel(s)\n"
       "  --simulate                   run the cache simulator and report "
       "misses\n"
-      "  --score-mode sim|auto         candidate scoring path: cache "
-      "emulation/simulation,\n"
-      "                               or closed-form with automatic "
-      "fallback (default auto)\n"
       "  --no-nti                     disable non-temporal stores\n"
       "  --run                        JIT-compile and time the pipeline\n"
       "  --compile                    JIT-compile the pipeline into the\n"
@@ -130,8 +125,6 @@ void printDecisions() {
     for (const obs::CandidateRecord &C : D.Candidates) {
       std::printf("  [%s] %s", C.Accepted ? "accept" : "prune ",
                   C.Candidate.c_str());
-      if (!C.ScoredBy.empty())
-        std::printf(" scored-by=%s", C.ScoredBy.c_str());
       if (C.PredL1Misses >= 0.0)
         std::printf(" predL1=%.4g predL2=%.4g", C.PredL1Misses,
                     C.PredL2Misses);
@@ -163,18 +156,15 @@ void printDiagnostic(const lint::Diagnostic &D, const std::string &Text) {
 /// residual report is what decides the exit code. Returns 0 when no
 /// Error-severity rule fired, 2 otherwise.
 int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
-            const ArgParse &Args, const ArchParams &Arch,
-            model::ScoreMode Mode) {
-  lint::LintOptions Options;
-  Options.Score = Mode;
+            const ArgParse &Args, const ArchParams &Arch) {
   const bool Json = Args.has("json");
   bool AnyErrors = false;
   std::string Schedules, Diags;
   for (size_t S = 0; S != Instance.Stages.size(); ++S) {
     Func &F = Instance.Stages[S];
     int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-    lint::LintReport Report = lint::lintStageSchedule(
-        F, Stage, Instance.StageExtents[S], Arch, Options);
+    lint::LintReport Report =
+        lint::lintStageSchedule(F, Stage, Instance.StageExtents[S], Arch);
     if (Args.has("lint-fix") && !Report.clean()) {
       // One fix can expose the next diagnostic (appending a reorder
       // shadows the one it overrides), so iterate to a fixed point.
@@ -192,7 +182,7 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
           return 1;
         }
         Report = lint::lintStageSchedule(F, Stage, Instance.StageExtents[S],
-                                         Arch, Options);
+                                         Arch);
       }
       if (!Json)
         std::printf("lint stage %zu: fixed schedule: %s\n", S,
@@ -237,16 +227,6 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   }
   BenchmarkInstance Instance = std::move(*Shape);
 
-  // Validate before any output so a typo'd mode fails fast.
-  model::ScoreMode Mode = model::ScoreMode::Auto;
-  if (!model::parseScoreMode(Args.getString("score-mode", "auto").c_str(),
-                             Mode)) {
-    std::fprintf(stderr,
-                 "error: bad --score-mode '%s' (want sim|auto)\n",
-                 Args.getString("score-mode", "").c_str());
-    return 1;
-  }
-
   std::printf("benchmark : %s (%s), size %lld\n", Def->Name.c_str(),
               Def->Description.c_str(), static_cast<long long>(Size));
   std::printf("platform  : %s\n\n", describe(Arch).c_str());
@@ -270,7 +250,6 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     for (size_t S = 0; S != Instance.Stages.size(); ++S) {
       OptimizerOptions Options;
       Options.EnableNonTemporal = !Args.has("no-nti");
-      Options.Temporal.Score = Mode;
       OptimizationResult R = optimize(
           Instance.Stages[S], Instance.StageExtents[S], Arch, Options);
       std::printf("stage %zu (%s): class=%s, %.2f ms to optimize\n  %s\n",
@@ -289,7 +268,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   }
 
   if (Args.has("lint") || Args.has("lint-fix"))
-    return runLint(Instance, Def, Args, Arch, Mode);
+    return runLint(Instance, Def, Args, Arch);
 
   if (Args.has("verify")) {
     bool AnyErrors = false;
@@ -457,8 +436,8 @@ int main(int Argc, char **Argv) {
       break;
   }
 
-  // Scoring-path telemetry: how many candidates each path handled and how
-  // often the closed-form tile bound applied, among every other metric.
+  // Telemetry footer: candidates scored and Algorithm-1 bounds emulated,
+  // among every other metric.
   if (Rc == 0 && !Args.has("schedule"))
     std::fputs(obs::renderFooter(obs::snapshotMetrics()).c_str(), stdout);
 

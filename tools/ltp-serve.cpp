@@ -9,7 +9,7 @@
 // pays for it once.
 //
 //   ltp-serve --socket /tmp/ltp.sock
-//   ltp-serve --socket /tmp/ltp.sock --score-mode sim --no-compile
+//   ltp-serve --socket /tmp/ltp.sock --no-compile
 //
 // Client: one-shot requests against a running daemon (for scripts and CI;
 // anything speaking newline-delimited JSON over the socket works too).
@@ -66,7 +66,6 @@ void printUsage() {
       "\n"
       "daemon options:\n"
       "  --socket PATH       listen on this Unix-domain socket\n"
-      "  --score-mode M      force sim|auto on every request\n"
       "  --no-compile        serve schedules only, never compile kernels\n"
       "  --log-json[=FILE]   structured JSON logs to FILE (default stderr)\n"
       "  --log-level L       debug|info|warn|error|off (default info when\n"
@@ -84,7 +83,6 @@ void printUsage() {
       "  --schedule \"...\"    replay this schedule instead of optimizing\n"
       "  --lint              request static diagnostics instead of\n"
       "                      compiled kernels (op \"lint\")\n"
-      "  --score-mode M      sim|auto\n"
       "  --no-nti            disable non-temporal stores\n"
       "  --no-compile        skip kernel compilation for this request\n"
       "  --id TEXT           request id echoed in the response\n"
@@ -131,9 +129,6 @@ std::string buildRequest(const ArgParse &Args) {
   if (Args.has("schedule"))
     Req += ", \"schedule\": \"" +
            jsonEscape(Args.getString("schedule", "")) + "\"";
-  if (Args.has("score-mode"))
-    Req += ", \"score_mode\": \"" +
-           jsonEscape(Args.getString("score-mode", "auto")) + "\"";
   if (Args.has("no-nti"))
     Req += ", \"nti\": false";
   if (Args.has("no-compile"))
@@ -284,7 +279,6 @@ int runDaemon(const ArgParse &Args) {
     obs::setSlowRequestThresholdMs(Args.getDouble("slow-ms", 0.0));
 
   ServiceOptions Opts;
-  Opts.ForceScoreMode = Args.getString("score-mode", "");
   Opts.DisableCompile = Args.has("no-compile");
 
   Server Srv(Args.getString("socket", ""), Opts);
