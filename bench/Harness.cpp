@@ -100,7 +100,7 @@ std::string ltp::bench::applyScheduler(BenchmarkInstance &Instance,
     for (size_t I = 0; I != Instance.Stages.size(); ++I) {
       Func &F = Instance.Stages[I];
       F.clearSchedules();
-      int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      int ComputeStage = F.computeStageIndex();
       StageAccessInfo Info =
           analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
       TemporalSchedule Sched = S == Scheduler::TSS

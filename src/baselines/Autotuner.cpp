@@ -132,7 +132,7 @@ void applyPipelineDecision(BenchmarkInstance &Instance,
   for (size_t I = 0; I != Instance.Stages.size(); ++I) {
     Func &F = Instance.Stages[I];
     F.clearSchedules();
-    int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+    int ComputeStage = F.computeStageIndex();
     StageAccessInfo Info =
         analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
     applyDecision(F, ComputeStage, Info, Decision[I], Arch);
@@ -194,7 +194,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
     UsedAnalytic = true;
     for (size_t I = 0; I != Instance.Stages.size() && UsedAnalytic; ++I) {
       const Func &F = Instance.Stages[I];
-      int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      int ComputeStage = F.computeStageIndex();
       StageAccessInfo Info =
           analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
       std::vector<model::LoopDim> Nest;
@@ -234,7 +234,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
       PipelineDecision Decision;
       for (size_t I = 0; I != Instance.Stages.size(); ++I) {
         Func &F = Instance.Stages[I];
-        int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+        int ComputeStage = F.computeStageIndex();
         StageAccessInfo Info =
             analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
         Decision.push_back(drawDecision(Info, Rng, Options));
@@ -248,7 +248,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
       bool Illegal = false;
       for (size_t I = 0; I != Instance.Stages.size() && !Illegal; ++I) {
         const Func &F = Instance.Stages[I];
-        int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+        int ComputeStage = F.computeStageIndex();
         StageLegality[I] = analysis::verifyStageSchedule(
             F, ComputeStage, Instance.StageExtents[I]);
         Illegal = StageLegality[I].hasErrors();
@@ -266,7 +266,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
         for (size_t I = 0; I != Instance.Stages.size() && LintRule.empty();
              ++I) {
           Func &F = Instance.Stages[I];
-          int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+          int ComputeStage = F.computeStageIndex();
           lint::LintOptions LintOpts;
           LintOpts.PrecomputedLegality = &StageLegality[I];
           lint::LintReport Report = lint::lintStageSchedule(

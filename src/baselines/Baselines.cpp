@@ -64,7 +64,7 @@ void ltp::applyAutoSchedulerSchedule(
   F.clearSchedules();
 
   // Init stages get the plain treatment; the compute stage is tiled.
-  int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+  int ComputeStage = F.computeStageIndex();
   for (int StageIdx = -1; StageIdx != F.numUpdates(); ++StageIdx) {
     StageAccessInfo Info = analyzeStage(F, StageIdx, OutputExtents);
     if (StageIdx != ComputeStage) {

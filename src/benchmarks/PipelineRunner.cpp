@@ -13,18 +13,28 @@ using namespace ltp;
 
 namespace {
 
-/// Static bounds check of every stage against the bound buffers; schedule
+/// Static bounds check of every stage against the bound buffers: the
+/// first out-of-bounds access as an error message, or empty. Schedule
 /// bugs surface here with a diagnostic instead of as a wild pointer in
 /// JIT-compiled code.
-void checkBounds(const std::vector<ir::StmtPtr> &Lowered,
-                 const std::map<std::string, BufferRef> &Buffers) {
+std::string boundsError(const std::vector<ir::StmtPtr> &Lowered,
+                        const std::map<std::string, BufferRef> &Buffers) {
   for (const ir::StmtPtr &S : Lowered) {
     std::string Diag = validateAccesses(S, Buffers);
-    if (!Diag.empty()) {
-      std::fprintf(stderr, "fatal: schedule accesses out of bounds: %s\n",
-                   Diag.c_str());
-      assert(false && "schedule accesses out of bounds");
-    }
+    if (!Diag.empty())
+      return "schedule accesses out of bounds: " + Diag;
+  }
+  return "";
+}
+
+/// boundsError as a fatal assertion, for the engines that would run the
+/// access (interpreter, simulator).
+void checkBounds(const std::vector<ir::StmtPtr> &Lowered,
+                 const std::map<std::string, BufferRef> &Buffers) {
+  std::string Error = boundsError(Lowered, Buffers);
+  if (!Error.empty()) {
+    std::fprintf(stderr, "fatal: %s\n", Error.c_str());
+    assert(false && "schedule accesses out of bounds");
   }
 }
 
@@ -56,22 +66,9 @@ void ltp::runInterpreted(const BenchmarkInstance &Instance,
 ErrorOr<CompiledPipeline>
 ltp::compilePipeline(const BenchmarkInstance &Instance,
                      JITCompiler &Compiler, const CodeGenOptions &Options) {
-  // One signature shared by all stages: every named buffer, sorted by
-  // name (std::map order), so stage kernels can be called uniformly.
-  std::vector<BufferBinding> Signature;
-  for (const auto &[Name, Ref] : Instance.Buffers)
-    Signature.push_back(BufferBinding::fromRef(Name, Ref));
-
-  std::vector<ir::StmtPtr> Lowered = lowerPipeline(Instance);
-  checkBounds(Lowered, Instance.Buffers);
-  CompiledPipeline Pipeline;
-  for (const ir::StmtPtr &S : Lowered) {
-    auto Kernel = Compiler.compile(S, Signature, Options);
-    if (!Kernel)
-      return ErrorOr<CompiledPipeline>::makeError(Kernel.getError());
-    Pipeline.Kernels.push_back(std::move(*Kernel));
-  }
-  return Pipeline;
+  return std::move(
+      compilePipelines({makeCompileJob(Instance, Options)}, Compiler)
+          .front());
 }
 
 PipelineCompileJob
@@ -79,8 +76,9 @@ ltp::makeCompileJob(const BenchmarkInstance &Instance,
                     const CodeGenOptions &Options) {
   PipelineCompileJob Job;
   Job.Stages = lowerPipeline(Instance);
-  checkBounds(Job.Stages, Instance.Buffers);
-  Job.Buffers = &Instance.Buffers;
+  Job.Error = boundsError(Job.Stages, Instance.Buffers);
+  for (const auto &[Name, Ref] : Instance.Buffers)
+    Job.Signature.push_back(BufferBinding::fromRef(Name, Ref));
   Job.Options = Options;
   return Job;
 }
@@ -89,14 +87,10 @@ std::vector<ErrorOr<CompiledPipeline>>
 ltp::compilePipelines(const std::vector<PipelineCompileJob> &Jobs,
                       JITCompiler &Compiler) {
   std::vector<CompileJob> Flat;
-  for (const PipelineCompileJob &Job : Jobs) {
-    assert(Job.Buffers && "compile job without buffers");
-    std::vector<BufferBinding> Signature;
-    for (const auto &[Name, Ref] : *Job.Buffers)
-      Signature.push_back(BufferBinding::fromRef(Name, Ref));
-    for (const ir::StmtPtr &S : Job.Stages)
-      Flat.push_back(CompileJob{S, Signature, Job.Options});
-  }
+  for (const PipelineCompileJob &Job : Jobs)
+    if (Job.Error.empty())
+      for (const ir::StmtPtr &S : Job.Stages)
+        Flat.push_back(CompileJob{S, Job.Signature, Job.Options});
 
   std::vector<ErrorOr<CompiledKernel>> Kernels =
       Compiler.compileMany(Flat);
@@ -104,6 +98,10 @@ ltp::compilePipelines(const std::vector<PipelineCompileJob> &Jobs,
   std::vector<ErrorOr<CompiledPipeline>> Out;
   size_t Next = 0;
   for (const PipelineCompileJob &Job : Jobs) {
+    if (!Job.Error.empty()) {
+      Out.push_back(ErrorOr<CompiledPipeline>::makeError(Job.Error));
+      continue;
+    }
     CompiledPipeline Pipeline;
     std::string Error;
     for (size_t S = 0; S != Job.Stages.size(); ++S, ++Next) {

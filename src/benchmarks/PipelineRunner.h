@@ -42,19 +42,26 @@ struct CompiledPipeline {
   }
 };
 
-/// Compiles every stage with the host C compiler.
+/// Compiles every stage with the host C compiler:
+/// compilePipelines({makeCompileJob(Instance, Options)}).
 ErrorOr<CompiledPipeline>
 compilePipeline(const BenchmarkInstance &Instance, JITCompiler &Compiler,
                 const CodeGenOptions &Options = CodeGenOptions());
 
 /// One scheduled pipeline variant awaiting compilation: the stages as
 /// lowered under the schedule that was applied when the job was made,
-/// plus the buffers they bind against. Capture the job before mutating
+/// plus the signature they bind against. Capture the job before mutating
 /// the instance's schedules again (autotuning candidates).
 struct PipelineCompileJob {
   std::vector<ir::StmtPtr> Stages;
-  const std::map<std::string, BufferRef> *Buffers = nullptr;
+  /// Every named buffer, sorted by name (std::map order), shared by all
+  /// stages so stage kernels can be called uniformly.
+  std::vector<BufferBinding> Signature;
   CodeGenOptions Options;
+  /// "schedule accesses out of bounds: <diagnostic>" when a stage reads
+  /// or writes outside its buffers, else empty. Such a job is never
+  /// compiled; compilePipelines returns this as its error.
+  std::string Error;
 };
 
 /// Lowers and bounds-checks \p Instance with its current schedules into a
@@ -66,7 +73,8 @@ makeCompileJob(const BenchmarkInstance &Instance,
 /// Compiles a batch of pipeline variants in one JITCompiler::compileMany
 /// call, fanning the cold stage compilations across the thread pool.
 /// Results are in job order; a pipeline whose stages all hit the memo or
-/// disk cache costs no compiler invocation at all.
+/// disk cache costs no compiler invocation at all, and one with a bounds
+/// error costs none either.
 std::vector<ErrorOr<CompiledPipeline>>
 compilePipelines(const std::vector<PipelineCompileJob> &Jobs,
                  JITCompiler &Compiler);

@@ -18,9 +18,10 @@
 ///     depth-first and left-to-right, then the store itself;
 ///   * `Escape` nodes hold subtrees the compiler cannot prove affine
 ///     (predicated statements, `fuse` div/mod indices, loads in index
-///     expressions); the executor runs them through the reference
-///     interpreter with the surrounding loop variables seeded, so the
-///     trace is byte-for-byte the one the interpreter would produce.
+///     expressions); the executor runs them through `interpret()` (its
+///     default engine, the bytecode VM) with the surrounding loop
+///     variables seeded, so the trace is byte-for-byte the one the
+///     interpreter would produce.
 ///
 /// The affine-only contract: a statement is compiled iff its store and
 /// load indices, loop bounds and let values are integer expressions over

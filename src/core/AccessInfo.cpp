@@ -156,6 +156,6 @@ StageAccessInfo ltp::analyzeStage(const Func &F, int StageIndex,
 StageAccessInfo
 ltp::analyzeComputeStage(const Func &F,
                          const std::vector<int64_t> &OutputExtents) {
-  int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+  int Stage = F.computeStageIndex();
   return analyzeStage(F, Stage, OutputExtents);
 }

@@ -47,10 +47,6 @@ void applyParVec(Func &F, int StageIndex, const ParVecPlan &Plan) {
     S.vectorize(Plan.VectorVar);
 }
 
-int computeStageIndex(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-}
-
 } // namespace
 
 StagePlan ltp::planStage(const Func &F,
@@ -61,7 +57,7 @@ StagePlan ltp::planStage(const Func &F,
   StagePlan Plan;
   obs::ScopedSpan Span("opt.plan", [&] { return "func=" + F.name(); });
 
-  int ComputeStage = computeStageIndex(F);
+  int ComputeStage = F.computeStageIndex();
   Plan.Info = analyzeStage(F, ComputeStage, OutputExtents);
   Plan.Class = classify(Plan.Info);
   Plan.ClassifyMillis = T.elapsedMillis();
@@ -128,7 +124,7 @@ StagePlan ltp::planStage(const Func &F,
 }
 
 void ltp::applyPlan(Func &F, const StagePlan &Plan) {
-  int ComputeStage = computeStageIndex(F);
+  int ComputeStage = F.computeStageIndex();
   switch (Plan.Kind) {
   case StagePlan::Mode::Temporal:
     applyTemporalSchedule(F, ComputeStage, Plan.Temporal, Plan.Info);
@@ -171,7 +167,7 @@ OptimizationResult ltp::optimize(Func &F,
   // Post-condition: every schedule the optimizer emits must pass the
   // static verifier. A failure here is an optimizer bug, not user error.
 #ifndef NDEBUG
-  int ComputeStage = computeStageIndex(F);
+  int ComputeStage = F.computeStageIndex();
   std::vector<int> ScheduledStages = {ComputeStage};
   if (ComputeStage >= 0)
     ScheduledStages.push_back(-1); // the init stage scheduled above

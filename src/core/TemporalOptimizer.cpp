@@ -235,8 +235,8 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
         Dense[static_cast<size_t>(ColumnIdx)] = Tc;
 
         // Only called under --explain; the predicted misses are recomputed
-        // here so the record is self-contained even for candidates pruned
-        // before their cost was evaluated.
+        // with the search's own scorer so the record is self-contained even
+        // for candidates pruned before their cost was evaluated.
         auto Record = [&](bool Accepted, const char *Reason, double Cost) {
           TileMap Tiles = Scorer.toTileMap(Dense.data());
           std::vector<std::string> Parts;
@@ -246,8 +246,8 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           obs::CandidateRecord R;
           R.Candidate = "tiles{" + join(Parts, ", ") + "} u=" + U->Name +
                         " v=" + V->Name;
-          R.PredL1Misses = estimateL1Misses(Info, Tiles, U->Name);
-          R.PredL2Misses = estimateL2Misses(Info, Tiles, V->Name);
+          R.PredL1Misses = Scorer.l1Misses(Dense.data(), UIdx);
+          R.PredL2Misses = Scorer.l2Misses(Dense.data(), VIdx);
           R.Cost = Cost;
           R.Accepted = Accepted;
           R.Reason = Reason;

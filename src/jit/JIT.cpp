@@ -13,8 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <string_view>
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -311,181 +311,124 @@ JITCompiler::MemoShard &JITCompiler::shardFor(const std::string &Key) {
   return MemoShards[H % NumMemoShards];
 }
 
-namespace {
-
-/// Observes `jit.compile_ms` on scope exit so every compile() return path
-/// (memo hit, build error, success) lands in the histogram.
-struct CompileLatencyScope {
-  Timer T;
-  ~CompileLatencyScope() {
-    if (obs::metricsEnabled()) {
-      static obs::Histogram &H = obs::histogram("jit.compile_ms");
-      H.observe(T.elapsedMillis());
-    }
-  }
-};
-
-} // namespace
-
 ErrorOr<CompiledKernel>
 JITCompiler::compile(const ir::StmtPtr &S,
                      const std::vector<BufferBinding> &Signature,
                      const CodeGenOptions &Options) {
-  obs::ScopedSpan Span("jit.compile");
-  CompileLatencyScope LatencyScope;
-  std::string KernelName = "ltp_kernel";
-  std::string Source = generateC(S, Signature, KernelName, Options);
-  std::string Flags = buildFlags(Options);
-
-  // Memoize on (flags, source): revisited schedules reuse the loaded
-  // module instead of paying another cc + dlopen round-trip.
-  std::string Key = Flags + '\n' + Source;
-  MemoShard &Shard = shardFor(Key);
-  {
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    auto Cached = Shard.Map.find(Key);
-    if (Cached != Shard.Map.end()) {
-      ++CacheHits;
-      memoHitsCounter().add();
-      CompiledKernel Kernel;
-      Kernel.Mod = Cached->second;
-      Kernel.Signature = Signature;
-      Kernel.Source = std::move(Source);
-      return Kernel;
-    }
-  }
-  memoMissesCounter().add();
-
-  Build B = buildModule(Flags, Source, KernelName);
-  if (!B.Error.empty())
-    return ErrorOr<CompiledKernel>::makeError(B.Error);
-
-  std::shared_ptr<const CompiledKernel::Module> Mod;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    auto [It, Inserted] = Shard.Map.emplace(std::move(Key), B.Mod);
-    Mod = It->second;
-    if (Inserted) {
-      if (B.RanCompiler) {
-        ++CompileCount;
-        ccInvocationsCounter().add();
-      }
-      if (B.DiskHit) {
-        ++DiskHits;
-        diskHitsCounter().add();
-      }
-    } else {
-      ++CacheHits; // a concurrent compile of the same key won the race
-      memoHitsCounter().add();
-    }
-  }
-
-  CompiledKernel Kernel;
-  Kernel.Mod = std::move(Mod);
-  Kernel.Signature = Signature;
-  Kernel.Source = std::move(Source);
-  return Kernel;
+  return std::move(compileMany({CompileJob{S, Signature, Options}}).front());
 }
 
 std::vector<ErrorOr<CompiledKernel>>
 JITCompiler::compileMany(const std::vector<CompileJob> &Jobs) {
-  obs::ScopedSpan Span("jit.compile_many");
-  std::string KernelName = "ltp_kernel";
+  if (Jobs.empty())
+    return {};
+  obs::ScopedSpan Span("jit.compile");
+  Timer Latency;
+  const std::string KernelName = "ltp_kernel";
+
+  // Memoize on (flags, source): a job whose key is memoized, or repeats
+  // the key of an earlier job in this call, is a memo hit; the first job
+  // of every other key builds it.
   struct Prep {
     std::string Source;
     std::string Flags;
     std::string Key;
+    /// The memoized module, or null until the job's build publishes.
+    std::shared_ptr<const CompiledKernel::Module> Mod;
+    size_t BuildIdx = 0;
+    bool Builder = false;
   };
-  std::vector<Prep> Preps;
-  Preps.reserve(Jobs.size());
-  for (const CompileJob &Job : Jobs) {
-    Prep P;
+  std::vector<Prep> Preps(Jobs.size());
+  std::vector<size_t> Builders; // job index of each build
+  std::map<std::string_view, size_t> BuildOfKey;
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    const CompileJob &Job = Jobs[I];
+    Prep &P = Preps[I];
     P.Source = generateC(Job.S, Job.Signature, KernelName, Job.Options);
     P.Flags = buildFlags(Job.Options);
     P.Key = P.Flags + '\n' + P.Source;
-    Preps.push_back(std::move(P));
-  }
-
-  // The first job of each key not already memoized builds the module;
-  // every other job is a memo hit by construction. Keys are probed per
-  // shard; a key's shard is stable, so a concurrent compile() of the
-  // same key either lands before the probe (we see it, memo hit) or
-  // races the final insert (emplace keeps one module, the duplicate is
-  // dropped and counted as a hit, same as the serial path).
-  std::vector<size_t> Cold;
-  std::set<size_t> ColdSet;
-  {
-    std::set<std::string> Seen;
-    for (size_t I = 0; I != Preps.size(); ++I) {
-      MemoShard &Shard = shardFor(Preps[I].Key);
+    {
+      MemoShard &Shard = shardFor(P.Key);
       std::lock_guard<std::mutex> Lock(Shard.Mu);
-      if (!Shard.Map.contains(Preps[I].Key) &&
-          Seen.insert(Preps[I].Key).second) {
-        Cold.push_back(I);
-        ColdSet.insert(I);
+      auto It = Shard.Map.find(P.Key);
+      if (It != Shard.Map.end()) {
+        P.Mod = It->second;
+        continue;
       }
     }
+    auto [It, New] = BuildOfKey.emplace(P.Key, Builders.size());
+    P.BuildIdx = It->second;
+    P.Builder = New;
+    if (New)
+      Builders.push_back(I);
   }
-  memoMissesCounter().add(static_cast<int64_t>(Cold.size()));
+  memoMissesCounter().add(static_cast<int64_t>(Builders.size()));
 
   if (Span.active())
-    Span.setArgs(strFormat("jobs=%zu cold=%zu", Jobs.size(), Cold.size()));
+    Span.setArgs(
+        strFormat("jobs=%zu cold=%zu", Jobs.size(), Builders.size()));
 
-  std::vector<Build> Builds(Cold.size());
+  // A single build runs inline; more fan across the pool.
+  std::vector<Build> Builds(Builders.size());
   ThreadPool::global().parallelFor(
-      0, static_cast<int64_t>(Cold.size()), [&](int64_t I) {
-        // Per-job spans expose the pool's grain-claiming skew: each
+      0, static_cast<int64_t>(Builders.size()), [&](int64_t B) {
+        // Per-build spans expose the pool's grain-claiming skew: each
         // build's duration lands on the worker thread that claimed it.
-        obs::ScopedSpan JobSpan("jit.build", [&] {
-          return strFormat("job=%lld", static_cast<long long>(I));
+        obs::ScopedSpan BuildSpan("jit.build", [&] {
+          return strFormat("job=%lld", static_cast<long long>(B));
         });
-        const Prep &P = Preps[Cold[static_cast<size_t>(I)]];
-        Builds[static_cast<size_t>(I)] =
+        const Prep &P = Preps[Builders[static_cast<size_t>(B)]];
+        Builds[static_cast<size_t>(B)] =
             buildModule(P.Flags, P.Source, KernelName);
       });
 
-  std::map<std::string, std::string> Failed;
-  for (size_t I = 0; I != Cold.size(); ++I) {
-    Build &B = Builds[I];
-    const std::string &Key = Preps[Cold[I]].Key;
-    if (!B.Error.empty()) {
-      Failed.emplace(Key, B.Error);
+  // Count each build as what it did, then publish. A concurrent caller
+  // may have published the same key since the probe; its module wins and
+  // this one is dropped, but the cc run or disk load still happened.
+  for (size_t B = 0; B != Builds.size(); ++B) {
+    Build &Bd = Builds[B];
+    if (!Bd.Error.empty())
       continue;
-    }
-    MemoShard &Shard = shardFor(Key);
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    Shard.Map.emplace(Key, B.Mod);
-    if (B.RanCompiler) {
+    if (Bd.RanCompiler) {
       ++CompileCount;
       ccInvocationsCounter().add();
     }
-    if (B.DiskHit) {
+    if (Bd.DiskHit) {
       ++DiskHits;
       diskHitsCounter().add();
     }
+    const std::string &Key = Preps[Builders[B]].Key;
+    MemoShard &Shard = shardFor(Key);
+    std::lock_guard<std::mutex> Lock(Shard.Mu);
+    Bd.Mod = Shard.Map.emplace(Key, std::move(Bd.Mod)).first->second;
   }
 
   std::vector<ErrorOr<CompiledKernel>> Results;
   Results.reserve(Jobs.size());
+  int Hits = 0;
   for (size_t I = 0; I != Jobs.size(); ++I) {
-    auto FIt = Failed.find(Preps[I].Key);
-    if (FIt != Failed.end()) {
-      Results.push_back(ErrorOr<CompiledKernel>::makeError(FIt->second));
-      continue;
+    Prep &P = Preps[I];
+    if (!P.Mod) {
+      const Build &Bd = Builds[P.BuildIdx];
+      if (!Bd.Error.empty()) {
+        Results.push_back(ErrorOr<CompiledKernel>::makeError(Bd.Error));
+        continue;
+      }
+      P.Mod = Bd.Mod;
     }
-    MemoShard &Shard = shardFor(Preps[I].Key);
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    auto It = Shard.Map.find(Preps[I].Key);
-    assert(It != Shard.Map.end() && "batch module missing from the cache");
-    if (!ColdSet.contains(I)) {
-      ++CacheHits;
-      memoHitsCounter().add();
-    }
+    if (!P.Builder)
+      ++Hits;
     CompiledKernel Kernel;
-    Kernel.Mod = It->second;
+    Kernel.Mod = std::move(P.Mod);
     Kernel.Signature = Jobs[I].Signature;
-    Kernel.Source = std::move(Preps[I].Source);
+    Kernel.Source = std::move(P.Source);
     Results.push_back(std::move(Kernel));
+  }
+  CacheHits += Hits;
+  memoHitsCounter().add(Hits);
+  if (obs::metricsEnabled()) {
+    static obs::Histogram &H = obs::histogram("jit.compile_ms");
+    H.observe(Latency.elapsedMillis());
   }
   return Results;
 }

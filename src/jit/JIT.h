@@ -15,13 +15,24 @@
 /// where `rt->parallel_for` dispatches parallel loops; the host binds it to
 /// the process thread pool.
 ///
-/// Compiled modules are cached at three levels:
-///  - an in-process memo on (flags, source) sharing loaded modules,
+/// Compiled modules are cached at two levels:
+///  - an in-process memo on (flags, source) sharing loaded modules, and
 ///  - a content-addressed on-disk cache of shared objects keyed by the
 ///    FNV-1a hash of (flags, source), surviving across processes (warm
-///    benchmark reruns spend zero time in the C compiler), and
-///  - `compileMany`, which fans cold compilations across the process
-///    thread pool so an autotuning batch overlaps its cc invocations.
+///    benchmark reruns spend zero time in the C compiler).
+///
+/// `compileMany` is the one build path: it probes the memo, builds the
+/// missing keys under the disk cache's file lock (fanned across the
+/// process thread pool when there are several), publishes them, and
+/// counts. `compile` forwards a single job to it.
+///
+/// Accounting: every job that yields a kernel counts exactly once, as
+/// what happened to it. A job whose key was memoized, or repeats an
+/// earlier job's key in the same call, is a memo hit. Every other key is
+/// built once and counts as a cc run or a disk hit, even when a
+/// concurrent caller published the same key first (the loser's module is
+/// dropped, but its work was done). So `jit.memo.hit` +
+/// `jit.cc_invocations` + `jit.disk_hits` equals the successful jobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,22 +119,20 @@ public:
   /// compile).
   const std::string &compilerPath() const { return Compiler; }
 
-  /// Compiles \p S against \p Signature. Returns the kernel or a
-  /// diagnostic (compiler missing / compile error with the tool output).
-  /// Results are memoized on (generated C source, compiler flags) — the
-  /// flags embed the target ISA, so the same schedule compiled for AVX2
-  /// and for SSE2 occupies distinct cache entries — and persisted to the
-  /// on-disk cache: a schedule any earlier process compiled skips the
-  /// cc round-trip entirely.
+  /// Compiles \p S against \p Signature: compileMany of one job.
   ErrorOr<CompiledKernel>
   compile(const ir::StmtPtr &S, const std::vector<BufferBinding> &Signature,
           const CodeGenOptions &Options = CodeGenOptions());
 
-  /// Compiles a batch of kernels, fanning the cold (neither memoized nor
-  /// on disk) compilations across the process thread pool. Results are
-  /// positionally matched to \p Jobs. Duplicate and already-cached jobs
-  /// count as cache hits, exactly as if compile() had been called per
-  /// job in order.
+  /// Compiles a batch of kernels. Returns each kernel or a diagnostic
+  /// (compiler missing / compile error with the tool output), positionally
+  /// matched to \p Jobs. Results are memoized on (generated C source,
+  /// compiler flags) — the flags embed the target ISA, so the same
+  /// schedule compiled for AVX2 and for SSE2 occupies distinct cache
+  /// entries — and persisted to the on-disk cache: a schedule any earlier
+  /// process compiled skips the cc round-trip entirely. Cold builds fan
+  /// across the process thread pool. Counting follows the file comment,
+  /// so a batch counts exactly as compile() called per job in order.
   std::vector<ErrorOr<CompiledKernel>>
   compileMany(const std::vector<CompileJob> &Jobs);
 
@@ -132,7 +141,7 @@ public:
   /// the benchmark harnesses).
   int compileCount() const { return CompileCount.load(); }
 
-  /// Number of compile() calls served from the in-process memo cache.
+  /// Number of jobs served from the in-process memo cache.
   int cacheHitCount() const { return CacheHits.load(); }
 
   /// Number of modules loaded from the on-disk cache (no cc invocation).

@@ -314,6 +314,10 @@ int Func::numUpdates() const {
   return static_cast<int>(Contents->Updates.size());
 }
 
+int Func::computeStageIndex() const {
+  return numUpdates() > 0 ? numUpdates() - 1 : -1;
+}
+
 const Definition &Func::updateDefinition(int Index) const {
   assert(Index >= 0 && Index < numUpdates() && "update index out of range");
   return Contents->Updates[Index];

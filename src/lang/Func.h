@@ -244,6 +244,10 @@ public:
   /// Number of update definitions.
   int numUpdates() const;
 
+  /// The stage the optimizer schedules: the last update for reductions,
+  /// -1 (the pure stage) otherwise.
+  int computeStageIndex() const;
+
   /// The \p Index'th update definition.
   const Definition &updateDefinition(int Index) const;
 

@@ -38,12 +38,12 @@ BatchCompiler::~BatchCompiler() {
   Drainer.join();
 }
 
-std::future<BatchCompiler::BatchResult>
-BatchCompiler::submit(std::vector<CompileJob> Jobs, std::string RequestId) {
+std::future<ErrorOr<CompiledPipeline>>
+BatchCompiler::submit(PipelineCompileJob Job, std::string RequestId) {
   Pending P;
-  P.Jobs = std::move(Jobs);
+  P.Job = std::move(Job);
   P.RequestId = std::move(RequestId);
-  std::future<BatchResult> F = P.Result.get_future();
+  std::future<ErrorOr<CompiledPipeline>> F = P.Result.get_future();
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Queue.push_back(std::move(P));
@@ -59,37 +59,34 @@ void BatchCompiler::drainLoop() {
     HasWork.wait(Lock, [&] { return Stopping || !Queue.empty(); });
     if (Queue.empty() && Stopping)
       return;
-    // Swallow everything pending; batches arriving while compileMany
-    // runs coalesce into the next flush.
+    // Swallow everything pending; submissions arriving while the
+    // compiler runs coalesce into the next flush.
     std::vector<Pending> Taken;
     Taken.swap(Queue);
     queueDepthGauge().set(0);
     Lock.unlock();
 
-    std::vector<CompileJob> All;
-    for (const Pending &P : Taken)
-      All.insert(All.end(), P.Jobs.begin(), P.Jobs.end());
+    std::vector<PipelineCompileJob> Jobs;
+    size_t Stages = 0;
+    for (Pending &P : Taken) {
+      Stages += P.Job.Stages.size();
+      Jobs.push_back(std::move(P.Job));
+    }
     obs::ScopedSpan Span("serve.batch", [&] {
       std::string Detail =
-          strFormat("batches=%zu jobs=%zu", Taken.size(), All.size());
+          strFormat("batches=%zu jobs=%zu", Taken.size(), Stages);
       for (const Pending &P : Taken)
         if (!P.RequestId.empty())
           Detail += " rid=" + P.RequestId;
       return Detail;
     });
     flushesCounter().add();
-    jobsCounter().add(static_cast<int64_t>(All.size()));
+    jobsCounter().add(static_cast<int64_t>(Stages));
 
-    BatchResult Results = Compiler.compileMany(All);
-    size_t Offset = 0;
-    for (Pending &P : Taken) {
-      BatchResult Own;
-      Own.reserve(P.Jobs.size());
-      for (size_t I = 0; I != P.Jobs.size(); ++I)
-        Own.push_back(std::move(Results[Offset + I]));
-      Offset += P.Jobs.size();
-      P.Result.set_value(std::move(Own));
-    }
+    std::vector<ErrorOr<CompiledPipeline>> Results =
+        compilePipelines(Jobs, Compiler);
+    for (size_t I = 0; I != Taken.size(); ++I)
+      Taken[I].Result.set_value(std::move(Results[I]));
 
     Lock.lock();
   }

@@ -5,18 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Funnels the compile jobs of concurrent serve sessions into batched
-/// `JITCompiler::compileMany` calls: sessions enqueue their jobs with a
+/// Funnels the pipeline compile jobs of concurrent serve sessions into
+/// batched `compilePipelines` calls: sessions enqueue their job with a
 /// future and continue blocking only on their own result, while a single
 /// drainer thread repeatedly swallows *everything* pending and issues one
-/// compileMany for the union. Requests that arrive while a batch is in
-/// the compiler coalesce into the next batch, so a burst of N sessions
+/// compilePipelines for the union. Requests that arrive while a batch is
+/// in the compiler coalesce into the next batch, so a burst of N sessions
 /// costs a handful of compileMany calls (each fanning cold builds across
 /// the process thread pool) instead of N serialized compiles.
 ///
-/// Telemetry: the gauge `serve.batch_queue_depth` (batches waiting when
-/// the drainer last looked) and the counters `serve.batch.flushes` and
-/// `serve.batch.jobs`. Each flush's span lists
+/// Telemetry: the gauge `serve.batch_queue_depth` (submissions waiting
+/// when the drainer last looked) and the counters `serve.batch.flushes`
+/// and `serve.batch.jobs` (stages). Each flush's span lists
 /// the request IDs whose jobs it carried, so a batched compile is
 /// attributable to the requests that coalesced into it.
 ///
@@ -25,7 +25,7 @@
 #ifndef LTP_SERVE_BATCHCOMPILER_H
 #define LTP_SERVE_BATCHCOMPILER_H
 
-#include "jit/JIT.h"
+#include "benchmarks/PipelineRunner.h"
 
 #include <condition_variable>
 #include <future>
@@ -40,25 +40,23 @@ namespace serve {
 /// See file comment. Thread-safe; owns its drainer thread.
 class BatchCompiler {
 public:
-  using BatchResult = std::vector<ErrorOr<CompiledKernel>>;
-
   explicit BatchCompiler(JITCompiler &Compiler);
   ~BatchCompiler();
 
   BatchCompiler(const BatchCompiler &) = delete;
   BatchCompiler &operator=(const BatchCompiler &) = delete;
 
-  /// Enqueues \p Jobs as one batch; the future resolves with results in
-  /// job order once the drainer's compileMany containing them returns.
-  /// \p RequestId, when non-empty, attributes the batch's share of the
-  /// flush span to the originating request.
-  std::future<BatchResult> submit(std::vector<CompileJob> Jobs,
-                                  std::string RequestId = {});
+  /// Enqueues \p Job; the future resolves with its pipeline once the
+  /// drainer's compilePipelines containing it returns. \p RequestId, when
+  /// non-empty, attributes the job's share of the flush span to the
+  /// originating request.
+  std::future<ErrorOr<CompiledPipeline>> submit(PipelineCompileJob Job,
+                                                std::string RequestId = {});
 
 private:
   struct Pending {
-    std::vector<CompileJob> Jobs;
-    std::promise<BatchResult> Result;
+    PipelineCompileJob Job;
+    std::promise<ErrorOr<CompiledPipeline>> Result;
     std::string RequestId;
   };
 

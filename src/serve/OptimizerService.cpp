@@ -5,7 +5,6 @@
 #include "analysis/Lint.h"
 #include "benchmarks/PipelineRunner.h"
 #include "core/Classifier.h"
-#include "lang/Bounds.h"
 #include "lang/ScheduleText.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Log.h"
@@ -64,11 +63,6 @@ void observeCompileMillis(double Millis) {
     return;
   static obs::Histogram &H = obs::histogram("serve.compile_ms");
   H.observe(Millis);
-}
-
-/// Compute-stage index of \p F (last update for reductions, -1 = pure).
-int scheduleStageIndex(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
 }
 
 Response badRequest(const Request &Req, const std::string &Error) {
@@ -292,7 +286,7 @@ Response OptimizerService::runSession(const Request &Req,
     for (size_t S = 0; S != Sess.Instance.Stages.size(); ++S) {
       Func &F = Sess.Instance.Stages[S];
       lint::LintReport Report =
-          lint::lintStageSchedule(F, scheduleStageIndex(F),
+          lint::lintStageSchedule(F, F.computeStageIndex(),
                                   Sess.Instance.StageExtents[S], Sess.Arch);
       for (const lint::Diagnostic &D : Report.Diagnostics)
         Sess.Resp.DiagnosticsJson.push_back(
@@ -323,7 +317,7 @@ bool OptimizerService::scheduleSession(Session &Sess) {
     auto ReplayStart = std::chrono::steady_clock::now();
     Func &F = Sess.Instance.Stages.back();
     F.clearSchedules();
-    int Stage = scheduleStageIndex(F);
+    int Stage = F.computeStageIndex();
     auto Applied = applyVerifiedScheduleText(
         F, Stage, Sess.Req.Schedule, Sess.Instance.StageExtents.back());
     R.StageMillis.emplace_back("schedule.replay", millisSince(ReplayStart));
@@ -352,7 +346,7 @@ bool OptimizerService::scheduleSession(Session &Sess) {
   R.Class = statementClassName(Last.Class.Kind);
   R.Description = Last.Description;
   R.Schedule = printSchedule(Sess.Instance.Stages.back(),
-                             scheduleStageIndex(Sess.Instance.Stages.back()));
+                             Sess.Instance.Stages.back().computeStageIndex());
   return true;
 }
 
@@ -365,47 +359,32 @@ bool OptimizerService::compileSession(Session &Sess) {
   }
 
   auto LowerStart = std::chrono::steady_clock::now();
-  Sess.Lowered = lowerPipeline(Sess.Instance);
-  for (const ir::StmtPtr &S : Sess.Lowered) {
-    std::string Diag = validateAccesses(S, Sess.Instance.Buffers);
-    if (!Diag.empty()) {
-      R.Kind = ErrorKind::Internal;
-      R.Error = "schedule accesses out of bounds: " + Diag;
-      return false;
-    }
-  }
-  R.StageMillis.emplace_back("lower", millisSince(LowerStart));
-
-  std::vector<BufferBinding> Signature;
-  for (const auto &[Name, Ref] : Sess.Instance.Buffers)
-    Signature.push_back(BufferBinding::fromRef(Name, Ref));
-
   CodeGenOptions CG;
   CG.EnableNonTemporal = Sess.Req.EnableNTI;
-
-  std::vector<CompileJob> Jobs;
-  Jobs.reserve(Sess.Lowered.size());
-  for (const ir::StmtPtr &S : Sess.Lowered)
-    Jobs.push_back(CompileJob{S, Signature, CG});
+  PipelineCompileJob Job = makeCompileJob(Sess.Instance, CG);
+  R.StageMillis.emplace_back("lower", millisSince(LowerStart));
+  if (!Job.Error.empty()) {
+    R.Kind = ErrorKind::Internal;
+    R.Error = Job.Error;
+    return false;
+  }
 
   auto CompileStart = std::chrono::steady_clock::now();
-  BatchCompiler::BatchResult Results =
-      Batcher.submit(std::move(Jobs), Sess.Req.RequestId).get();
+  ErrorOr<CompiledPipeline> Pipeline =
+      Batcher.submit(std::move(Job), Sess.Req.RequestId).get();
   R.CompileMillis = millisSince(CompileStart);
   R.StageMillis.emplace_back("compile", R.CompileMillis);
   observeCompileMillis(R.CompileMillis);
 
-  for (ErrorOr<CompiledKernel> &K : Results) {
-    if (!K) {
-      R.Kind = ErrorKind::Internal;
-      R.Error = "kernel compilation failed: " + K.getError();
-      R.SoPaths.clear();
-      return false;
-    }
-    // The path stays valid for the daemon's lifetime: the JIT memo
-    // shard retains the loaded module, so even non-disk-cache modules
-    // are not unlinked while the service lives.
-    R.SoPaths.push_back(K->sharedObjectPath());
+  if (!Pipeline) {
+    R.Kind = ErrorKind::Internal;
+    R.Error = "kernel compilation failed: " + Pipeline.getError();
+    return false;
   }
+  // The paths stay valid for the daemon's lifetime: the JIT memo shard
+  // retains the loaded modules, so even non-disk-cache modules are not
+  // unlinked while the service lives.
+  for (const CompiledKernel &K : Pipeline->Kernels)
+    R.SoPaths.push_back(K.sharedObjectPath());
   return true;
 }

@@ -15,10 +15,12 @@
 ///     └─ canonicalize → dedup table: identical kernel+platform+mode
 ///        requests — in flight *or* completed — share one optimization
 ///        and one compile (`serve.dedup.{miss,inflight,cached}`)
-///     └─ Session (per-request state): materialize instance, plan +
-///        apply schedules (core planStage/applyPlan), lower
-///     └─ BatchCompiler: cross-request compileMany batches on the
-///        process thread pool
+///     └─ Session (per-request state): build the benchmark's shape,
+///        schedule each stage (core optimize(), or a verified user
+///        schedule), lower and bounds-check it into a compile job
+///        (makeCompileJob)
+///     └─ BatchCompiler: cross-request compilePipelines batches, one
+///        compileMany per flush on the process thread pool
 ///     └─ JITCompiler: sharded in-process memo over the flock-guarded
 ///        content-addressed `.so` disk cache — the shared kernel store
 ///
@@ -105,7 +107,8 @@ private:
   bool scheduleSession(Session &Sess);
 
   /// Lowers and compiles the scheduled session through the batch
-  /// pipeline, filling SoPaths. Returns false on compile failure.
+  /// compiler, filling SoPaths. Returns false on a bounds or compile
+  /// failure.
   bool compileSession(Session &Sess);
 
   ServiceOptions Opts;

@@ -7,8 +7,8 @@
 /// \file
 /// All state built for one serve request that missed the dedup table:
 /// the benchmark's shape (stages, buffer extents and strides; it never
-/// owns data buffers), the plans chosen for each stage, the lowered
-/// statements, and the response under construction. The
+/// owns data buffers), the plans chosen for each stage, and the response
+/// under construction. The
 /// OptimizerService itself is stateless across requests apart from its
 /// caches — everything mutable during an optimization lives here, so
 /// concurrent sessions never share Funcs.
@@ -39,8 +39,6 @@ struct Session {
   /// One optimizer result per stage (empty when replaying a user
   /// schedule).
   std::vector<OptimizationResult> StageResults;
-  /// Lowered statements, one per stage (filled when compiling).
-  std::vector<ir::StmtPtr> Lowered;
   /// The response template being built (Id/Dedup filled per request by
   /// the service).
   Response Resp;

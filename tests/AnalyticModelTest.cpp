@@ -58,7 +58,7 @@ TEST(NestScorerParity, MatchesCostModelOnRandomCandidates) {
     BenchmarkInstance Instance = Def->Create(Def->DefaultSize);
     for (size_t I = 0; I != Instance.Stages.size(); ++I) {
       Func &F = Instance.Stages[I];
-      int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      int ComputeStage = F.computeStageIndex();
       StageAccessInfo Info =
           analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
       if (Info.Loops.size() < 2)
@@ -188,7 +188,7 @@ void applyRandomDividingSchedule(BenchmarkInstance &Instance,
   for (size_t I = 0; I != Instance.Stages.size(); ++I) {
     Func &F = Instance.Stages[I];
     F.clearSchedules();
-    int CS = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+    int CS = F.computeStageIndex();
     StageAccessInfo Info = analyzeStage(F, CS, Instance.StageExtents[I]);
     Stage S = CS < 0 ? F.pureStage() : F.update(CS);
     std::vector<std::string> Order;
@@ -729,7 +729,7 @@ TEST(ChosenScheduleParity, MatchesPinnedSchedulesOnAllKernels) {
       OptimizationResult R =
           optimize(F, Instance.StageExtents[S], Case.Arch);
       EXPECT_EQ(R.Description, G.Description) << Context;
-      int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      int ComputeStage = F.computeStageIndex();
       EXPECT_EQ(printSchedule(F, ComputeStage), G.Schedule) << Context;
     }
   }

@@ -121,9 +121,6 @@ uint64_t pinnedHash(const std::string &Kernel, int64_t Size) {
   return 0;
 }
 
-int stageIndex(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-}
 
 void expectSameLayout(const BufferRef &A, const BufferRef &B,
                       const std::string &What) {
@@ -187,8 +184,9 @@ TEST_P(BenchmarkShape, PlansTheSameSchedule) {
   for (size_t S = 0; S != Shape.Stages.size(); ++S) {
     optimize(Shape.Stages[S], Shape.StageExtents[S], intelI7_6700());
     optimize(Full.Stages[S], Full.StageExtents[S], intelI7_6700());
-    EXPECT_EQ(printSchedule(Shape.Stages[S], stageIndex(Shape.Stages[S])),
-              printSchedule(Full.Stages[S], stageIndex(Full.Stages[S])))
+    const Func &ShapeF = Shape.Stages[S], &FullF = Full.Stages[S];
+    EXPECT_EQ(printSchedule(ShapeF, ShapeF.computeStageIndex()),
+              printSchedule(FullF, FullF.computeStageIndex()))
         << "stage " << S;
   }
 }

@@ -126,6 +126,36 @@ TEST(BoundsTest, ValidateCatchesUndersizedBuffer) {
   EXPECT_EQ(validateAccesses(lowerFunc(Out, {32}), Buffers), "");
 }
 
+// The same undersized input as a one-stage pipeline: the compile path
+// returns the bounds diagnostic as an error instead of aborting, and runs
+// no compiler (this one could not start).
+TEST(BoundsTest, OutOfBoundsPipelineIsACompileError) {
+  Var X("x");
+  InputBuffer In("In", ir::Type::float32(), 1);
+  Func Out("Out");
+  Out(X) = In(Expr(X) + 2); // needs extent + 2
+  Buffer<float> InBuf({32}), OutBuf({32});
+  BenchmarkInstance Instance;
+  Instance.Name = "undersized";
+  Instance.Stages = {Out};
+  Instance.StageExtents = {{32}};
+  Instance.Buffers = {{"In", InBuf.ref()}, {"Out", OutBuf.ref()}};
+  Instance.OutputName = "Out";
+
+  PipelineCompileJob Job = makeCompileJob(Instance);
+  EXPECT_NE(Job.Error.find("'In'"), std::string::npos) << Job.Error;
+
+  JITCompiler Compiler("/nonexistent/compiler");
+  ErrorOr<CompiledPipeline> Pipeline = compilePipeline(Instance, Compiler);
+  ASSERT_FALSE(static_cast<bool>(Pipeline));
+  EXPECT_EQ(Pipeline.getError().rfind("schedule accesses out of bounds: ", 0),
+            0u)
+      << Pipeline.getError();
+  EXPECT_NE(Pipeline.getError().find("'In'"), std::string::npos)
+      << Pipeline.getError();
+  EXPECT_EQ(Compiler.compileCount(), 0);
+}
+
 TEST(BoundsTest, ValidateCatchesUnboundBuffer) {
   Var X("x");
   InputBuffer In("In", ir::Type::float32(), 1);

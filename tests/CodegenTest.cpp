@@ -242,14 +242,11 @@ TEST_P(PreludeSelfContained, Table4Kernels) {
 
     for (const auto &[Schedule, Instance] : Scheduled) {
       PipelineCompileJob Job = makeCompileJob(Instance, Options);
-      std::vector<BufferBinding> Signature;
-      for (const auto &[Name, Ref] : *Job.Buffers)
-        Signature.push_back(BufferBinding::fromRef(Name, Ref));
       for (size_t S = 0; S != Job.Stages.size(); ++S) {
         SCOPED_TRACE(Def.Name + " " + Schedule + " stage " +
                      std::to_string(S));
         std::string Source =
-            generateC(Job.Stages[S], Signature, "ltp_kernel", Options);
+            generateC(Job.Stages[S], Job.Signature, "ltp_kernel", Options);
         std::istringstream Lines(Source);
         for (std::string Line; std::getline(Lines, Line);) {
           if (Line.rfind("#include", 0) == 0) {

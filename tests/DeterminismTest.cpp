@@ -36,9 +36,7 @@ TEST_P(DeterminismSuite, OptimizerIsDeterministic) {
       OptimizationResult R = optimize(
           Instance.Stages[S], Instance.StageExtents[S], intelI7_5930K());
       *Out += R.Description + "\n";
-      int Stage = Instance.Stages[S].numUpdates() > 0
-                      ? Instance.Stages[S].numUpdates() - 1
-                      : -1;
+      int Stage = Instance.Stages[S].computeStageIndex();
       *Out += printSchedule(Instance.Stages[S], Stage) + "\n";
       for (const ir::StmtPtr &Lowered : lowerPipeline(Instance))
         *Out += ir::printStmt(Lowered);
@@ -78,9 +76,7 @@ TEST(DeterminismTest, TracingDoesNotPerturbOptimizer) {
         OptimizationResult R = optimize(
             Instance.Stages[S], Instance.StageExtents[S], intelI7_5930K());
         Out += R.Description + "\n";
-        int Stage = Instance.Stages[S].numUpdates() > 0
-                        ? Instance.Stages[S].numUpdates() - 1
-                        : -1;
+        int Stage = Instance.Stages[S].computeStageIndex();
         Out += printSchedule(Instance.Stages[S], Stage) + "\n";
       }
     }

@@ -264,6 +264,70 @@ TEST_F(JITFixture, CompileManyBatchesAndMemoizes) {
   }
 }
 
+// compile() is compileMany of one job, so a job sequence counts the same
+// compiled one at a time or as one batch: a store resident (disk hit), a
+// cold key (cc), its duplicate (memo hit), another cold key, and a repeat
+// of the first job (memo hit).
+TEST(JITDiskCacheTest, CompileAndCompileManyCountAlike) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler available";
+  constexpr int64_t N = 16;
+  Buffer<float> In({N}), Out({N});
+  std::vector<BufferBinding> Signature = {
+      BufferBinding::fromRef("Out", Out.ref()),
+      BufferBinding::fromRef("In", In.ref())};
+  auto Build = [&](float Scale) {
+    Var X("x");
+    InputBuffer InB("In", ir::Type::float32(), 1);
+    Func O("Out");
+    O(X) = InB(X) * Scale;
+    return lowerFunc(O, {N});
+  };
+  std::vector<CompileJob> Jobs;
+  for (float Scale : {2.0f, 3.0f, 3.0f, 5.0f, 2.0f})
+    Jobs.push_back({Build(Scale), Signature, CodeGenOptions()});
+
+  struct Counts {
+    int Cc = 0, Memo = 0, Disk = 0;
+  };
+  auto Run = [&](bool OneAtATime) {
+    // A private store holding only the first job's kernel.
+    char Template[] = "/tmp/ltp-jit-accounting-XXXXXX";
+    EXPECT_NE(::mkdtemp(Template), nullptr);
+    ::setenv("LTP_JIT_CACHE_DIR", Template, 1);
+    {
+      JITCompiler Warmer;
+      Warmer.setDiskCacheEnabled(true);
+      EXPECT_TRUE(static_cast<bool>(
+          Warmer.compile(Jobs[0].S, Jobs[0].Signature)));
+    }
+    JITCompiler Compiler;
+    Compiler.setDiskCacheEnabled(true);
+    if (OneAtATime) {
+      for (const CompileJob &Job : Jobs)
+        EXPECT_TRUE(static_cast<bool>(
+            Compiler.compile(Job.S, Job.Signature, Job.Options)));
+    } else {
+      for (const auto &K : Compiler.compileMany(Jobs))
+        EXPECT_TRUE(static_cast<bool>(K)) << K.getError();
+    }
+    ::unsetenv("LTP_JIT_CACHE_DIR");
+    std::ignore =
+        std::system((std::string("rm -rf '") + Template + "'").c_str());
+    return Counts{Compiler.compileCount(), Compiler.cacheHitCount(),
+                  Compiler.diskHitCount()};
+  };
+
+  Counts Serial = Run(/*OneAtATime=*/true);
+  Counts Batch = Run(/*OneAtATime=*/false);
+  EXPECT_EQ(Serial.Cc, 2);
+  EXPECT_EQ(Serial.Memo, 2);
+  EXPECT_EQ(Serial.Disk, 1);
+  EXPECT_EQ(Batch.Cc, Serial.Cc);
+  EXPECT_EQ(Batch.Memo, Serial.Memo);
+  EXPECT_EQ(Batch.Disk, Serial.Disk);
+}
+
 TEST(JITDiskCacheTest, WarmCompilerLoadsFromDiskWithoutCC) {
   if (!jitAvailable())
     GTEST_SKIP() << "no host C compiler available";

@@ -61,13 +61,10 @@ Func makeShift2D() {
   return A;
 }
 
-int computeStage(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-}
 
 analysis::LegalityReport report(const Func &F,
                                 std::vector<int64_t> Extents) {
-  return analysis::verifyStageSchedule(F, computeStage(F), Extents);
+  return analysis::verifyStageSchedule(F, F.computeStageIndex(), Extents);
 }
 
 void expectIllegal(const analysis::LegalityReport &R,
@@ -359,7 +356,7 @@ TEST(Legality, NonTemporalOnReReadBufferWarnsOnly) {
 TEST(Dependence, MatmulGraphMarksReductionDeps) {
   Func F = makeMatmul();
   analysis::DependenceGraph G =
-      analysis::buildDependenceGraph(F, computeStage(F), {N, N});
+      analysis::buildDependenceGraph(F, F.computeStageIndex(), {N, N});
   EXPECT_TRUE(G.Affine);
   EXPECT_TRUE(G.mayCarry("k"));
   EXPECT_FALSE(G.mayCarry("i"));
@@ -369,7 +366,7 @@ TEST(Dependence, MatmulGraphMarksReductionDeps) {
 TEST(Dependence, RecurrenceGraphHasExactForwardDistance) {
   Func F = makeShift1D();
   analysis::DependenceGraph G =
-      analysis::buildDependenceGraph(F, computeStage(F), {N});
+      analysis::buildDependenceGraph(F, F.computeStageIndex(), {N});
   EXPECT_TRUE(G.mayCarry("x"));
   bool FoundExactOne = false;
   for (const analysis::Dependence &D : G.Deps) {
@@ -388,7 +385,7 @@ TEST(Dependence, RecurrenceGraphHasExactForwardDistance) {
 TEST(VerifiedScheduleText, IllegalDirectiveQuotedWithSpan) {
   Func F = makeMatmul();
   ErrorOr<bool> R = applyVerifiedScheduleText(
-      F, computeStage(F), "split(i, it, ii, 8); parallel(k);", {N, N});
+      F, F.computeStageIndex(), "split(i, it, ii, 8); parallel(k);", {N, N});
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_NE(R.getError().find("offset"), std::string::npos) << R.getError();
   EXPECT_NE(R.getError().find("'parallel(k)'"), std::string::npos)
@@ -400,7 +397,7 @@ TEST(VerifiedScheduleText, IllegalDirectiveQuotedWithSpan) {
 TEST(VerifiedScheduleText, LegalScheduleAccepted) {
   Func F = makeMatmul();
   ErrorOr<bool> R = applyVerifiedScheduleText(
-      F, computeStage(F), "split(i, it, ii, 8); parallel(it);", {N, N});
+      F, F.computeStageIndex(), "split(i, it, ii, 8); parallel(it);", {N, N});
   EXPECT_TRUE(static_cast<bool>(R)) << R.getError();
 }
 
@@ -408,7 +405,7 @@ TEST(VerifiedScheduleText, VectorizeWidthUnitMapsToBothDirectives) {
   // vectorize(k, 8) expands to split + mark; the verdict lands on the
   // mark but the quoted span must still be the whole source unit.
   Func F = makeMatmul();
-  ErrorOr<bool> R = applyVerifiedScheduleText(F, computeStage(F),
+  ErrorOr<bool> R = applyVerifiedScheduleText(F, F.computeStageIndex(),
                                               "vectorize(k, 8);", {N, N});
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_NE(R.getError().find("'vectorize(k, 8)'"), std::string::npos)

@@ -28,9 +28,6 @@ using namespace ltp;
 
 namespace {
 
-int computeStage(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-}
 
 struct CorpusRow {
   std::string Kernel;
@@ -77,7 +74,7 @@ lint::LintReport lintOn(const CorpusRow &Row, const ArchParams &Arch) {
   EXPECT_NE(Def, nullptr) << Row.Kernel;
   BenchmarkInstance Instance = Def->Create(Row.Size);
   Func &F = Instance.Stages.back();
-  return lint::lintScheduleText(F, computeStage(F), Row.Schedule,
+  return lint::lintScheduleText(F, F.computeStageIndex(), Row.Schedule,
                                 Instance.StageExtents.back(), Arch);
 }
 
@@ -122,7 +119,7 @@ TEST(LintCorpus, FixItsRoundTripToCleanLegalSchedules) {
       BenchmarkInstance Instance = Def->Create(Row.Size);
       Func &F = Instance.Stages.back();
       lint::LintReport Report =
-          lint::lintScheduleText(F, computeStage(F), Text,
+          lint::lintScheduleText(F, F.computeStageIndex(), Text,
                                  Instance.StageExtents.back(), Arch);
       if (Report.clean())
         break;
@@ -136,13 +133,13 @@ TEST(LintCorpus, FixItsRoundTripToCleanLegalSchedules) {
     // and diagnostic-free.
     BenchmarkInstance Instance = Def->Create(Row.Size);
     Func &F = Instance.Stages.back();
-    auto Applied = applyVerifiedScheduleText(F, computeStage(F), Text,
+    auto Applied = applyVerifiedScheduleText(F, F.computeStageIndex(), Text,
                                              Instance.StageExtents.back());
     EXPECT_TRUE(static_cast<bool>(Applied))
         << Row.Rule << ": fixed schedule '" << Text
         << "' rejected: " << Applied.getError();
     lint::LintReport Final =
-        lint::lintScheduleText(F, computeStage(F), Text,
+        lint::lintScheduleText(F, F.computeStageIndex(), Text,
                                Instance.StageExtents.back(), Arch);
     EXPECT_TRUE(Final.clean())
         << Row.Rule << ": fixed schedule '" << Text
@@ -159,7 +156,7 @@ TEST(LintChosen, OptimizerSchedulesLintCleanOnEveryKernel) {
       Func &F = Instance.Stages[S];
       optimize(F, Instance.StageExtents[S], Arch);
       lint::LintReport Report = lint::lintStageSchedule(
-          F, computeStage(F), Instance.StageExtents[S], Arch);
+          F, F.computeStageIndex(), Instance.StageExtents[S], Arch);
       EXPECT_TRUE(Report.clean())
           << Def.Name << " stage " << S << " chose '" << Report.ScheduleText
           << "' which lints dirty:\n"
@@ -176,7 +173,7 @@ TEST(LintReportApi, SeverityPartitionAndJsonShape) {
   Func &F = Instance.Stages.back();
 
   lint::LintReport Errors =
-      lint::lintScheduleText(F, computeStage(F), "reorder(i, j, k);",
+      lint::lintScheduleText(F, F.computeStageIndex(), "reorder(i, j, k);",
                              Instance.StageExtents.back(), Arch);
   ASSERT_FALSE(Errors.clean());
   EXPECT_TRUE(Errors.hasErrors());
@@ -193,7 +190,7 @@ TEST(LintReportApi, SeverityPartitionAndJsonShape) {
   EXPECT_NE(Json.find("\"fixit\": {"), std::string::npos) << Json;
 
   lint::LintReport Warns =
-      lint::lintScheduleText(F, computeStage(F),
+      lint::lintScheduleText(F, F.computeStageIndex(),
                              "reorder(k, j, i); reorder(j, i, k);",
                              Instance.StageExtents.back(), Arch);
   ASSERT_FALSE(Warns.clean());
@@ -202,14 +199,14 @@ TEST(LintReportApi, SeverityPartitionAndJsonShape) {
 
   // Unparseable text degrades to a single parse-error diagnostic.
   lint::LintReport Broken =
-      lint::lintScheduleText(F, computeStage(F), "split(i",
+      lint::lintScheduleText(F, F.computeStageIndex(), "split(i",
                              Instance.StageExtents.back(), Arch);
   ASSERT_EQ(Broken.Diagnostics.size(), 1u);
   EXPECT_EQ(Broken.Diagnostics[0].RuleId, "parse-error");
   EXPECT_TRUE(Broken.hasErrors());
 
   lint::LintReport Unknown =
-      lint::lintScheduleText(F, computeStage(F), "parallel(zz);",
+      lint::lintScheduleText(F, F.computeStageIndex(), "parallel(zz);",
                              Instance.StageExtents.back(), Arch);
   ASSERT_EQ(Unknown.Diagnostics.size(), 1u);
   EXPECT_TRUE(Unknown.hasErrors());
@@ -226,7 +223,8 @@ TEST(LintDegenerate, OversizedSplitAndTinyNestsDoNotCrash) {
   BenchmarkInstance Instance = Def->Create(48);
   Func &F = Instance.Stages.back();
   lint::LintReport Clamped =
-      lint::lintScheduleText(F, computeStage(F), "split(i, i_t, i_i, 64);",
+      lint::lintScheduleText(F, F.computeStageIndex(),
+                             "split(i, i_t, i_i, 64);",
                              Instance.StageExtents.back(), Arch);
   EXPECT_FALSE(Clamped.hasErrors()) << Clamped.message();
 
@@ -235,7 +233,7 @@ TEST(LintDegenerate, OversizedSplitAndTinyNestsDoNotCrash) {
   BenchmarkInstance Tiny = Def->Create(4);
   Func &TF = Tiny.Stages.back();
   lint::LintReport TinyReport = lint::lintStageSchedule(
-      TF, computeStage(TF), Tiny.StageExtents.back(), Arch);
+      TF, TF.computeStageIndex(), Tiny.StageExtents.back(), Arch);
   EXPECT_TRUE(TinyReport.clean()) << TinyReport.message();
 }
 
@@ -261,8 +259,8 @@ TEST(LintStride, NegativeStrideIsNotUnitStride) {
 
   Func Fwd = MakeSum(false);
   lint::LintReport FwdReport =
-      lint::lintScheduleText(Fwd, computeStage(Fwd), "reorder(k, j);", {N},
-                             Arch);
+      lint::lintScheduleText(Fwd, Fwd.computeStageIndex(), "reorder(k, j);",
+                             {N}, Arch);
   EXPECT_FALSE(FwdReport.hasErrors()) << FwdReport.message();
 
   // The reversed walk has stride -1: the adjacent-line prefetcher only
@@ -270,8 +268,8 @@ TEST(LintStride, NegativeStrideIsNotUnitStride) {
   // strided-innermost fires on the same schedule.
   Func Rev = MakeSum(true);
   lint::LintReport RevReport =
-      lint::lintScheduleText(Rev, computeStage(Rev), "reorder(k, j);", {N},
-                             Arch);
+      lint::lintScheduleText(Rev, Rev.computeStageIndex(), "reorder(k, j);",
+                             {N}, Arch);
   bool Fired = false;
   for (const lint::Diagnostic &D : RevReport.Diagnostics)
     Fired |= D.RuleId == "strided-innermost";

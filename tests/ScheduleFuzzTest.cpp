@@ -52,7 +52,7 @@ int fuzzSeedCount() {
 void applyRandomSchedule(Func &F, const std::vector<int64_t> &Extents,
                          std::mt19937 &Rng) {
   F.clearSchedules();
-  int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+  int ComputeStage = F.computeStageIndex();
   StageAccessInfo Info = analyzeStage(F, ComputeStage, Extents);
   Stage S = ComputeStage < 0 ? F.pureStage() : F.update(ComputeStage);
 
@@ -116,7 +116,7 @@ void applyRandomSchedule(Func &F, const std::vector<int64_t> &Extents,
 
 /// The static verifier's verdict on the compute stage's current schedule.
 bool verifierAccepts(const Func &F, const std::vector<int64_t> &Extents) {
-  int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+  int ComputeStage = F.computeStageIndex();
   return !analysis::verifyStageSchedule(F, ComputeStage, Extents)
               .hasErrors();
 }
@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
 void applyRandomTraversal(Func &F, const std::vector<int64_t> &Extents,
                           std::mt19937 &Rng) {
   F.clearSchedules();
-  int ComputeStage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+  int ComputeStage = F.computeStageIndex();
   StageAccessInfo Info = analyzeStage(F, ComputeStage, Extents);
   Stage S = ComputeStage < 0 ? F.pureStage() : F.update(ComputeStage);
   std::vector<std::string> Order;

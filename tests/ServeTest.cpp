@@ -388,6 +388,52 @@ TEST(ServeService, CompileReturnsSharedStorePaths) {
   EXPECT_EQ(B.SoPaths, A.SoPaths);
 }
 
+// Distinct compile requests from concurrent sessions meet in the batch
+// compiler's drainer. Each response names the store entries
+// compilePipeline builds for the same kernel, size and platform, and
+// the batch counter rises by the requests' total stage count.
+TEST(ServeService, ConcurrentCompilesMatchCompilePipeline) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler available";
+  OptimizerService Service;
+  Service.compiler().setDiskCacheEnabled(true); // paths are store keys
+  const std::vector<Request> Reqs = {
+      optimizeRequest("copy", 72, /*Compile=*/true),
+      optimizeRequest("tp", 72, /*Compile=*/true),
+      optimizeRequest("mask", 72, /*Compile=*/true),
+      optimizeRequest("3mm", 24, /*Compile=*/true)};
+  const int64_t JobsBefore = obs::counter("serve.batch.jobs").value();
+
+  std::vector<Response> Responses(Reqs.size());
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I != Reqs.size(); ++I)
+    Threads.emplace_back(
+        [&, I] { Responses[I] = Service.handle(Reqs[I]); });
+  for (std::thread &T : Threads)
+    T.join();
+
+  JITCompiler Reference;
+  Reference.setDiskCacheEnabled(true);
+  int64_t Stages = 0;
+  for (size_t I = 0; I != Reqs.size(); ++I) {
+    const Request &Req = Reqs[I];
+    ASSERT_TRUE(Responses[I].Ok) << Req.Kernel << ": " << Responses[I].Error;
+    ErrorOr<ArchParams> Arch = resolveArch(Req);
+    ASSERT_TRUE(static_cast<bool>(Arch)) << Arch.getError();
+    BenchmarkInstance Instance = findBenchmark(Req.Kernel)->Shape(Req.Size);
+    for (size_t S = 0; S != Instance.Stages.size(); ++S)
+      optimize(Instance.Stages[S], Instance.StageExtents[S], *Arch);
+    ErrorOr<CompiledPipeline> Pipeline = compilePipeline(Instance, Reference);
+    ASSERT_TRUE(static_cast<bool>(Pipeline)) << Pipeline.getError();
+    std::vector<std::string> Paths;
+    for (const CompiledKernel &K : Pipeline->Kernels)
+      Paths.push_back(K.sharedObjectPath());
+    EXPECT_EQ(Responses[I].SoPaths, Paths) << Req.Kernel;
+    Stages += static_cast<int64_t>(Instance.Stages.size());
+  }
+  EXPECT_EQ(obs::counter("serve.batch.jobs").value() - JobsBefore, Stages);
+}
+
 //===----------------------------------------------------------------------===//
 // JIT memo hit/miss telemetry (the sharded map's observable contract)
 //===----------------------------------------------------------------------===//

@@ -162,7 +162,7 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
   std::string Schedules, Diags;
   for (size_t S = 0; S != Instance.Stages.size(); ++S) {
     Func &F = Instance.Stages[S];
-    int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+    int Stage = F.computeStageIndex();
     lint::LintReport Report =
         lint::lintStageSchedule(F, Stage, Instance.StageExtents[S], Arch);
     if (Args.has("lint-fix") && !Report.clean()) {
@@ -236,7 +236,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     // pipeline stage.
     Func &F = Instance.Stages.back();
     F.clearSchedules();
-    int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+    int Stage = F.computeStageIndex();
     auto R = applyVerifiedScheduleText(F, Stage, Args.getString("schedule", ""),
                                        Instance.StageExtents.back());
     if (!R) {
@@ -256,9 +256,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
                   S, Instance.Stages[S].name().c_str(),
                   statementClassName(R.Class.Kind), R.RuntimeMillis,
                   R.Description.c_str());
-      int Stage = Instance.Stages[S].numUpdates() > 0
-                      ? Instance.Stages[S].numUpdates() - 1
-                      : -1;
+      int Stage = Instance.Stages[S].computeStageIndex();
       std::printf("  directives: %s\n",
                   printSchedule(Instance.Stages[S], Stage).c_str());
     }
@@ -274,7 +272,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     bool AnyErrors = false;
     for (size_t S = 0; S != Instance.Stages.size(); ++S) {
       const Func &F = Instance.Stages[S];
-      int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      int Stage = F.computeStageIndex();
       analysis::LegalityReport Report = analysis::verifyStageSchedule(
           F, Stage, Instance.StageExtents[S]);
       std::printf("verify stage %zu (%s):\n%s", S, F.name().c_str(),
@@ -303,21 +301,18 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     }
   }
 
+  CodeGenOptions CG;
+  CG.EnableNonTemporal = !Args.has("no-nti");
+  PipelineCompileJob Job = makeCompileJob(Instance, CG);
   std::printf("lowered loop nest (final stage):\n%s\n",
-              ir::printStmt(lowerPipeline(Instance).back()).c_str());
+              ir::printStmt(Job.Stages.back()).c_str());
 
   if (Args.has("emit-c")) {
-    std::vector<BufferBinding> Signature;
-    for (const auto &[BufName, Ref] : Instance.Buffers)
-      Signature.push_back(BufferBinding::fromRef(BufName, Ref));
-    CodeGenOptions Options;
-    Options.EnableNonTemporal = !Args.has("no-nti");
-    auto Lowered = lowerPipeline(Instance);
-    for (size_t S = 0; S != Lowered.size(); ++S) {
+    for (size_t S = 0; S != Job.Stages.size(); ++S) {
       std::printf("/* ---- stage %zu ---- */\n", S);
-      std::printf("%s\n",
-                  generateC(Lowered[S], Signature, "ltp_kernel", Options)
-                      .c_str());
+      std::printf("%s\n", generateC(Job.Stages[S], Job.Signature,
+                                    "ltp_kernel", CG)
+                              .c_str());
     }
   }
 
@@ -347,46 +342,34 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     std::printf("  est. cycles   : %.4g\n\n", Sim.EstimatedCycles);
   }
 
-  if (Args.has("run")) {
+  if (Args.has("run") || Args.has("compile")) {
     if (!jitAvailable()) {
-      std::fprintf(stderr, "error: no host C compiler for --run\n");
+      std::fprintf(stderr, "error: no host C compiler for --%s\n",
+                   Args.has("run") ? "run" : "compile");
       return 1;
     }
     JITCompiler Compiler;
-    CodeGenOptions Options;
-    Options.EnableNonTemporal = !Args.has("no-nti");
-    auto Pipeline = compilePipeline(Instance, Compiler, Options);
+    ErrorOr<CompiledPipeline> Pipeline =
+        std::move(compilePipelines({Job}, Compiler).front());
     if (!Pipeline) {
       std::fprintf(stderr, "error: %s\n", Pipeline.getError().c_str());
       return 1;
     }
-    Pipeline->run(Instance);
-    double Seconds = timeBestOf(3, [&] { Pipeline->run(Instance); });
-    std::printf("wall clock: %.3f ms", Seconds * 1e3);
-    if (Instance.Work > 0)
-      std::printf("  (%.2f Gop/s)", Instance.Work / Seconds * 1e-9);
-    std::printf("\n");
-  }
-
-  if (Args.has("compile")) {
-    // The one-process-per-request baseline of bench/serve_load: produce a
-    // ready-to-dlopen kernel in the shared content-addressed store, skip
-    // the timed runs.
-    if (!jitAvailable()) {
-      std::fprintf(stderr, "error: no host C compiler for --compile\n");
-      return 1;
+    if (Args.has("run")) {
+      Pipeline->run(Instance);
+      double Seconds = timeBestOf(3, [&] { Pipeline->run(Instance); });
+      std::printf("wall clock: %.3f ms", Seconds * 1e3);
+      if (Instance.Work > 0)
+        std::printf("  (%.2f Gop/s)", Instance.Work / Seconds * 1e-9);
+      std::printf("\n");
     }
-    JITCompiler Compiler;
-    CodeGenOptions Options;
-    Options.EnableNonTemporal = !Args.has("no-nti");
-    auto Pipeline = compilePipeline(Instance, Compiler, Options);
-    if (!Pipeline) {
-      std::fprintf(stderr, "error: %s\n", Pipeline.getError().c_str());
-      return 1;
-    }
-    for (size_t S = 0; S != Pipeline->Kernels.size(); ++S)
-      std::printf("kernel so [%zu]: %s\n", S,
-                  Pipeline->Kernels[S].sharedObjectPath().c_str());
+    // --compile is the one-process-per-request baseline of
+    // bench/serve_load: a ready-to-dlopen kernel in the shared
+    // content-addressed store, without timed runs.
+    if (Args.has("compile"))
+      for (size_t S = 0; S != Pipeline->Kernels.size(); ++S)
+        std::printf("kernel so [%zu]: %s\n", S,
+                    Pipeline->Kernels[S].sharedObjectPath().c_str());
   }
   return 0;
 }
