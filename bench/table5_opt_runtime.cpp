@@ -12,7 +12,10 @@
 // pass: `candidates` (tile candidates scored, the `opt.candidates`
 // delta) and `bound_calls` (Algorithm-1 emulations, the
 // `model.bound.emulated` delta). The counts are deterministic, so CI
-// gates them exactly against the committed baseline.
+// gates them exactly against the committed baseline: 30185 candidates
+// and 186 bound calls in total (two emulations per column-tile
+// candidate of a temporal stage, e.g. 18 for matmul; 9 for tp/tpm).
+// The whole suite takes ~5 ms on a 4-vCPU x86-64 host.
 //
 //===----------------------------------------------------------------------===//
 

@@ -5,9 +5,11 @@
 #include "support/Format.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 using namespace ltp;
 
@@ -32,11 +34,14 @@ int64_t parseSize(const std::string &Text) {
   std::string Suffix = trim(End);
   if (Suffix.empty())
     return Value;
+  int64_t Scale = 0;
   if (Suffix == "K" || Suffix == "k")
-    return Value * 1024;
-  if (Suffix == "M" || Suffix == "m")
-    return Value * 1024 * 1024;
-  return -1;
+    Scale = 1024;
+  else if (Suffix == "M" || Suffix == "m")
+    Scale = 1024 * 1024;
+  if (Scale == 0 || Value > INT64_MAX / Scale)
+    return -1;
+  return Value * Scale;
 }
 
 /// Parses a boolean spelled true/false/1/0; -1 on error.
@@ -152,6 +157,32 @@ ErrorOr<ArchParams> ltp::parseArchParams(const std::string &Text) {
   if (Arch.L1.SizeBytes <= 0 || Arch.L2.SizeBytes <= 0)
     return ErrorOr<ArchParams>::makeError(
         "platform requires non-empty l1.size and l2.size");
+  // Geometry the cache emulation (Algorithm 1) and the simulator can
+  // model: at least one set per level, lines that hold the largest
+  // element, and emulated L1/L2 slot spaces of bounded size.
+  constexpr int64_t MaxElementBytes = 8;
+  constexpr int64_t MaxEmulatedBytes = int64_t(1) << 30;
+  const std::pair<const char *, const CacheParams *> Levels[] = {
+      {"l1", &Arch.L1}, {"l2", &Arch.L2}, {"l3", &Arch.L3}};
+  for (const auto &[Name, Level] : Levels) {
+    if (Level->SizeBytes == 0)
+      continue; // an absent level (only the L3 may be)
+    if (Level->LineBytes < MaxElementBytes)
+      return ErrorOr<ArchParams>::makeError(strFormat(
+          "%s.line = %lld is below %lld bytes, the largest element", Name,
+          static_cast<long long>(Level->LineBytes),
+          static_cast<long long>(MaxElementBytes)));
+    if (Level->SizeBytes / Level->Ways < Level->LineBytes)
+      return ErrorOr<ArchParams>::makeError(strFormat(
+          "%s.size = %lld is below %s.ways x %s.line (%lld x %lld)", Name,
+          static_cast<long long>(Level->SizeBytes), Name, Name,
+          static_cast<long long>(Level->Ways),
+          static_cast<long long>(Level->LineBytes)));
+    if (Level != &Arch.L3 && Level->SizeBytes > MaxEmulatedBytes)
+      return ErrorOr<ArchParams>::makeError(
+          strFormat("%s.size = %lld is above 1 GiB", Name,
+                    static_cast<long long>(Level->SizeBytes)));
+  }
   return Arch;
 }
 

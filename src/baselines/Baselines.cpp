@@ -177,20 +177,27 @@ TemporalSchedule optimizePrefetchUnaware(const StageAccessInfo &Info,
   for (const LoopInfo *U : BigLoops) {
     if (U->Name == Column)
       continue;
+    // The emulated bound on Tu depends on (U, Tc) only: one call per
+    // column tile, shared by every V.
+    std::vector<int64_t> MaxTUs;
+    for (int64_t Tc = Arch.VectorWidth; Tc <= Bc; Tc *= 2) {
+      CacheEmuParams Emu;
+      Emu.Cache = Budgets.InnerCache;
+      Emu.L1LineBytes = Arch.L1.LineBytes;
+      Emu.DTS = Info.DTS;
+      Emu.PrevTileElems = Tc;
+      Emu.RowStrideElems = Bc;
+      Emu.EffectiveWaysDivisor = std::max(1, Arch.NThreadsPerCore);
+      Emu.MaxRows = U->Extent;
+      Emu.NoPrefetchPadding = true;
+      MaxTUs.push_back(emulateMaxTileDim(Emu));
+    }
     for (const LoopInfo *V : BigLoops) {
       if (V->Name == Column)
         continue; // keep the column dimension for the intra tile only
+      size_t TcIdx = 0;
       for (int64_t Tc = Arch.VectorWidth; Tc <= Bc; Tc *= 2) {
-        CacheEmuParams Emu;
-        Emu.Cache = Budgets.InnerCache;
-        Emu.L1LineBytes = Arch.L1.LineBytes;
-        Emu.DTS = Info.DTS;
-        Emu.PrevTileElems = Tc;
-        Emu.RowStrideElems = Bc;
-        Emu.EffectiveWaysDivisor = std::max(1, Arch.NThreadsPerCore);
-        Emu.MaxRows = U->Extent;
-        Emu.NoPrefetchPadding = true;
-        int64_t MaxTU = emulateMaxTileDim(Emu);
+        const int64_t MaxTU = MaxTUs[TcIdx++];
 
         for (int64_t Tu = 2; Tu <= std::min(MaxTU, U->Extent); Tu *= 2) {
           for (int64_t Tv = 2; Tv < V->Extent; Tv *= 2) {

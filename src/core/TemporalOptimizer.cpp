@@ -154,6 +154,39 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
     if (!Loop->IsReduction && Loop->Name != Column)
       ParCandidates.emplace_back(Loop, Scorer.loopIndex(Loop->Name));
 
+  // Algorithm 1 bounds per column tile: L1 rows of width Tc, then L2 rows
+  // with the constant-stride prefetcher active. They depend on Tc alone,
+  // so they are emulated once here rather than for every (u, v) pair —
+  // and not at all when no loop can be u.
+  std::vector<std::pair<int64_t, int64_t>> TileBounds; // (MaxT1, MaxT2)
+  const bool HasPivot = std::any_of(
+      BigLoops.begin(), BigLoops.end(),
+      [&](const LoopInfo *Loop) { return Loop->Name != Column; });
+  if (HasPivot) {
+    for (int64_t Tc : ColumnCandidates) {
+      obs::ScopedSpan EmuSpan("opt.cacheemu", [&] {
+        return strFormat("tc=%lld", static_cast<long long>(Tc));
+      });
+      CacheEmuParams EmuL1;
+      EmuL1.Cache = Arch.L1;
+      EmuL1.L1LineBytes = Arch.L1.LineBytes;
+      EmuL1.DTS = Info.DTS;
+      EmuL1.PrevTileElems = Tc;
+      EmuL1.RowStrideElems = Bc;
+      EmuL1.EffectiveWaysDivisor = EffDivL1;
+      EmuL1.MaxRows = MaxExtent;
+
+      CacheEmuParams EmuL2 = EmuL1;
+      EmuL2.Cache = Arch.L2;
+      EmuL2.EffectiveWaysDivisor = EffDivL2;
+      EmuL2.L2Pref = Arch.L2PrefetchDegree;
+      EmuL2.L2MaxPref = Arch.L2MaxPrefetchDistance;
+      EmuL2.ForL2 = !Options.NoL2SetHalving;
+      TileBounds.emplace_back(emulateMaxTileDim(EmuL1),
+                              emulateMaxTileDim(EmuL2));
+    }
+  }
+
   // ---- Step 1: tile sizes + reuse pivots. --------------------------------
   // u: outermost intra-tile loop (L1 reuse); v: innermost inter-tile loop
   // (L2 reuse). Ctotal depends on the permutations only through (u, v).
@@ -163,34 +196,10 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
     const int UIdx = Scorer.loopIndex(U->Name);
     for (const LoopInfo *V : BigLoops) {
       const int VIdx = Scorer.loopIndex(V->Name);
-      for (int64_t Tc : ColumnCandidates) {
-        int64_t MaxT1 = 0;
-        int64_t MaxT2 = 0;
-        {
-          obs::ScopedSpan EmuSpan("opt.cacheemu", [&] {
-            return strFormat("u=%s v=%s tc=%lld", U->Name.c_str(),
-                             V->Name.c_str(), static_cast<long long>(Tc));
-          });
-          // Algorithm 1 bounds: L1 rows of width Tc, then L2 rows with
-          // the constant-stride prefetcher active.
-          CacheEmuParams EmuL1;
-          EmuL1.Cache = Arch.L1;
-          EmuL1.L1LineBytes = Arch.L1.LineBytes;
-          EmuL1.DTS = Info.DTS;
-          EmuL1.PrevTileElems = Tc;
-          EmuL1.RowStrideElems = Bc;
-          EmuL1.EffectiveWaysDivisor = EffDivL1;
-          EmuL1.MaxRows = MaxExtent;
-          MaxT1 = emulateMaxTileDim(EmuL1);
-
-          CacheEmuParams EmuL2 = EmuL1;
-          EmuL2.Cache = Arch.L2;
-          EmuL2.EffectiveWaysDivisor = EffDivL2;
-          EmuL2.L2Pref = Arch.L2PrefetchDegree;
-          EmuL2.L2MaxPref = Arch.L2MaxPrefetchDistance;
-          EmuL2.ForL2 = !Options.NoL2SetHalving;
-          MaxT2 = emulateMaxTileDim(EmuL2);
-        }
+      for (size_t TcIdx = 0; TcIdx != ColumnCandidates.size(); ++TcIdx) {
+        const int64_t Tc = ColumnCandidates[TcIdx];
+        const int64_t MaxT1 = TileBounds[TcIdx].first;
+        const int64_t MaxT2 = TileBounds[TcIdx].second;
 
         // Build per-loop candidate lists.
         std::vector<std::pair<int, std::vector<int64_t>>> Choices;

@@ -10,6 +10,34 @@
 
 using namespace ltp;
 
+namespace {
+
+/// The emulated slot space, reused by every call on a thread. Each slot
+/// packs the generation of the call that last wrote it (high 32 bits)
+/// with the lines that call placed there (low 32 bits); a slot from an
+/// older generation reads as empty, so a call neither clears nor
+/// allocates the space.
+struct SlotSpace {
+  std::vector<uint64_t> Slots;
+  uint32_t Generation = 0;
+};
+
+/// Returns the thread's slot space with at least \p NumSets slots and a
+/// generation no slot carries yet.
+SlotSpace &slotSpace(int64_t NumSets) {
+  thread_local SlotSpace Space;
+  if (Space.Slots.size() < static_cast<size_t>(NumSets))
+    Space.Slots.resize(static_cast<size_t>(NumSets), 0);
+  if (++Space.Generation == 0) {
+    // Wrapped: stamps of 4G calls ago would read as current.
+    std::fill(Space.Slots.begin(), Space.Slots.end(), 0);
+    Space.Generation = 1;
+  }
+  return Space;
+}
+
+} // namespace
+
 int64_t ltp::emulateMaxTileDim(const CacheEmuParams &Params) {
   static obs::Counter &Emulated = obs::counter("model.bound.emulated");
   Emulated.add();
@@ -34,6 +62,7 @@ int64_t ltp::emulateMaxTileDim(const CacheEmuParams &Params) {
   // Effective associativity shared between hardware threads.
   int64_t EffWays =
       std::max<int64_t>(1, Params.Cache.Ways / Params.EffectiveWaysDivisor);
+  assert(EffWays <= 0xFFFFFFFF && "way count exceeds the slot counter");
 
   // Row width in lines, including the prefetcher's extra line(s).
   int64_t RowLines = 0;
@@ -50,7 +79,17 @@ int64_t ltp::emulateMaxTileDim(const CacheEmuParams &Params) {
     RowLines = (std::max(Params.PrevTileElems + Lc, 2 * Lc) + Lc - 1) / Lc;
   }
 
-  std::vector<int64_t> EmuCache(static_cast<size_t>(NumSets), 0);
+  SlotSpace &Space = slotSpace(NumSets);
+  std::vector<uint64_t> &Slots = Space.Slots;
+  const uint64_t Stamp = static_cast<uint64_t>(Space.Generation) << 32;
+  // Lines held by a slot in this call; a slot stamped by an earlier call
+  // holds none.
+  auto Held = [&](int64_t Set) -> int64_t {
+    uint64_t Slot = Slots[static_cast<size_t>(Set)];
+    return (Slot & ~0xFFFFFFFFull) == Stamp ? int64_t(Slot & 0xFFFFFFFFull)
+                                            : 0;
+  };
+
   int64_t MaxTi = 0;
   int64_t TotalLines = 0; // `s` in the pseudocode
   bool Interference = false;
@@ -59,27 +98,37 @@ int64_t ltp::emulateMaxTileDim(const CacheEmuParams &Params) {
     // Line number of the start of the next row.
     int64_t StartLine =
         (Params.BaseAddrElems + MaxTi * Params.RowStrideElems + Lc - 1) / Lc;
+    int64_t Set = StartLine % NumSets;
     for (int64_t I = 0; I != RowLines; ++I) {
-      int64_t Set = (StartLine + I) % NumSets;
-      if (EmuCache[static_cast<size_t>(Set)] == EffWays) {
+      int64_t Lines = Held(Set);
+      if (Lines == EffWays) {
         Interference = true;
-      } else {
-        ++EmuCache[static_cast<size_t>(Set)];
-        ++TotalLines;
+        break; // the row does not fit; the rest of it cannot change that
       }
+      Slots[static_cast<size_t>(Set)] = Stamp | uint64_t(Lines + 1);
+      ++TotalLines;
       // Constant-stride prefetches issued within the distance window must
       // not evict useful data either.
       if (TotalLines - I <= L2MaxPref) {
-        for (int P = 0; P != L2Pref; ++P) {
-          int64_t PrefSet = (StartLine + I + P) % NumSets;
-          if (EmuCache[static_cast<size_t>(PrefSet)] == EffWays)
-            Interference = true;
+        int64_t PrefSet = Set;
+        for (int P = 0; P != L2Pref && !Interference; ++P) {
+          Interference = Held(PrefSet) == EffWays;
+          if (++PrefSet == NumSets)
+            PrefSet = 0;
         }
+        if (Interference)
+          break;
       }
+      if (++Set == NumSets)
+        Set = 0;
     }
     if (!Interference)
       ++MaxTi;
   } while (!Interference && MaxTi != Params.MaxRows);
 
+  // A slot space above 32 MB (a level of hundreds of MB) is not kept
+  // between calls.
+  if (Slots.size() > (size_t(1) << 22))
+    std::vector<uint64_t>().swap(Slots);
   return std::max<int64_t>(1, MaxTi);
 }

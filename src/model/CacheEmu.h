@@ -30,6 +30,17 @@
 /// the model assumes are running ahead soften conflict behaviour relative
 /// to naive set math. DESIGN.md discusses the choice.
 ///
+/// Cost. The temporal optimizer calls it once per column-tile candidate
+/// per level (the bounds depend on Tc alone, not on the reuse pivots), the
+/// TSS/TTS baselines once per (u, Tc). A call allocates nothing: the slot
+/// space is thread-local and stamped with a per-call generation, so no
+/// call clears it either (only a level of more than 4M slots is released
+/// after its call). A row stops at its first conflict, which settles the
+/// result, so a call's work is bounded by the lines that fit rather than
+/// by the row width. There is no memo: after the hoist no two calls of a
+/// search share inputs, and repeated requests are answered by the
+/// daemon's dedup table before the optimizer runs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LTP_MODEL_CACHEEMU_H

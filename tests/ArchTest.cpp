@@ -109,6 +109,24 @@ TEST(ArchFileTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_NE(R4.getError().find("line 1"), std::string::npos);
 }
 
+TEST(ArchFileTest, RejectsGeometryAlgorithm1CannotEmulate) {
+  for (const char *Text :
+       {"l1.line = 2\n", "l2.line = 4\n", "l3.line = 4\n",
+        "l1.ways = 16384\n", "l3.size = 64\nl3.ways = 2\n",
+        "l2.size = 1099511627776\n", "l1.size = 1025M\n",
+        "l2.size = 9000000000000000M\n"}) {
+    auto R = parseArchParams(Text);
+    EXPECT_FALSE(static_cast<bool>(R)) << Text;
+  }
+  // The limits themselves are accepted, as is an absent L3.
+  for (const char *Text :
+       {"l1.line = 8\n", "l1.size = 512\nl1.ways = 8\n",
+        "l2.size = 1024M\nl2.ways = 1\n", "l3.size = 0\nl3.ways = 64\n"}) {
+    auto R = parseArchParams(Text);
+    EXPECT_TRUE(static_cast<bool>(R)) << Text << ": " << R.getError();
+  }
+}
+
 TEST(ArchFileTest, LoadReportsMissingFile) {
   auto R = loadArchParams("/nonexistent/arch.conf");
   EXPECT_FALSE(static_cast<bool>(R));

@@ -18,6 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <iterator>
+#include <thread>
+#include <vector>
+
 using namespace ltp;
 
 namespace {
@@ -298,6 +303,194 @@ TEST(CacheEmuTest, L2HalvingReducesBound) {
   P.ForL2 = false;
   int64_t Full = emulateMaxTileDim(P);
   EXPECT_LE(Halved, Full);
+}
+
+/// Which bound of a platform a pinned emulation row asks for.
+enum class Level { L1, L2, NoPrefetch };
+
+/// One pinned Algorithm-1 result: the parameters the optimizer (L1, L2)
+/// or the TSS baseline (NoPrefetch) derives from a shipped platform for
+/// a row shape, and the bound the original emulator returned for them.
+struct PinnedEmulation {
+  ArchParams (*Arch)();
+  Level Bound;
+  int64_t DTS;
+  int64_t PrevTileElems;
+  int64_t RowStrideElems;
+  int64_t BaseAddrElems;
+  int64_t MaxRows;
+  int64_t Expected;
+};
+
+// Power-of-two and odd row strides, zero and non-zero base addresses,
+// both element sizes, and rows capped by MaxRows.
+const PinnedEmulation PinnedEmulations[] = {
+    {intelI7_5930K, Level::L1, 4, 64, 2048, 0, 2048, 32},
+    {intelI7_5930K, Level::L1, 4, 512, 2048, 0, 2048, 32},
+    {intelI7_5930K, Level::L1, 4, 32, 1023, 0, 4096, 1040},
+    {intelI7_5930K, Level::L1, 4, 250, 1000, 0, 1000, 213},
+    {intelI7_5930K, Level::L1, 8, 64, 4096, 0, 4096, 4},
+    {intelI7_5930K, Level::L1, 8, 128, 1001, 17, 3000, 90},
+    {intelI7_5930K, Level::L1, 4, 16, 4096, 123, 4096, 16},
+    {intelI7_5930K, Level::L1, 4, 4096, 2000000, 5, 50, 14},
+    {intelI7_5930K, Level::L1, 4, 8, 64, 0, 8, 8},
+    {intelI7_5930K, Level::L2, 4, 64, 2048, 0, 2048, 128},
+    {intelI7_5930K, Level::L2, 4, 512, 2048, 0, 2048, 128},
+    {intelI7_5930K, Level::L2, 4, 32, 1023, 0, 4096, 4096},
+    {intelI7_5930K, Level::L2, 4, 250, 1000, 0, 1000, 852},
+    {intelI7_5930K, Level::L2, 8, 64, 4096, 0, 4096, 16},
+    {intelI7_5930K, Level::L2, 8, 128, 1001, 17, 3000, 360},
+    {intelI7_5930K, Level::L2, 4, 16, 4096, 123, 4096, 64},
+    {intelI7_5930K, Level::L2, 4, 4096, 2000000, 5, 50, 50},
+    {intelI7_5930K, Level::L2, 4, 8, 64, 0, 8, 8},
+    {intelI7_5930K, Level::NoPrefetch, 4, 64, 2048, 0, 2048, 32},
+    {intelI7_5930K, Level::NoPrefetch, 4, 512, 2048, 0, 2048, 32},
+    {intelI7_5930K, Level::NoPrefetch, 4, 32, 1023, 0, 4096, 2048},
+    {intelI7_5930K, Level::NoPrefetch, 4, 250, 1000, 0, 1000, 213},
+    {intelI7_5930K, Level::NoPrefetch, 8, 64, 4096, 0, 4096, 4},
+    {intelI7_5930K, Level::NoPrefetch, 8, 128, 1001, 17, 3000, 90},
+    {intelI7_5930K, Level::NoPrefetch, 4, 16, 4096, 123, 4096, 16},
+    {intelI7_5930K, Level::NoPrefetch, 4, 4096, 2000000, 5, 50, 14},
+    {intelI7_5930K, Level::NoPrefetch, 4, 8, 64, 0, 8, 8},
+    {intelI7_6700, Level::L1, 4, 64, 2048, 0, 2048, 32},
+    {intelI7_6700, Level::L1, 4, 512, 2048, 0, 2048, 32},
+    {intelI7_6700, Level::L1, 4, 32, 1023, 0, 4096, 1040},
+    {intelI7_6700, Level::L1, 4, 250, 1000, 0, 1000, 213},
+    {intelI7_6700, Level::L1, 8, 64, 4096, 0, 4096, 4},
+    {intelI7_6700, Level::L1, 8, 128, 1001, 17, 3000, 90},
+    {intelI7_6700, Level::L1, 4, 16, 4096, 123, 4096, 16},
+    {intelI7_6700, Level::L1, 4, 4096, 2000000, 5, 50, 14},
+    {intelI7_6700, Level::L1, 4, 8, 64, 0, 8, 8},
+    {intelI7_6700, Level::L2, 4, 64, 2048, 0, 2048, 128},
+    {intelI7_6700, Level::L2, 4, 512, 2048, 0, 2048, 128},
+    {intelI7_6700, Level::L2, 4, 32, 1023, 0, 4096, 4096},
+    {intelI7_6700, Level::L2, 4, 250, 1000, 0, 1000, 852},
+    {intelI7_6700, Level::L2, 8, 64, 4096, 0, 4096, 16},
+    {intelI7_6700, Level::L2, 8, 128, 1001, 17, 3000, 360},
+    {intelI7_6700, Level::L2, 4, 16, 4096, 123, 4096, 64},
+    {intelI7_6700, Level::L2, 4, 4096, 2000000, 5, 50, 50},
+    {intelI7_6700, Level::L2, 4, 8, 64, 0, 8, 8},
+    {intelI7_6700, Level::NoPrefetch, 4, 64, 2048, 0, 2048, 32},
+    {intelI7_6700, Level::NoPrefetch, 4, 512, 2048, 0, 2048, 32},
+    {intelI7_6700, Level::NoPrefetch, 4, 32, 1023, 0, 4096, 2048},
+    {intelI7_6700, Level::NoPrefetch, 4, 250, 1000, 0, 1000, 213},
+    {intelI7_6700, Level::NoPrefetch, 8, 64, 4096, 0, 4096, 4},
+    {intelI7_6700, Level::NoPrefetch, 8, 128, 1001, 17, 3000, 90},
+    {intelI7_6700, Level::NoPrefetch, 4, 16, 4096, 123, 4096, 16},
+    {intelI7_6700, Level::NoPrefetch, 4, 4096, 2000000, 5, 50, 14},
+    {intelI7_6700, Level::NoPrefetch, 4, 8, 64, 0, 8, 8},
+    {armCortexA15, Level::L1, 4, 64, 2048, 0, 2048, 64},
+    {armCortexA15, Level::L1, 4, 512, 2048, 0, 2048, 64},
+    {armCortexA15, Level::L1, 4, 32, 1023, 0, 4096, 2050},
+    {armCortexA15, Level::L1, 4, 250, 1000, 0, 1000, 262},
+    {armCortexA15, Level::L1, 8, 64, 4096, 0, 4096, 8},
+    {armCortexA15, Level::L1, 8, 128, 1001, 17, 3000, 180},
+    {armCortexA15, Level::L1, 4, 16, 4096, 123, 4096, 32},
+    {armCortexA15, Level::L1, 4, 4096, 2000000, 5, 50, 27},
+    {armCortexA15, Level::L1, 4, 8, 64, 0, 8, 8},
+    {armCortexA15, Level::L2, 4, 64, 2048, 0, 2048, 128},
+    {armCortexA15, Level::L2, 4, 512, 2048, 0, 2048, 128},
+    {armCortexA15, Level::L2, 4, 32, 1023, 0, 4096, 4096},
+    {armCortexA15, Level::L2, 4, 250, 1000, 0, 1000, 852},
+    {armCortexA15, Level::L2, 8, 64, 4096, 0, 4096, 16},
+    {armCortexA15, Level::L2, 8, 128, 1001, 17, 3000, 360},
+    {armCortexA15, Level::L2, 4, 16, 4096, 123, 4096, 64},
+    {armCortexA15, Level::L2, 4, 4096, 2000000, 5, 50, 50},
+    {armCortexA15, Level::L2, 4, 8, 64, 0, 8, 8},
+    {armCortexA15, Level::NoPrefetch, 4, 64, 2048, 0, 2048, 64},
+    {armCortexA15, Level::NoPrefetch, 4, 512, 2048, 0, 2048, 64},
+    {armCortexA15, Level::NoPrefetch, 4, 32, 1023, 0, 4096, 2050},
+    {armCortexA15, Level::NoPrefetch, 4, 250, 1000, 0, 1000, 262},
+    {armCortexA15, Level::NoPrefetch, 8, 64, 4096, 0, 4096, 8},
+    {armCortexA15, Level::NoPrefetch, 8, 128, 1001, 17, 3000, 180},
+    {armCortexA15, Level::NoPrefetch, 4, 16, 4096, 123, 4096, 32},
+    {armCortexA15, Level::NoPrefetch, 4, 4096, 2000000, 5, 50, 27},
+    {armCortexA15, Level::NoPrefetch, 4, 8, 64, 0, 8, 8},
+};
+
+CacheEmuParams paramsFor(const PinnedEmulation &Row) {
+  const ArchParams Arch = Row.Arch();
+  CacheEmuParams P;
+  P.Cache = Row.Bound == Level::L2 ? Arch.L2 : Arch.L1;
+  P.L1LineBytes = Arch.L1.LineBytes;
+  P.DTS = Row.DTS;
+  P.PrevTileElems = Row.PrevTileElems;
+  P.RowStrideElems = Row.RowStrideElems;
+  P.BaseAddrElems = Row.BaseAddrElems;
+  P.MaxRows = Row.MaxRows;
+  P.EffectiveWaysDivisor = Row.Bound == Level::L2 && Arch.SharedL2
+                               ? std::max(1, Arch.NCores)
+                               : std::max(1, Arch.NThreadsPerCore);
+  if (Row.Bound == Level::L2) {
+    P.L2Pref = Arch.L2PrefetchDegree;
+    P.L2MaxPref = Arch.L2MaxPrefetchDistance;
+    P.ForL2 = true;
+  }
+  P.NoPrefetchPadding = Row.Bound == Level::NoPrefetch;
+  return P;
+}
+
+TEST(CacheEmuTest, MatchesPinnedResults) {
+  for (size_t I = 0; I != std::size(PinnedEmulations); ++I)
+    EXPECT_EQ(emulateMaxTileDim(paramsFor(PinnedEmulations[I])),
+              PinnedEmulations[I].Expected)
+        << "row " << I;
+}
+
+/// Runs \p Params on a new thread, whose slot space no call has used.
+int64_t emulateOnFreshThread(const CacheEmuParams &Params) {
+  int64_t Result = 0;
+  std::thread([&] { Result = emulateMaxTileDim(Params); }).join();
+  return Result;
+}
+
+TEST(CacheEmuTest, SmallLevelAfterLargeOneMatchesFreshResult) {
+  // A level with many slots leaves stamps behind in slots a small level
+  // never reaches and in the ones it does; neither may leak into the
+  // next call on the thread.
+  CacheEmuParams Large;
+  Large.Cache = CacheParams{8 * 1024 * 1024, 64, 1}; // 2M slots
+  Large.DTS = 4;
+  Large.PrevTileElems = 64;
+  Large.RowStrideElems = 1000;
+  Large.MaxRows = 4096;
+  CacheEmuParams Small = paramsFor(PinnedEmulations[2]);
+  CacheEmuParams Tiny = Small;
+  Tiny.Cache = CacheParams{1024, 64, 2};
+  Tiny.RowStrideElems = 24;
+
+  const int64_t LargeFresh = emulateOnFreshThread(Large);
+  const int64_t SmallFresh = emulateOnFreshThread(Small);
+  const int64_t TinyFresh = emulateOnFreshThread(Tiny);
+  EXPECT_EQ(SmallFresh, PinnedEmulations[2].Expected);
+  for (int Round = 0; Round != 3; ++Round) {
+    EXPECT_EQ(emulateMaxTileDim(Large), LargeFresh);
+    EXPECT_EQ(emulateMaxTileDim(Small), SmallFresh);
+    EXPECT_EQ(emulateMaxTileDim(Tiny), TinyFresh);
+    EXPECT_EQ(emulateMaxTileDim(Tiny), TinyFresh);
+  }
+}
+
+// Labelled `serve` (tests/CMakeLists.txt) so the thread-sanitized job runs
+// it: the daemon's workers emulate concurrently, each in its own slots.
+TEST(CacheEmuRaceTest, ConcurrentCallsMatchPinnedResults) {
+  std::atomic<int> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (int Round = 0; Round != 5; ++Round)
+        for (size_t I = 0; I != std::size(PinnedEmulations); ++I) {
+          // Threads walk the table from different offsets, so different
+          // levels run side by side.
+          const PinnedEmulation &Row =
+              PinnedEmulations[(I + 20 * T) % std::size(PinnedEmulations)];
+          if (emulateMaxTileDim(paramsFor(Row)) != Row.Expected)
+            ++Mismatches;
+        }
+    });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  EXPECT_EQ(Mismatches.load(), 0);
 }
 
 TEST(TemporalOptimizerTest, OneDimKernelWithSmallWindowFallsBackUntiled) {

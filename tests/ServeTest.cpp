@@ -608,4 +608,36 @@ TEST(ServeServer, OversizedVectorLoopsNeverAbortTheDaemon) {
   Waiter.join();
 }
 
+TEST(ServeServer, UnemulatableArchTextIsABadRequest) {
+  // Cache geometry Algorithm 1 cannot emulate (a line below one element,
+  // fewer bytes than one set, a level too large to emulate) is refused
+  // where the platform text is parsed, and the daemon keeps answering.
+  std::string Path = "/tmp/ltp-serve-arch-test-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  {
+    ClientConn Conn(Path);
+    ASSERT_TRUE(Conn.ok());
+    for (const char *ArchText :
+         {"l1.line = 2", "l1.ways = 16384", "l2.size = 1099511627776"}) {
+      std::string R = Conn.roundTrip(
+          std::string("{\"op\": \"optimize\", \"kernel\": \"matmul\", "
+                      "\"size\": 64, \"compile\": false, \"arch_text\": \"") +
+          ArchText + "\"}");
+      EXPECT_NE(R.find("\"kind\": \"bad_request\""), std::string::npos)
+          << ArchText << ": " << R;
+      EXPECT_NE(Conn.roundTrip("{\"op\": \"ping\"}").find("\"pong\": true"),
+                std::string::npos)
+          << "after " << ArchText;
+    }
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
+}
+
 } // namespace

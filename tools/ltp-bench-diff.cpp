@@ -11,8 +11,7 @@
 // metric, such as table5's deterministic `candidates` count, gated
 // exactly with --threshold 0.
 //
-//   ltp-bench-diff baseline.json current.json \
-//       --metric candidates --threshold 0
+//   ltp-bench-diff baseline.json current.json --metric candidates --threshold 0
 //
 // A report whose top level carries a "skipped" marker (perf_event or JIT
 // unavailable — see bench/Harness.h reportSkipped) compares as empty and

@@ -15,8 +15,8 @@
 // anything speaking newline-delimited JSON over the socket works too).
 //
 //   ltp-serve --connect /tmp/ltp.sock --kernel matmul --arch 6700
-//   ltp-serve --connect /tmp/ltp.sock --kernel matmul \
-//             --schedule "split(i, it, ii, 32); parallel(it);"
+//   ltp-serve --connect /tmp/ltp.sock --kernel matmul --schedule TEXT
+//             (TEXT e.g. "split(i, it, ii, 32); parallel(it);")
 //   ltp-serve --connect /tmp/ltp.sock --request '{"op":"optimize",...}'
 //   ltp-serve --connect /tmp/ltp.sock --stats | --ping | --shutdown
 //
