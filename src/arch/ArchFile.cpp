@@ -5,10 +5,13 @@
 #include "support/Format.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 using namespace ltp;
@@ -145,10 +148,12 @@ ErrorOr<ArchParams> ltp::parseArchParams(const std::string &Text) {
       Arch.VectorRegisters = static_cast<int>(parseSize(Value));
       if (Arch.VectorRegisters <= 0)
         return Fail("bad vector register count");
-    } else if (Key == "a2") {
-      Arch.A2 = std::strtod(Value.c_str(), nullptr);
-    } else if (Key == "a3") {
-      Arch.A3 = std::strtod(Value.c_str(), nullptr);
+    } else if (Key == "a2" || Key == "a3") {
+      char *End = nullptr;
+      double Number = std::strtod(Value.c_str(), &End);
+      if (End == Value.c_str() || *End != '\0')
+        return Fail("bad number");
+      (Key == "a2" ? Arch.A2 : Arch.A3) = Number;
     } else {
       return ErrorOr<ArchParams>::makeError(
           strFormat("line %d: unknown key '%s'", LineNo, Key.c_str()));
@@ -196,38 +201,42 @@ ErrorOr<ArchParams> ltp::loadArchParams(const std::string &Path) {
 }
 
 std::string ltp::archParamsToText(const ArchParams &Arch) {
-  std::string Out;
-  Out += strFormat("name = %s\n", Arch.Name.c_str());
-  Out += strFormat("l1.size = %lldK\n",
-                   static_cast<long long>(Arch.L1.SizeBytes / 1024));
-  Out += strFormat("l1.ways = %lld\n",
-                   static_cast<long long>(Arch.L1.Ways));
-  Out += strFormat("l1.line = %lld\n",
-                   static_cast<long long>(Arch.L1.LineBytes));
-  Out += strFormat("l2.size = %lldK\n",
-                   static_cast<long long>(Arch.L2.SizeBytes / 1024));
-  Out += strFormat("l2.ways = %lld\n",
-                   static_cast<long long>(Arch.L2.Ways));
-  Out += strFormat("l2.line = %lld\n",
-                   static_cast<long long>(Arch.L2.LineBytes));
-  Out += strFormat("l3.size = %lldK\n",
-                   static_cast<long long>(Arch.L3.SizeBytes / 1024));
-  Out += strFormat("l3.ways = %lld\n",
-                   static_cast<long long>(Arch.L3.Ways));
-  Out += strFormat("cores = %d\n", Arch.NCores);
-  Out += strFormat("threads_per_core = %d\n", Arch.NThreadsPerCore);
-  Out += strFormat("vector_width = %d\n", Arch.VectorWidth);
-  Out += strFormat("nt_stores = %s\n",
-                   Arch.HasNonTemporalStores ? "true" : "false");
-  Out += strFormat("shared_l2 = %s\n", Arch.SharedL2 ? "true" : "false");
-  Out += strFormat("l1_next_line_prefetcher = %s\n",
-                   Arch.L1NextLinePrefetcher ? "true" : "false");
-  Out += strFormat("l2_prefetch_degree = %d\n", Arch.L2PrefetchDegree);
-  Out += strFormat("l2_max_prefetch_distance = %d\n",
-                   Arch.L2MaxPrefetchDistance);
-  Out += strFormat("l2_streamer_trains = %d\n", Arch.L2StreamerTrains);
-  Out += strFormat("vector_registers = %d\n", Arch.VectorRegisters);
-  Out += strFormat("a2 = %g\n", Arch.A2);
-  Out += strFormat("a3 = %g\n", Arch.A3);
+  // Exact byte sizes, every field, and each double in the shortest form
+  // that parses back to it: two platforms render alike only when they
+  // parse alike. Built with to_chars, not printf: every serve request,
+  // a dedup hit included, renders this text into its key.
+  std::string Out = "name = " + Arch.Name + "\n";
+  auto Field = [&Out](std::string_view Key, auto Value) {
+    Out += Key;
+    Out += " = ";
+    if constexpr (std::is_same_v<decltype(Value), bool>) {
+      Out += Value ? "true" : "false";
+    } else {
+      char Buf[32];
+      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr);
+    }
+    Out += '\n';
+  };
+  Field("l1.size", Arch.L1.SizeBytes);
+  Field("l1.ways", Arch.L1.Ways);
+  Field("l1.line", Arch.L1.LineBytes);
+  Field("l2.size", Arch.L2.SizeBytes);
+  Field("l2.ways", Arch.L2.Ways);
+  Field("l2.line", Arch.L2.LineBytes);
+  Field("l3.size", Arch.L3.SizeBytes);
+  Field("l3.ways", Arch.L3.Ways);
+  Field("l3.line", Arch.L3.LineBytes);
+  Field("cores", Arch.NCores);
+  Field("threads_per_core", Arch.NThreadsPerCore);
+  Field("vector_width", Arch.VectorWidth);
+  Field("nt_stores", Arch.HasNonTemporalStores);
+  Field("shared_l2", Arch.SharedL2);
+  Field("l1_next_line_prefetcher", Arch.L1NextLinePrefetcher);
+  Field("l2_prefetch_degree", Arch.L2PrefetchDegree);
+  Field("l2_max_prefetch_distance", Arch.L2MaxPrefetchDistance);
+  Field("l2_streamer_trains", Arch.L2StreamerTrains);
+  Field("vector_registers", Arch.VectorRegisters);
+  Field("a2", Arch.A2);
+  Field("a3", Arch.A3);
   return Out;
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <semaphore>
 #include <sstream>
 #include <string_view>
 
@@ -101,6 +102,34 @@ obs::Counter &diskHitsCounter() {
   static obs::Counter &C = obs::counter("jit.disk_hits");
   return C;
 }
+obs::Histogram &ccWaitHistogram() {
+  static obs::Histogram &H = obs::histogram("jit.cc_wait_ms");
+  return H;
+}
+
+/// Bounds the `cc` processes this process runs at once to the pool width.
+/// One compileMany never fans out wider than the pool, so only concurrent
+/// callers (serve sessions) ever wait for a slot.
+std::counting_semaphore<> &ccSlots() {
+  static std::counting_semaphore<> Slots(
+      static_cast<std::ptrdiff_t>(ThreadPool::global().size()));
+  return Slots;
+}
+
+/// Holds one `cc` slot for its lifetime; the wait for it is a span and a
+/// histogram of its own, apart from `jit.cc`.
+struct CcSlot {
+  CcSlot() {
+    obs::ScopedSpan Span("jit.cc_wait");
+    Timer Wait;
+    ccSlots().acquire();
+    if (obs::metricsEnabled())
+      ccWaitHistogram().observe(Wait.elapsedMillis());
+  }
+  ~CcSlot() { ccSlots().release(); }
+  CcSlot(const CcSlot &) = delete;
+  CcSlot &operator=(const CcSlot &) = delete;
+};
 
 } // namespace
 
@@ -182,11 +211,15 @@ JITCompiler::JITCompiler(std::string CompilerPath)
   else
     CacheDirPath = Base + "/ltp-jit-cache";
   ::mkdir(CacheDirPath.c_str(), 0755);
+  // Registered up front, so a daemon whose kernels all come from the
+  // store still exports the wait family.
+  ccWaitHistogram();
 }
 
 std::string JITCompiler::runCompiler(const std::string &Flags,
                                      const std::string &Source,
                                      const std::string &SoPath, int Id) {
+  CcSlot Slot;
   obs::ScopedSpan Span("jit.cc");
   std::string CPath = WorkDir + strFormat("/mod_%d.c", Id);
   std::string ErrPath = WorkDir + strFormat("/mod_%d.err", Id);

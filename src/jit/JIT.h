@@ -26,6 +26,14 @@
 /// process thread pool when there are several), publishes them, and
 /// counts. `compile` forwards a single job to it.
 ///
+/// Concurrency: any number of threads may call compileMany at once (the
+/// daemon's session threads each compile their own request). A process
+/// runs at most `ThreadPool::global().size()` `cc` processes at a time:
+/// each run takes a slot of one process-wide semaphore, and the wait for
+/// it is the `jit.cc_wait` span and `jit.cc_wait_ms` histogram. One
+/// caller's fan-out never exceeds the pool width, so a lone caller
+/// (`ltp-opt`, the benches) never waits.
+///
 /// Accounting: every job that yields a kernel counts exactly once, as
 /// what happened to it. A job whose key was memoized, or repeats an
 /// earlier job's key in the same call, is a memo hit. Every other key is

@@ -78,7 +78,7 @@ Response badRequest(const Request &Req, const std::string &Error) {
 } // namespace
 
 OptimizerService::OptimizerService(ServiceOptions Opts)
-    : Opts(std::move(Opts)), Batcher(Compiler) {}
+    : Opts(std::move(Opts)) {}
 
 OptimizerService::~OptimizerService() = default;
 
@@ -371,7 +371,7 @@ bool OptimizerService::compileSession(Session &Sess) {
 
   auto CompileStart = std::chrono::steady_clock::now();
   ErrorOr<CompiledPipeline> Pipeline =
-      Batcher.submit(std::move(Job), Sess.Req.RequestId).get();
+      std::move(compilePipelines({std::move(Job)}, Compiler).front());
   R.CompileMillis = millisSince(CompileStart);
   R.StageMillis.emplace_back("compile", R.CompileMillis);
   observeCompileMillis(R.CompileMillis);

@@ -19,10 +19,11 @@
 ///        schedule each stage (core optimize(), or a verified user
 ///        schedule), lower and bounds-check it into a compile job
 ///        (makeCompileJob)
-///     └─ BatchCompiler: cross-request compilePipelines batches, one
-///        compileMany per flush on the process thread pool
+///     └─ compilePipelines on the session's own thread: one compileMany
+///        per request, so a slow compile never holds up another request
 ///     └─ JITCompiler: sharded in-process memo over the flock-guarded
-///        content-addressed `.so` disk cache — the shared kernel store
+///        content-addressed `.so` disk cache — the shared kernel store;
+///        at most one `cc` per pool thread runs at once (`jit.cc_wait`)
 ///
 /// The in-memory result cache is the dedup table itself: completed
 /// entries stay resident, so a warm hit costs one map lookup plus
@@ -34,7 +35,6 @@
 #define LTP_SERVE_OPTIMIZERSERVICE_H
 
 #include "jit/JIT.h"
-#include "serve/BatchCompiler.h"
 #include "serve/Protocol.h"
 
 #include <condition_variable>
@@ -106,14 +106,12 @@ private:
   /// error fields of the session response.
   bool scheduleSession(Session &Sess);
 
-  /// Lowers and compiles the scheduled session through the batch
-  /// compiler, filling SoPaths. Returns false on a bounds or compile
-  /// failure.
+  /// Lowers and compiles the scheduled session on the calling thread,
+  /// filling SoPaths. Returns false on a bounds or compile failure.
   bool compileSession(Session &Sess);
 
   ServiceOptions Opts;
   JITCompiler Compiler;
-  BatchCompiler Batcher;
   std::mutex TableMu;
   std::map<std::string, std::shared_ptr<Entry>> Table;
 };

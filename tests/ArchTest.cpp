@@ -60,22 +60,72 @@ TEST(ArchParamsTest, DescribeMentionsKeyFacts) {
   EXPECT_NE(Text.find("NT stores no"), std::string::npos);
 }
 
+/// Every field of \p Parsed equals \p Arch: the round trip loses nothing.
+void expectSameArch(const ArchParams &Parsed, const ArchParams &Arch) {
+  EXPECT_EQ(Parsed.Name, Arch.Name);
+  for (const auto &[P, A] : {std::make_pair(&Parsed.L1, &Arch.L1),
+                             std::make_pair(&Parsed.L2, &Arch.L2),
+                             std::make_pair(&Parsed.L3, &Arch.L3)}) {
+    EXPECT_EQ(P->SizeBytes, A->SizeBytes);
+    EXPECT_EQ(P->Ways, A->Ways);
+    EXPECT_EQ(P->LineBytes, A->LineBytes);
+  }
+  EXPECT_EQ(Parsed.NCores, Arch.NCores);
+  EXPECT_EQ(Parsed.NThreadsPerCore, Arch.NThreadsPerCore);
+  EXPECT_EQ(Parsed.VectorWidth, Arch.VectorWidth);
+  EXPECT_EQ(Parsed.HasNonTemporalStores, Arch.HasNonTemporalStores);
+  EXPECT_EQ(Parsed.SharedL2, Arch.SharedL2);
+  EXPECT_EQ(Parsed.L1NextLinePrefetcher, Arch.L1NextLinePrefetcher);
+  EXPECT_EQ(Parsed.L2PrefetchDegree, Arch.L2PrefetchDegree);
+  EXPECT_EQ(Parsed.L2MaxPrefetchDistance, Arch.L2MaxPrefetchDistance);
+  EXPECT_EQ(Parsed.L2StreamerTrains, Arch.L2StreamerTrains);
+  EXPECT_EQ(Parsed.VectorRegisters, Arch.VectorRegisters);
+  EXPECT_EQ(Parsed.A2, Arch.A2);
+  EXPECT_EQ(Parsed.A3, Arch.A3);
+}
+
 TEST(ArchFileTest, RoundTripAllPresets) {
   for (const ArchParams &Arch :
        {intelI7_6700(), intelI7_5930K(), armCortexA15()}) {
     auto Parsed = parseArchParams(archParamsToText(Arch));
     ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.getError();
-    EXPECT_EQ(Parsed->Name, Arch.Name);
-    EXPECT_EQ(Parsed->L1.SizeBytes, Arch.L1.SizeBytes);
-    EXPECT_EQ(Parsed->L2.Ways, Arch.L2.Ways);
-    EXPECT_EQ(Parsed->L3.SizeBytes, Arch.L3.SizeBytes);
-    EXPECT_EQ(Parsed->NCores, Arch.NCores);
-    EXPECT_EQ(Parsed->VectorWidth, Arch.VectorWidth);
-    EXPECT_EQ(Parsed->HasNonTemporalStores, Arch.HasNonTemporalStores);
-    EXPECT_EQ(Parsed->SharedL2, Arch.SharedL2);
-    EXPECT_EQ(Parsed->L2PrefetchDegree, Arch.L2PrefetchDegree);
-    EXPECT_DOUBLE_EQ(Parsed->A3, Arch.A3);
+    expectSameArch(*Parsed, Arch);
   }
+}
+
+TEST(ArchFileTest, RoundTripKeepsOddSizesAndFullPrecision) {
+  // Sizes that are not whole KiB, an L3 line unlike the L1/L2 default,
+  // and model weights with more digits than %g prints: each survives,
+  // so two such platforms never share a serve dedup key.
+  ArchParams Arch = intelI7_6700();
+  Arch.Name = "odd";
+  Arch.L1.SizeBytes = 1500;
+  Arch.L2.SizeBytes = 262145;
+  Arch.L3.SizeBytes = 3 * 1024 * 1024 + 7;
+  Arch.L3.LineBytes = 128;
+  Arch.A2 = 1.0 / 3.0;
+  Arch.A3 = 4.000001234567;
+  auto Parsed = parseArchParams(archParamsToText(Arch));
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.getError();
+  expectSameArch(*Parsed, Arch);
+
+  ArchParams Other = Arch;
+  Other.L1.SizeBytes = 1024;
+  EXPECT_NE(archParamsToText(Other), archParamsToText(Arch));
+}
+
+TEST(ArchFileTest, RejectsTrailingTextAfterANumber) {
+  for (const char *Text : {"a2 = 1.5x\n", "a3 = 4 4\n", "a2 = \n",
+                           "a3 = fast\n"}) {
+    auto R = parseArchParams(Text);
+    ASSERT_FALSE(static_cast<bool>(R)) << Text;
+    EXPECT_NE(R.getError().find("bad number"), std::string::npos)
+        << R.getError();
+  }
+  auto Ok = parseArchParams("a2 = 1.25\na3 = 2e0  # comment\n");
+  ASSERT_TRUE(static_cast<bool>(Ok)) << Ok.getError();
+  EXPECT_EQ(Ok->A2, 1.25);
+  EXPECT_EQ(Ok->A3, 2.0);
 }
 
 TEST(ArchFileTest, ParsesSizesAndComments) {

@@ -15,18 +15,27 @@
 #include "core/Optimizer.h"
 #include "ir/IRPrinter.h"
 #include "lang/ScheduleText.h"
+#include "obs/Log.h"
 #include "obs/Telemetry.h"
+#include "runtime/ThreadPool.h"
 #include "serve/OptimizerService.h"
 #include "serve/Server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <thread>
+#include <tuple>
 #include <unistd.h>
 
 using namespace ltp;
@@ -388,10 +397,18 @@ TEST(ServeService, CompileReturnsSharedStorePaths) {
   EXPECT_EQ(B.SoPaths, A.SoPaths);
 }
 
-// Distinct compile requests from concurrent sessions meet in the batch
-// compiler's drainer. Each response names the store entries
-// compilePipeline builds for the same kernel, size and platform, and
-// the batch counter rises by the requests' total stage count.
+/// The JIT's counting rule: every stage that yields a kernel counts once,
+/// as a memo hit, a cc run or a store hit.
+int64_t jitJobsCounted() {
+  return obs::counter("jit.memo.hit").value() +
+         obs::counter("jit.cc_invocations").value() +
+         obs::counter("jit.disk_hits").value();
+}
+
+// Distinct compile requests from concurrent sessions, each compiled on
+// its own session thread. Each response names the store entries
+// compilePipeline builds for the same kernel, size and platform, and the
+// JIT counts each of the requests' stages exactly once.
 TEST(ServeService, ConcurrentCompilesMatchCompilePipeline) {
   if (!jitAvailable())
     GTEST_SKIP() << "no host C compiler available";
@@ -402,7 +419,7 @@ TEST(ServeService, ConcurrentCompilesMatchCompilePipeline) {
       optimizeRequest("tp", 72, /*Compile=*/true),
       optimizeRequest("mask", 72, /*Compile=*/true),
       optimizeRequest("3mm", 24, /*Compile=*/true)};
-  const int64_t JobsBefore = obs::counter("serve.batch.jobs").value();
+  const int64_t JobsBefore = jitJobsCounted();
 
   std::vector<Response> Responses(Reqs.size());
   std::vector<std::thread> Threads;
@@ -411,6 +428,7 @@ TEST(ServeService, ConcurrentCompilesMatchCompilePipeline) {
         [&, I] { Responses[I] = Service.handle(Reqs[I]); });
   for (std::thread &T : Threads)
     T.join();
+  const int64_t JobsCounted = jitJobsCounted() - JobsBefore;
 
   JITCompiler Reference;
   Reference.setDiskCacheEnabled(true);
@@ -431,7 +449,100 @@ TEST(ServeService, ConcurrentCompilesMatchCompilePipeline) {
     EXPECT_EQ(Responses[I].SoPaths, Paths) << Req.Kernel;
     Stages += static_cast<int64_t>(Instance.Stages.size());
   }
-  EXPECT_EQ(obs::counter("serve.batch.jobs").value() - JobsBefore, Stages);
+  EXPECT_EQ(JobsCounted, Stages);
+}
+
+/// A scratch directory holding a `cc` wrapper script and an empty kernel
+/// store. While it lives, LTP_CC names the wrapper and LTP_JIT_CACHE_DIR
+/// the store, so a service constructed in its scope compiles through the
+/// wrapper. \p Body runs (as sh, with the directory in $D) before the
+/// wrapper execs the real compiler; `--version` passes straight through.
+class CcWrapper {
+public:
+  explicit CcWrapper(const std::string &Body) {
+    char Template[] = "/tmp/ltp-cc-wrapper-XXXXXX";
+    if (::mkdtemp(Template))
+      Dir = Template;
+    const char *Cc = std::getenv("LTP_CC");
+    const std::string RealCc = Cc ? Cc : "cc";
+    if (Cc)
+      SavedCc = Cc;
+    const std::string Store = Dir + "/store";
+    ::mkdir(Store.c_str(), 0755);
+    std::ofstream Script(Dir + "/cc");
+    Script << "#!/bin/sh\n"
+           << "case \"$1\" in --version) exec " << RealCc
+           << " \"$@\" ;; esac\n"
+           << "D='" << Dir << "'\n"
+           << Body << "\n"
+           << "exec " << RealCc << " \"$@\"\n";
+    Script.close();
+    ::chmod((Dir + "/cc").c_str(), 0755);
+    ::setenv("LTP_CC", (Dir + "/cc").c_str(), 1);
+    ::setenv("LTP_JIT_CACHE_DIR", Store.c_str(), 1);
+  }
+  ~CcWrapper() {
+    if (SavedCc.empty())
+      ::unsetenv("LTP_CC");
+    else
+      ::setenv("LTP_CC", SavedCc.c_str(), 1);
+    ::unsetenv("LTP_JIT_CACHE_DIR");
+    if (!Dir.empty())
+      std::ignore = std::system(("rm -rf '" + Dir + "'").c_str());
+  }
+  CcWrapper(const CcWrapper &) = delete;
+  CcWrapper &operator=(const CcWrapper &) = delete;
+
+  bool ok() const { return !Dir.empty(); }
+  std::string path(const std::string &Name) const { return Dir + "/" + Name; }
+
+private:
+  std::string Dir;
+  std::string SavedCc;
+};
+
+// Each request compiles on its own session thread: a request whose cc
+// is slow must not hold up a later, distinct one. The wrapper sleeps
+// before its first compile only; the second request, sent once that
+// sleep has begun, must be answered first.
+TEST(ServeService, SlowCompileDoesNotDelayALaterOne) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler available";
+  if (ThreadPool::global().size() < 2)
+    GTEST_SKIP() << "one cc slot: the slow compile holds it by design";
+  CcWrapper Wrapper("if mkdir \"$D/first\" 2>/dev/null; then\n"
+                    "  touch \"$D/started\"; sleep 1.5\n"
+                    "fi");
+  ASSERT_TRUE(Wrapper.ok());
+  OptimizerService Service;
+  Service.compiler().setDiskCacheEnabled(true);
+
+  std::atomic<int> Finished{0};
+  int SlowRank = -1, FastRank = -1;
+  Response Slow, Fast;
+  std::thread SlowThread([&] {
+    Slow = Service.handle(optimizeRequest("copy", 72, /*Compile=*/true));
+    SlowRank = Finished++;
+  });
+  for (int I = 0; I != 600 && ::access(Wrapper.path("started").c_str(),
+                                       F_OK) != 0;
+       ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(::access(Wrapper.path("started").c_str(), F_OK), 0)
+      << "the slow compile never started";
+  std::thread FastThread([&] {
+    Fast = Service.handle(optimizeRequest("tp", 72, /*Compile=*/true));
+    FastRank = Finished++;
+  });
+  FastThread.join();
+  SlowThread.join();
+
+  ASSERT_TRUE(Slow.Ok) << Slow.Error;
+  ASSERT_TRUE(Fast.Ok) << Fast.Error;
+  EXPECT_EQ(Fast.Dedup, DedupOutcome::Miss);
+  EXPECT_LT(FastRank, SlowRank)
+      << "the later request waited for the slow compile ("
+      << Fast.CompileMillis << " ms in its compile stage)";
 }
 
 //===----------------------------------------------------------------------===//
@@ -634,6 +745,107 @@ TEST(ServeServer, UnemulatableArchTextIsABadRequest) {
                 std::string::npos)
           << "after " << ArchText;
     }
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
+}
+
+// Platforms that differ below a KiB of cache get distinct dedup keys:
+// the second is optimized for its own geometry, with the schedule the
+// optimizer (and so `ltp-opt --arch-file`) picks for it.
+TEST(ServeServer, ArchTextsDifferingBelowAKibShareNoKey) {
+  std::string Path = "/tmp/ltp-serve-archkey-test-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  auto Expected = [](const std::string &ArchText) {
+    ErrorOr<ArchParams> Arch = parseArchParams(ArchText);
+    EXPECT_TRUE(static_cast<bool>(Arch)) << Arch.getError();
+    BenchmarkInstance Instance = findBenchmark("matmul")->Shape(256);
+    for (size_t S = 0; S != Instance.Stages.size(); ++S)
+      optimize(Instance.Stages[S], Instance.StageExtents[S], *Arch);
+    const Func &Last = Instance.Stages.back();
+    return "\"schedule\": \"" +
+           obs::jsonEscape(printSchedule(Last, Last.computeStageIndex())) +
+           "\"";
+  };
+  {
+    ClientConn Conn(Path);
+    ASSERT_TRUE(Conn.ok());
+    std::string Schedules[2];
+    const char *ArchTexts[2] = {"l1.size = 1500", "l1.size = 1024"};
+    for (int I = 0; I != 2; ++I) {
+      std::string R = Conn.roundTrip(
+          std::string("{\"op\": \"optimize\", \"kernel\": \"matmul\", "
+                      "\"size\": 256, \"compile\": false, \"arch_text\": "
+                      "\"") +
+          ArchTexts[I] + "\"}");
+      EXPECT_NE(R.find("\"dedup\": \"miss\""), std::string::npos)
+          << ArchTexts[I] << ": " << R;
+      Schedules[I] = Expected(ArchTexts[I]);
+      EXPECT_NE(R.find(Schedules[I]), std::string::npos)
+          << ArchTexts[I] << ": want " << Schedules[I] << " in " << R;
+    }
+    EXPECT_NE(Schedules[0], Schedules[1]) << "the platforms plan alike";
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
+}
+
+// The daemon runs at most one cc per pool thread, however many sessions
+// compile at once. Twice the pool width of distinct compile requests
+// arrive together, each on its own connection; the wrapper logs how many
+// of its instances are running whenever one starts.
+TEST(ServeServer, ConcurrentCompilesRunAtMostOneCcPerPoolThread) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler available";
+  CcWrapper Wrapper("touch \"$D/run.$$\"\n"
+                    "ls \"$D\" | grep -c '^run\\.' >> \"$D/log\"\n"
+                    "sleep 0.2\n"
+                    "rm -f \"$D/run.$$\"");
+  ASSERT_TRUE(Wrapper.ok());
+  std::string Path = "/tmp/ltp-serve-ccslots-test-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  Srv.service().compiler().setDiskCacheEnabled(true);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  const int Width = static_cast<int>(ThreadPool::global().size());
+  std::vector<std::string> Replies(static_cast<size_t>(2 * Width));
+  std::vector<std::thread> Clients;
+  for (int I = 0; I != 2 * Width; ++I)
+    Clients.emplace_back([&, I] {
+      ClientConn Conn(Path);
+      if (Conn.ok())
+        Replies[static_cast<size_t>(I)] = Conn.roundTrip(
+            "{\"op\": \"optimize\", \"kernel\": \"copy\", \"size\": " +
+            std::to_string(64 + 8 * I) + ", \"arch\": \"6700\"}");
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  for (const std::string &R : Replies)
+    EXPECT_NE(R.find("\"ok\": true"), std::string::npos) << R;
+
+  std::ifstream Log(Wrapper.path("log"));
+  int Runs = 0, MostAtOnce = 0;
+  for (int Count; Log >> Count; ++Runs)
+    MostAtOnce = std::max(MostAtOnce, Count);
+  EXPECT_GE(Runs, 2 * Width) << "the wrapper ran fewer times than requests";
+  EXPECT_GE(MostAtOnce, 1);
+  EXPECT_LE(MostAtOnce, Width) << "more cc runs at once than pool threads";
+
+  {
+    ClientConn Conn(Path);
+    ASSERT_TRUE(Conn.ok());
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"ping\"}").find("\"pong\": true"),
+              std::string::npos);
     EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
               std::string::npos);
   }
