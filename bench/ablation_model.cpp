@@ -97,10 +97,15 @@ int main(int Argc, char **Argv) {
       Pending.push_back({Name, V.Name, Seconds, std::move(Description)});
     }
   }
-  std::vector<SimResult> Sims = simulatePipelines(Jobs);
+  std::vector<ErrorOr<SimResult>> Sims = simulatePipelines(Jobs);
+  for (const ErrorOr<SimResult> &Sim : Sims)
+    if (!Sim) {
+      std::fprintf(stderr, "error: %s\n", Sim.getError().c_str());
+      return 1;
+    }
   for (size_t I = 0; I != Pending.size(); ++I) {
     const PendingRow &Row = Pending[I];
-    const SimResult &Sim = Sims[I];
+    const SimResult &Sim = *Sims[I];
     printRow({Row.Benchmark, Row.Variant,
               Row.Seconds > 0.0 ? strFormat("%.2f", Row.Seconds * 1e3)
                                 : "n/a",

@@ -116,7 +116,8 @@ bool verifyAgainstInterpreter(const std::string &Name, int64_t SmallSize,
 
   BenchmarkInstance Interpreted = makeInstance(Name, SmallSize);
   scheduleProposed(Interpreted, Arch);
-  runInterpreted(Interpreted);
+  if (!runInterpreted(Interpreted).empty())
+    return false;
 
   return buffersMatch(Jitted.Buffers.at(Jitted.OutputName),
                       Interpreted.Buffers.at(Interpreted.OutputName));

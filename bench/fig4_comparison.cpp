@@ -133,8 +133,11 @@ int main(int Argc, char **Argv) {
         // far too slow for bench-sized problems.
         BenchmarkInstance Small = Def.Create(simSize(Def.Name) / 2);
         applyScheduler(Small, R.S, Arch, &Compiler, 1.0, {}, Candidates);
-        runInterpreted(Small);
-        if (!verifyOutput(Small))
+        std::string Error = runInterpreted(Small);
+        if (!Error.empty())
+          std::printf("!! VERIFY FAILED: %s / %s: %s\n", Def.Name.c_str(),
+                      schedulerName(R.S), Error.c_str());
+        else if (!verifyOutput(Small))
           std::printf("!! VERIFY FAILED: %s / %s\n", Def.Name.c_str(),
                       schedulerName(R.S));
       }

@@ -82,18 +82,23 @@ int main(int Argc, char **Argv) {
       Jobs.push_back({&Instances.back(), Arch});
     }
   }
-  std::vector<SimResult> Sims = simulatePipelines(Jobs);
+  std::vector<ErrorOr<SimResult>> Sims = simulatePipelines(Jobs);
+  for (const ErrorOr<SimResult> &Sim : Sims)
+    if (!Sim) {
+      std::fprintf(stderr, "error: %s\n", Sim.getError().c_str());
+      return 1;
+    }
 
   size_t Job = 0;
   for (const char *Name : Names) {
     double BestCycles = -1.0;
     for (size_t K = 0; K != Schedulers.size(); ++K) {
-      double Cycles = Sims[Job + K].EstimatedCycles;
+      double Cycles = Sims[Job + K]->EstimatedCycles;
       if (BestCycles < 0.0 || Cycles < BestCycles)
         BestCycles = Cycles;
     }
     for (Scheduler S : Schedulers) {
-      const SimResult &Sim = Sims[Job++];
+      const SimResult &Sim = *Sims[Job++];
       printRow({Name, schedulerName(S), strFormat("%.4g", Sim.EstimatedCycles),
                 strFormat("%.3f", BestCycles / Sim.EstimatedCycles),
                 strFormat("%.2f", 100.0 * Sim.Stats.L1.missRate()),

@@ -85,13 +85,15 @@ int main(int Argc, char **Argv) {
     BenchmarkInstance OnRef = Def.Create(Size);
     BenchmarkInstance OnVM = Def.Create(Size);
 
+    std::string Error;
     double RefSeconds = bestSeconds(Runs, [&] {
-      runInterpreted(OnRef, /*RunParallel=*/false, InterpEngine::Reference);
+      Error += runInterpreted(OnRef, /*RunParallel=*/false,
+                              InterpEngine::Reference);
     });
     double VMSeconds = bestSeconds(Runs, [&] {
-      runInterpreted(OnVM, /*RunParallel=*/false, InterpEngine::VM);
+      Error += runInterpreted(OnVM, /*RunParallel=*/false, InterpEngine::VM);
     });
-    bool Verified = verifyOutput(OnVM) && verifyOutput(OnRef);
+    bool Verified = Error.empty() && verifyOutput(OnVM) && verifyOutput(OnRef);
 
     double JITSeconds = -1.0;
     if (HaveJIT) {

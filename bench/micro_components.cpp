@@ -77,7 +77,8 @@ void BM_InterpreterRate(benchmark::State &State) {
   const BenchmarkDef *Def = findBenchmark("matmul");
   BenchmarkInstance Instance = Def->Create(32);
   for (auto _ : State)
-    runInterpreted(Instance);
+    if (std::string Error = runInterpreted(Instance); !Error.empty())
+      State.SkipWithError(Error.c_str());
   State.SetItemsProcessed(State.iterations() * 32 * 32 * 32);
 }
 BENCHMARK(BM_InterpreterRate)->Unit(benchmark::kMillisecond);

@@ -107,10 +107,10 @@ struct Dependence {
   bool Approximate = false;
   /// True for the accumulator pattern of an update stage: the output is
   /// read, modified and written at the identical address across reduction
-  /// iterations. Such dependences forbid racing (parallel) and lockstep
-  /// (vectorize) execution of a carrying loop, but reordering them is
-  /// reassociation, which the system's semantics (like the paper's)
-  /// accept; order-based checks skip them.
+  /// iterations. Such dependences forbid racing (parallel) execution of a
+  /// carrying loop, but reordering them is reassociation, which the
+  /// system's semantics (like the paper's) accept: order-based checks,
+  /// unroll_jam and vectorize along a reduction loop skip them.
   bool Reduction = false;
   /// Distance per original loop (keyed by loop name); lexicographically
   /// non-negative in the original loop order.

@@ -155,6 +155,9 @@ struct ShadowLoop {
   /// nested inside them (tail splits, triangular reduction domains).
   std::set<std::string> BoundDeps;
   bool IsRVar = false;
+  /// True when some pure loop contributes to this one: the stored element
+  /// then moves along it (every pure loop indexes the store).
+  bool PureOrigin = false;
 };
 
 struct PendingMark {
@@ -290,6 +293,7 @@ public:
     ShadowLoop Inner;
     Inner.Name = S.Inner;
     Inner.IsRVar = Old.IsRVar;
+    Inner.PureOrigin = Old.PureOrigin;
     if (Divisible) {
       Inner.ConstExtent = S.Factor;
     } else {
@@ -300,6 +304,7 @@ public:
     ShadowLoop Outer;
     Outer.Name = S.Outer;
     Outer.IsRVar = Old.IsRVar;
+    Outer.PureOrigin = Old.PureOrigin;
     Outer.BoundDeps = Old.BoundDeps;
     if (Old.ConstExtent)
       Outer.ConstExtent = (*Old.ConstExtent + S.Factor - 1) / S.Factor;
@@ -350,6 +355,7 @@ public:
     Fused.Name = F.Fused;
     Fused.ConstExtent = *OuterDim.ConstExtent * InnerExtent;
     Fused.IsRVar = OuterDim.IsRVar || InnerDim.IsRVar;
+    Fused.PureOrigin = OuterDim.PureOrigin || InnerDim.PureOrigin;
 
     Dims.erase(Dims.begin() + PosOuter);
     Dims[PosInner] = Fused;
@@ -515,6 +521,7 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
     L.Name = It->Name;
     L.ConstExtent = It->Extent;
     L.IsRVar = It->IsReduction;
+    L.PureOrigin = !It->IsReduction;
     Nest.Dims.push_back(L);
     Nest.DefaultOrder.push_back(It->Name);
   }
@@ -672,9 +679,16 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
                                 IRVerifyOptions::MaxVectorExtent)));
       continue;
     }
+    // Jamming an accumulator chain only reassociates it; so does
+    // vectorizing a loop the accumulated element stays fixed along (one
+    // partial sum per lane, added into the element when the loop exits).
+    const bool Reassociates =
+        Mark.MarkKind == PendingMark::Kind::UnrollJam ||
+        (Mark.MarkKind == PendingMark::Kind::Vectorize &&
+         !Nest.Dims[Pos].PureOrigin);
     for (const ShadowDep &Dep : Nest.Deps) {
-      if (Dep.Reduction && Mark.MarkKind == PendingMark::Kind::UnrollJam)
-        continue; // jamming an accumulator chain only reassociates it
+      if (Dep.Reduction && Reassociates)
+        continue;
       const DistanceSet &S = Dep.D.at(Mark.Name);
       int64_t Width = 0;
       if (Mark.MarkKind == PendingMark::Kind::Vectorize)

@@ -17,7 +17,11 @@
 ///   - vectorize / unroll_jam require no carried dependence shorter than
 ///     the vector width / jam factor, and a vectorized loop's constant
 ///     extent must be within the back end's limit
-///     (IRVerifyOptions::MaxVectorExtent);
+///     (IRVerifyOptions::MaxVectorExtent). A reduction (accumulator)
+///     dependence does not count against unroll_jam, nor against
+///     vectorize on a loop no pure loop contributes to: the accumulated
+///     element stays fixed along it, and lane-wise partial sums only
+///     reassociate the chain;
 ///   - store_nontemporal warns when the written buffer is re-read in the
 ///     same nest (non-temporal stores bypass the cache the re-read hits).
 ///

@@ -411,12 +411,29 @@ void checkStridedInnermost(LintContext &C) {
                       join(Order, ", ") + ");";
 }
 
-/// vectorize-noncontiguous: a vectorize mark on a loop whose store is not
-/// +1-element per lane turns the vector store into a scatter.
+/// vectorize-noncontiguous: a vectorize mark on a loop along which some
+/// access neither stays put nor advances +1 element per lane (the
+/// optimizer's contiguity predicate): its lanes gather or scatter instead
+/// of streaming one cache line. A store that stays put is a reduction
+/// into one element, which the back end vectorizes with partial sums. A
+/// transposed input of a spatial-reuse stage is exempt: it cannot stream
+/// along any loop the output does, and the spatial tiling is what keeps
+/// its gathered lines cached (Section 3.3).
 void checkVectorizeNoncontiguous(LintContext &C) {
-  if (C.Info.Accesses.empty())
-    return;
-  const ArrayAccess &Out = C.Info.Accesses.front();
+  auto Checked = [&](const ArrayAccess &A) {
+    return C.Class.Kind != StatementClass::SpatialReuse ||
+           std::find(C.Class.TransposedInputs.begin(),
+                     C.Class.TransposedInputs.end(),
+                     A.Buffer) == C.Class.TransposedInputs.end();
+  };
+  auto Contiguous = [&](const ArrayAccess &A, const Dim &D) {
+    return !Checked(A) || A.contiguousAlong(D.Origin, D.Stride);
+  };
+  auto AllContiguous = [&](const Dim &D) {
+    return std::all_of(
+        C.Info.Accesses.begin(), C.Info.Accesses.end(),
+        [&](const ArrayAccess &A) { return Contiguous(A, D); });
+  };
   for (const PendingMark &M : C.Nest.Marks) {
     if (M.Kind != MarkDirective::Kind::Vectorize)
       continue;
@@ -426,37 +443,48 @@ void checkVectorizeNoncontiguous(LintContext &C) {
     const Dim &D = C.Nest.Dims[static_cast<size_t>(Pos)];
     if (D.Fused)
       continue;
-    AccessStride S = strideAlong(Out, D.Origin, D.Stride);
-    if (unitForward(S))
+    auto Bad = std::find_if(
+        C.Info.Accesses.begin(), C.Info.Accesses.end(),
+        [&](const ArrayAccess &A) { return !Contiguous(A, D); });
+    if (Bad == C.Info.Accesses.end())
       continue;
+    AccessStride S = strideAlong(*Bad, D.Origin, D.Stride);
     ScheduleSpan Span = C.unitOf(M.DirIndex);
     std::string How =
-        !S.Moves ? std::string("does not advance the stored element")
-                 : S.RowJump
-                       ? std::string("jumps at least a full row per lane")
-                       : strFormat("advances %lld elements per lane",
-                                   static_cast<long long>(S.Dim0));
+        S.RowJump ? std::string("jumps at least a full row per lane")
+                  : strFormat("advances %lld elements per lane",
+                              static_cast<long long>(S.Dim0));
     Diagnostic &Diag = C.add(
         "vectorize-noncontiguous", analysis::Severity::Error, Span.Offset,
         Span.Length,
-        strFormat("vectorize(%s): the store to '%s' %s; %d-wide lanes "
-                  "scatter instead of filling one cache line",
-                  M.Name.c_str(), Out.Buffer.c_str(), How.c_str(),
-                  C.Arch.VectorWidth));
+        strFormat("vectorize(%s): the %s '%s' %s; %d-wide lanes %s instead "
+                  "of filling one cache line",
+                  M.Name.c_str(), Bad->IsOutput ? "store to" : "load from",
+                  Bad->Buffer.c_str(), How.c_str(), C.Arch.VectorWidth,
+                  Bad->IsOutput ? "scatter" : "gather"));
 
-    // Fix-it: retarget the mark at a unit-stride loop wide enough for the
-    // vector width.
+    // Fix-it: retarget the mark at a loop every access is contiguous along
+    // and wide enough for the vector width: one the store streams along
+    // first, else a reduction loop the store stays put on.
+    const Dim *Target = nullptr;
     for (const Dim &Cand : C.Nest.Dims) {
-      if (Cand.JamInner || Cand.Fused || Cand.Trip < C.Arch.VectorWidth)
+      if (Cand.JamInner || Cand.Fused || Cand.Trip < C.Arch.VectorWidth ||
+          !AllContiguous(Cand))
         continue;
-      if (!unitForward(strideAlong(Out, Cand.Origin, Cand.Stride)))
-        continue;
-      Diag.HasFixIt = true;
-      Diag.Fix.Offset = Span.Offset;
-      Diag.Fix.Length = Span.Length;
-      Diag.Fix.Replacement = "vectorize(" + Cand.Name + ")";
-      break;
+      if (strideAlong(C.Info.Accesses.front(), Cand.Origin, Cand.Stride)
+              .Moves) {
+        Target = &Cand;
+        break;
+      }
+      if (!Target)
+        Target = &Cand;
     }
+    if (!Target)
+      continue;
+    Diag.HasFixIt = true;
+    Diag.Fix.Offset = Span.Offset;
+    Diag.Fix.Length = Span.Length;
+    Diag.Fix.Replacement = "vectorize(" + Target->Name + ")";
   }
 }
 
@@ -469,7 +497,11 @@ void checkTileBounds(LintContext &C) {
   if (C.Nest.HasFuse || C.Info.Loops.size() < 2)
     return;
 
-  const std::string Column = C.Info.outputColumnVar();
+  // The column loop each optimizer bounds its rows by: the temporal
+  // optimizer streams streamColumnVar(), the spatial one the output's.
+  const std::string Column = C.Class.Kind == StatementClass::TemporalReuse
+                                 ? C.Info.streamColumnVar()
+                                 : C.Info.outputColumnVar();
   if (C.Class.Kind == StatementClass::TemporalReuse) {
     const int64_t Bc = C.extentOf(Column);
     if (Bc <= 0)

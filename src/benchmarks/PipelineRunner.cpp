@@ -7,7 +7,6 @@
 #include "lang/Lower.h"
 
 #include <cassert>
-#include <cstdio>
 
 using namespace ltp;
 
@@ -16,7 +15,7 @@ namespace {
 /// Static bounds check of every stage against the bound buffers: the
 /// first out-of-bounds access as an error message, or empty. Schedule
 /// bugs surface here with a diagnostic instead of as a wild pointer in
-/// JIT-compiled code.
+/// JIT-compiled code or a wild access in the interpreter or simulator.
 std::string boundsError(const std::vector<ir::StmtPtr> &Lowered,
                         const std::map<std::string, BufferRef> &Buffers) {
   for (const ir::StmtPtr &S : Lowered) {
@@ -25,17 +24,6 @@ std::string boundsError(const std::vector<ir::StmtPtr> &Lowered,
       return "schedule accesses out of bounds: " + Diag;
   }
   return "";
-}
-
-/// boundsError as a fatal assertion, for the engines that would run the
-/// access (interpreter, simulator).
-void checkBounds(const std::vector<ir::StmtPtr> &Lowered,
-                 const std::map<std::string, BufferRef> &Buffers) {
-  std::string Error = boundsError(Lowered, Buffers);
-  if (!Error.empty()) {
-    std::fprintf(stderr, "fatal: %s\n", Error.c_str());
-    assert(false && "schedule accesses out of bounds");
-  }
 }
 
 } // namespace
@@ -52,15 +40,18 @@ ltp::lowerPipeline(const BenchmarkInstance &Instance) {
   return Lowered;
 }
 
-void ltp::runInterpreted(const BenchmarkInstance &Instance,
-                         bool RunParallel, InterpEngine Engine) {
+std::string ltp::runInterpreted(const BenchmarkInstance &Instance,
+                                bool RunParallel, InterpEngine Engine) {
   InterpOptions Options;
   Options.RunParallel = RunParallel;
   Options.Engine = Engine;
   std::vector<ir::StmtPtr> Lowered = lowerPipeline(Instance);
-  checkBounds(Lowered, Instance.Buffers);
+  std::string Error = boundsError(Lowered, Instance.Buffers);
+  if (!Error.empty())
+    return Error;
   for (const ir::StmtPtr &S : Lowered)
     interpret(S, Instance.Buffers, Options);
+  return "";
 }
 
 ErrorOr<CompiledPipeline>
@@ -126,19 +117,31 @@ SimResult ltp::simulatePipeline(const BenchmarkInstance &Instance,
                   LatencyModel(), Engine);
 }
 
-std::vector<SimResult>
+std::vector<ErrorOr<SimResult>>
 ltp::simulatePipelines(const std::vector<PipelineSimJob> &Jobs,
                        SimEngine Engine) {
-  // Lowering mutates shared Func schedule state and asserts on bad
-  // bounds; keep it serial and feed the thread pool pure simulations.
-  std::vector<SimJob> SimJobs(Jobs.size());
+  // Lowering mutates shared Func schedule state; keep it (and the bounds
+  // check) serial and feed the thread pool pure simulations.
+  std::vector<std::string> Errors(Jobs.size());
+  std::vector<SimJob> SimJobs;
   for (size_t I = 0; I != Jobs.size(); ++I) {
     const PipelineSimJob &Job = Jobs[I];
     assert(Job.Instance && "job without an instance");
-    SimJobs[I].Stmts = lowerPipeline(*Job.Instance);
-    checkBounds(SimJobs[I].Stmts, Job.Instance->Buffers);
-    SimJobs[I].Buffers = &Job.Instance->Buffers;
-    SimJobs[I].Arch = Job.Arch;
+    SimJob Sim;
+    Sim.Stmts = lowerPipeline(*Job.Instance);
+    Errors[I] = boundsError(Sim.Stmts, Job.Instance->Buffers);
+    if (!Errors[I].empty())
+      continue;
+    Sim.Buffers = &Job.Instance->Buffers;
+    Sim.Arch = Job.Arch;
+    SimJobs.push_back(std::move(Sim));
   }
-  return simulateMany(SimJobs, Engine);
+  std::vector<SimResult> Results = simulateMany(SimJobs, Engine);
+  std::vector<ErrorOr<SimResult>> Out;
+  size_t Next = 0;
+  for (const std::string &Error : Errors)
+    Out.push_back(Error.empty()
+                      ? ErrorOr<SimResult>(std::move(Results[Next++]))
+                      : ErrorOr<SimResult>::makeError(Error));
+  return Out;
 }

@@ -28,9 +28,12 @@ std::vector<ir::StmtPtr> lowerPipeline(const BenchmarkInstance &Instance);
 
 /// Runs the pipeline through the interpreter (the bytecode VM by
 /// default; pass `InterpEngine::Reference` for the tree-walking oracle).
-void runInterpreted(const BenchmarkInstance &Instance,
-                    bool RunParallel = false,
-                    InterpEngine Engine = InterpEngine::VM);
+/// Returns "schedule accesses out of bounds: <diagnostic>" without
+/// running anything when a stage would access outside its buffers, else
+/// empty.
+[[nodiscard]] std::string
+runInterpreted(const BenchmarkInstance &Instance, bool RunParallel = false,
+               InterpEngine Engine = InterpEngine::VM);
 
 /// A pipeline compiled to native kernels (one per stage).
 struct CompiledPipeline {
@@ -94,10 +97,11 @@ struct PipelineSimJob {
 };
 
 /// Simulates every job across the global thread pool (lowering and
-/// bounds-checking run serially up front). Results are in job order.
-/// Instances must be distinct objects: a simulation may write the
-/// instance's buffers when it takes the interpreter path.
-std::vector<SimResult>
+/// bounds-checking run serially up front). Results are in job order; a
+/// job whose schedule accesses out of bounds is not simulated and holds
+/// that error. Instances must be distinct objects: a simulation may
+/// write the instance's buffers when it takes the interpreter path.
+std::vector<ErrorOr<SimResult>>
 simulatePipelines(const std::vector<PipelineSimJob> &Jobs,
                   SimEngine Engine = SimEngine::Auto);
 

@@ -419,6 +419,42 @@ const PreludeHelper PreludeHelpers[] = {
      "(ltp_vi32)v);\n"
      "}"},
 
+    // Horizontal sums of a vector reduction's partial-sum accumulator, and
+    // the masked tail's lane clear (lanes past the tail add zero).
+    {"ltp_hsum_f32", LvAVX2,
+     "static inline float ltp_hsum_f32(ltp_vf32 v) "
+     "{ return ((v[0] + v[4]) + (v[1] + v[5])) + "
+     "((v[2] + v[6]) + (v[3] + v[7])); }"},
+    {"ltp_hsum_f32", LvSSE2,
+     "static inline float ltp_hsum_f32(ltp_vf32 v) "
+     "{ return (v[0] + v[2]) + (v[1] + v[3]); }"},
+    {"ltp_hsum_f64", LvAVX2,
+     "static inline double ltp_hsum_f64(ltp_vf64 v) "
+     "{ return (v[0] + v[2]) + (v[1] + v[3]); }"},
+    {"ltp_hsum_f64", LvSSE2,
+     "static inline double ltp_hsum_f64(ltp_vf64 v) "
+     "{ return v[0] + v[1]; }"},
+    {"ltp_hsum_i32", LvAVX2,
+     "static inline uint32_t ltp_hsum_i32(ltp_vint v) {\n"
+     "  ltp_vu32 u = (ltp_vu32)v;\n"
+     "  return ((u[0] + u[4]) + (u[1] + u[5])) + "
+     "((u[2] + u[6]) + (u[3] + u[7]));\n"
+     "}"},
+    {"ltp_hsum_i32", LvSSE2,
+     "static inline uint32_t ltp_hsum_i32(ltp_vint v) {\n"
+     "  ltp_vu32 u = (ltp_vu32)v;\n"
+     "  return (u[0] + u[2]) + (u[1] + u[3]);\n"
+     "}"},
+    {"ltp_vmaskz_f32", LvAVX2,
+     "static inline ltp_vf32 ltp_vmaskz_f32(ltp_vf32 v, ltp_vint m) "
+     "{ return (ltp_vf32)((ltp_vint)v & m); }"},
+    {"ltp_vmaskz_f64", LvAVX2,
+     "static inline ltp_vf64 ltp_vmaskz_f64(ltp_vf64 v, ltp_vint m) "
+     "{ return (ltp_vf64)((ltp_vint)v & m); }"},
+    {"ltp_vmaskz_i32", LvAVX2,
+     "static inline ltp_vint ltp_vmaskz_i32(ltp_vint v, ltp_vint m) "
+     "{ return v & m; }"},
+
     // Lane masks for an N-element masked tail (N in [1, lanes)).
     {"ltp_tailmask_32", LvAVX2,
      "static inline ltp_vint ltp_tailmask_32(int64_t rem) {\n"
@@ -521,8 +557,9 @@ private:
       return exprAs<VarRef>(E)->Name;
     case ExprKind::Load: {
       const Load *L = exprAs<Load>(E);
-      return L->BufferName + "[" + linearIndex(L->BufferName, L->Indices) +
-             "]";
+      std::string Elem = L->BufferName + "[" +
+                         linearIndex(L->BufferName, L->Indices) + "]";
+      return Elem == AccumulatorElem ? "ltp_sacc" : Elem;
     }
     case ExprKind::Binary: {
       const Binary *B = exprAs<Binary>(E);
@@ -594,8 +631,10 @@ private:
           return;
         if (tryEmitStreamingVectorLoop(F, Indent, Out))
           return;
+        if (tryEmitScalarReduction(F, Indent, Out))
+          return;
       }
-      if (F->Kind == ForKind::Vectorized)
+      if (F->Kind == ForKind::Vectorized && storesAdvanceAlong(F))
         Out += Pad + "#pragma GCC ivdep\n";
       else if (F->Kind == ForKind::Unrolled)
         Out += Pad + "#pragma GCC unroll 16\n";
@@ -603,14 +642,7 @@ private:
         // The jam pattern did not match; a plain unroll still exposes the
         // register reuse to the host compiler's scheduler.
         Out += Pad + "#pragma GCC unroll 8\n";
-      std::string Min = emitExpr(F->Min);
-      std::string Extent = emitExpr(F->Extent);
-      Out += Pad +
-             strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
-                       "%s < %s_end; ++%s) {\n",
-                       F->VarName.c_str(), Min.c_str(), F->VarName.c_str(),
-                       Min.c_str(), Extent.c_str(), F->VarName.c_str(),
-                       F->VarName.c_str(), F->VarName.c_str());
+      Out += Pad + loopHeader(F);
       ScopeVars.push_back(F->VarName);
       emitStmt(F->Body, Indent + 1, Out);
       ScopeVars.pop_back();
@@ -722,7 +754,6 @@ private:
     std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
     std::string P2 = Pad + "  ";
     std::string P3 = Pad + "    ";
-    std::string P4 = Pad + "      ";
     const std::string &V = F->VarName;
 
     // The destination pointer at the loop start: indices with the loop
@@ -736,24 +767,27 @@ private:
     Out += P3 + strFormat("ltp_base = &%s[", St->BufferName.c_str()) +
            linearIndex(St->BufferName, St->Indices) + "];\n";
     Out += P2 + "}\n";
+    // The alignment test picks the block loop's bound rather than guarding
+    // the loop: when the destination's alignment is known at compile time
+    // a guarded loop leaves a dead epilogue GCC warns about.
+    Out += P2 + "const int64_t ltp_full = ((uintptr_t)ltp_base & 63) == 0 "
+                "? ltp_ext / 64 * 64 : 0;\n";
     Out += P2 + "int64_t ltp_done = 0;\n";
-    Out += P2 + "if (((uintptr_t)ltp_base & 63) == 0) {\n";
-    Out += P3 + "for (; ltp_done + 64 <= ltp_ext; ltp_done += 64) {\n";
-    Out += P4 + strFormat("_Alignas(64) %s ltp_wc[64];\n", CType);
-    Out += P4 + "#pragma GCC ivdep\n";
-    Out += P4 + "for (int64_t ltp_t = 0; ltp_t != 64; ++ltp_t) {\n";
-    Out += P4 + strFormat("  const int64_t %s = ltp_min + ltp_done + "
+    Out += P2 + "for (; ltp_done < ltp_full; ltp_done += 64) {\n";
+    Out += P3 + strFormat("_Alignas(64) %s ltp_wc[64];\n", CType);
+    Out += P3 + "#pragma GCC ivdep\n";
+    Out += P3 + "for (int64_t ltp_t = 0; ltp_t != 64; ++ltp_t) {\n";
+    Out += P3 + strFormat("  const int64_t %s = ltp_min + ltp_done + "
                           "ltp_t;\n",
                           V.c_str());
-    Out += P4 + strFormat("  (void)%s;\n", V.c_str());
-    Out += P4 + strFormat("  ltp_wc[ltp_t] = (%s)(", CType) +
+    Out += P3 + strFormat("  (void)%s;\n", V.c_str());
+    Out += P3 + strFormat("  ltp_wc[ltp_t] = (%s)(", CType) +
            emitExpr(St->Value) + ");\n";
-    Out += P4 + "}\n";
-    Out += P4 + strFormat("%s(ltp_base + ltp_done, ltp_wc);\n", BlockFn);
     Out += P3 + "}\n";
+    Out += P3 + strFormat("%s(ltp_base + ltp_done, ltp_wc);\n", BlockFn);
     Out += P2 + "}\n";
     // Scalar-streaming epilogue (also the unaligned fallback).
-    Out += P2 + "for (; ltp_done != ltp_ext; ++ltp_done) {\n";
+    Out += P2 + "for (; ltp_done < ltp_ext; ++ltp_done) {\n";
     Out += P3 + strFormat("const int64_t %s = ltp_min + ltp_done;\n",
                           V.c_str());
     Out += P3 + strFormat("%s(&%s[", ScalarFn, St->BufferName.c_str()) +
@@ -761,6 +795,20 @@ private:
            ")(" + emitExpr(St->Value) + "));\n";
     Out += P2 + "}\n";
     Out += Pad + "}\n";
+    return true;
+  }
+
+  /// True when every store under \p F moves along F's variable. A store
+  /// that stays put is a reduction the loop carries, which `ivdep` would
+  /// tell the host compiler to ignore.
+  bool storesAdvanceAlong(const For *F) {
+    StoreCollector SC;
+    SC.visitStmt(F->Body);
+    for (const Store *St : SC.Stores) {
+      auto C = accessCoeff(St->BufferName, St->Indices, F->VarName);
+      if (!C || *C == 0)
+        return false;
+    }
     return true;
   }
 
@@ -1078,14 +1126,7 @@ private:
     }
     case StmtKind::For: {
       const For *F = stmtAs<For>(S);
-      std::string Min = emitExpr(F->Min);
-      Out += Pad +
-             strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
-                       "%s < %s_end; ++%s) {\n",
-                       F->VarName.c_str(), Min.c_str(), F->VarName.c_str(),
-                       Min.c_str(), emitExpr(F->Extent).c_str(),
-                       F->VarName.c_str(), F->VarName.c_str(),
-                       F->VarName.c_str());
+      Out += Pad + loopHeader(F);
       emitVecStmt(F->Body, Ctx, Indent + 1, Out);
       Out += Pad + "}\n";
       return;
@@ -1155,8 +1196,14 @@ private:
         return tryEmitSimdStream(F, St, Ctx, Indent, Out);
 
     std::vector<const Store *> Stores;
-    if (!checkVecStmt(F->Body, Ctx, Stores) || Stores.empty())
-      return false;
+    if (!checkVecStmt(F->Body, Ctx, Stores) || Stores.empty()) {
+      const Store *St = stmtDynAs<Store>(F->Body);
+      ExprPtr Rest = St ? vecReductionRest(St, Ctx) : nullptr;
+      if (!Rest)
+        return false;
+      emitVecReduction(F, St, Rest, Ctx, "", 1, Indent, Out);
+      return true;
+    }
 
     std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
     std::string P2 = Pad + "  ";
@@ -1200,6 +1247,212 @@ private:
     return true;
   }
 
+  /// The rest term of a store `Buf[idx] = Buf[idx] <op> rest` (either
+  /// operand order, \p B its value) when rest reads nothing of Buf; null
+  /// otherwise.
+  ExprPtr accumulatedTerm(const Store *St, const Binary *B) {
+    const std::string StoreIdx = linearIndex(St->BufferName, St->Indices);
+    auto IsSelf = [&](const ExprPtr &E) {
+      const Load *L = exprDynAs<Load>(E);
+      return L && L->BufferName == St->BufferName &&
+             linearIndex(L->BufferName, L->Indices) == StoreIdx;
+    };
+    ExprPtr Rest = IsSelf(B->A) ? B->B : IsSelf(B->B) ? B->A : nullptr;
+    if (!Rest)
+      return nullptr;
+    LoadCollector RC;
+    RC.visitExpr(Rest);
+    for (const Load *L : RC.Loads)
+      if (L->BufferName == St->BufferName)
+        return nullptr;
+    return Rest;
+  }
+
+  /// The rest term of an accumulation `Buf[idx] = Buf[idx] + rest` whose
+  /// address \p Var does not move: a reduction along Var into one
+  /// element. Null otherwise, and for non-temporal stores.
+  ExprPtr accumulationRest(const Store *St, const std::string &Var) {
+    if (St->NonTemporal && Options.EnableNonTemporal)
+      return nullptr;
+    auto C = accessCoeff(St->BufferName, St->Indices, Var);
+    const Binary *B = exprDynAs<Binary>(St->Value);
+    if (!C || *C != 0 || !B || B->Op != BinOp::Add)
+      return nullptr;
+    return accumulatedTerm(St, B);
+  }
+
+  /// accumulationRest along the vector loop, when the element type matches
+  /// the vector context and the rest term vectorizes.
+  ExprPtr vecReductionRest(const Store *St, const VecCtx &Ctx) {
+    auto It = BufferIndex.find(St->BufferName);
+    assert(It != BufferIndex.end() && "store to unknown buffer");
+    if (Signature[It->second].ElemType != Ctx.VT)
+      return nullptr;
+    ExprPtr Rest = accumulationRest(St, Ctx.Var);
+    return Rest && checkVecExpr(Rest, Ctx) ? Rest : nullptr;
+  }
+
+  /// \p Acc plus the vector value of \p Rest. Each addend of an addition
+  /// tree accumulates on its own, a product as one fused multiply-add.
+  std::string emitVecAccumulate(const std::string &Acc, const ExprPtr &Rest,
+                                const VecCtx &Ctx) {
+    const char *Sfx = vecSuffix(Ctx.VT);
+    if (const Binary *B = exprDynAs<Binary>(Rest);
+        B && exprContainsVar(Rest, Ctx.Var)) {
+      if (B->Op == BinOp::Add)
+        return emitVecAccumulate(emitVecAccumulate(Acc, B->A, Ctx), B->B,
+                                 Ctx);
+      if (B->Op == BinOp::Mul && Ctx.VT.isFloat())
+        return std::string("ltp_vfma_") + Sfx + "(" + emitVecExpr(B->A, Ctx) +
+               ", " + emitVecExpr(B->B, Ctx) + ", " + Acc + ")";
+    }
+    return std::string("ltp_vadd_") + Sfx + "(" + Acc + ", " +
+           emitVecExpr(Rest, Ctx) + ")";
+  }
+
+  /// The vector reduction form of \p Vec, whose single store \p St adds
+  /// \p Rest into an element that stays fixed along it: one partial-sum
+  /// vector per copy, a full-width main loop, a masked tail on AVX2, and
+  /// one horizontal add into each element; SSE2 finishes with a scalar
+  /// tail instead. \p Copies > 1 are jam copies, each binding \p JamVar
+  /// to ltp_uj_min + copy around its statements.
+  void emitVecReduction(const For *Vec, const Store *St, const ExprPtr &Rest,
+                        const VecCtx &Ctx, const std::string &JamVar,
+                        int64_t Copies, int Indent, std::string &Out) {
+    const char *Sfx = vecSuffix(Ctx.VT);
+    const std::string &V = Vec->VarName;
+    const bool MaskedTail = Options.ISA.Level == codegen::SimdLevel::AVX2;
+    auto Pad = [](int I) {
+      return std::string(static_cast<size_t>(I) * 2, ' ');
+    };
+    auto PerCopy = [&](int Ind, auto EmitOne) {
+      for (int64_t Copy = 0; Copy != Copies; ++Copy) {
+        std::string Acc =
+            strFormat("ltp_racc_%lld", static_cast<long long>(Copy));
+        if (JamVar.empty()) {
+          EmitOne(Acc, Ind);
+          continue;
+        }
+        Out += Pad(Ind) + "{\n";
+        Out += Pad(Ind + 1) +
+               strFormat("const int64_t %s = ltp_uj_min + %lld;\n",
+                         JamVar.c_str(), static_cast<long long>(Copy));
+        EmitOne(Acc, Ind + 1);
+        Out += Pad(Ind) + "}\n";
+      }
+    };
+
+    Out += Pad(Indent) + strFormat("{ /* simd reduction %s x%d (%s) */\n",
+                                   Sfx, Ctx.Lanes, Options.ISA.name());
+    const int Ind = Indent + 1;
+    Out += Pad(Ind) + "const int64_t ltp_vmin = " + emitExpr(Vec->Min) +
+           ";\n";
+    Out += Pad(Ind) + "const int64_t ltp_vend = ltp_vmin + (" +
+           emitExpr(Vec->Extent) + ");\n";
+    Out += Pad(Ind) + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
+    for (int64_t Copy = 0; Copy != Copies; ++Copy)
+      Out += Pad(Ind) + strFormat("%s ltp_racc_%lld = ltp_vset1_%s(0);\n",
+                                  vecCType(Ctx.VT),
+                                  static_cast<long long>(Copy), Sfx);
+    ScopeVars.push_back(V);
+    Out += Pad(Ind) + strFormat("for (; %s + %d <= ltp_vend; %s += %d) {\n",
+                                V.c_str(), Ctx.Lanes, V.c_str(), Ctx.Lanes);
+    PerCopy(Ind + 1, [&](const std::string &Acc, int I2) {
+      Out += Pad(I2) + Acc + " = " + emitVecAccumulate(Acc, Rest, Ctx) +
+             ";\n";
+    });
+    Out += Pad(Ind) + "}\n";
+    if (MaskedTail) {
+      // Masked lanes load zero, but the rest term need not map zero to
+      // zero (a broadcast addend does not): clear them before adding.
+      VecCtx Masked = Ctx;
+      Masked.Masked = true;
+      Out += Pad(Ind) + strFormat("if (%s < ltp_vend) {\n", V.c_str());
+      Out += Pad(Ind + 1) +
+             strFormat("const ltp_vint ltp_mask = %s(ltp_vend - %s);\n",
+                       Ctx.VT == Type::float64() ? "ltp_tailmask_64"
+                                                 : "ltp_tailmask_32",
+                       V.c_str());
+      PerCopy(Ind + 1, [&](const std::string &Acc, int I2) {
+        Out += Pad(I2) + Acc + " = ltp_vadd_" + Sfx + "(" + Acc +
+               ", ltp_vmaskz_" + Sfx + "(" + emitVecExpr(Rest, Masked) +
+               ", ltp_mask));\n";
+      });
+      Out += Pad(Ind) + "}\n";
+    }
+    const std::string CType =
+        Signature[BufferIndex.at(St->BufferName)].ElemType.cName();
+    PerCopy(Ind, [&](const std::string &Acc, int I2) {
+      std::string Elem = St->BufferName + "[" +
+                         linearIndex(St->BufferName, St->Indices) + "]";
+      Out += Pad(I2) + Elem + " = (" + CType + ")(" + Elem + " + ltp_hsum_" +
+             Sfx + "(" + Acc + "));\n";
+    });
+    if (!MaskedTail) {
+      Out += Pad(Ind) + strFormat("for (; %s < ltp_vend; ++%s) {\n",
+                                  V.c_str(), V.c_str());
+      PerCopy(Ind + 1, [&](const std::string &, int I2) {
+        emitStmt(Vec->Body, I2, Out);
+      });
+      Out += Pad(Ind) + "}\n";
+    }
+    ScopeVars.pop_back();
+    Out += Pad(Indent) + "}\n";
+  }
+
+  /// A vectorized loop the explicit SIMD paths did not take, whose single
+  /// store stays put along it (a reduction): a serial loop accumulating
+  /// in a scalar, with the element loaded before and stored after it. It
+  /// keeps the sequential order, and carries no `ivdep`, which would
+  /// license the host compiler to vectorize across the reduction.
+  bool tryEmitScalarReduction(const For *F, int Indent, std::string &Out) {
+    const Store *St = stmtDynAs<Store>(F->Body);
+    if (!St || (St->NonTemporal && Options.EnableNonTemporal))
+      return false;
+    auto C = accessCoeff(St->BufferName, St->Indices, F->VarName);
+    if (!C || *C != 0)
+      return false;
+    // Every read of the element must be the accumulator itself.
+    const std::string Elem =
+        St->BufferName + "[" + linearIndex(St->BufferName, St->Indices) + "]";
+    LoadCollector LC;
+    LC.visitExpr(St->Value);
+    for (const Load *L : LC.Loads)
+      if (L->BufferName == St->BufferName &&
+          L->BufferName + "[" + linearIndex(L->BufferName, L->Indices) +
+                  "]" !=
+              Elem)
+        return false;
+
+    std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
+    const std::string CType =
+        Signature[BufferIndex.at(St->BufferName)].ElemType.cName();
+    Out += Pad + "{ /* reduction, scalar accumulator */\n";
+    Out += Pad + "  " + CType + " ltp_sacc = " + Elem + ";\n";
+    Out += Pad + "  " + loopHeader(F);
+    ScopeVars.push_back(F->VarName);
+    AccumulatorElem = Elem;
+    Out += Pad + "    ltp_sacc = (" + CType + ")(" + emitExpr(St->Value) +
+           ");\n";
+    AccumulatorElem.clear();
+    ScopeVars.pop_back();
+    Out += Pad + "  }\n";
+    Out += Pad + "  " + Elem + " = ltp_sacc;\n";
+    Out += Pad + "}\n";
+    return true;
+  }
+
+  /// `for (int64_t v = min, v_end = (min) + (extent); v < v_end; ++v) {`
+  std::string loopHeader(const For *F) {
+    std::string Min = emitExpr(F->Min);
+    return strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
+                     "%s < %s_end; ++%s) {\n",
+                     F->VarName.c_str(), Min.c_str(), F->VarName.c_str(),
+                     Min.c_str(), emitExpr(F->Extent).c_str(),
+                     F->VarName.c_str(), F->VarName.c_str(),
+                     F->VarName.c_str());
+  }
+
   /// Whole-vector streaming stores for `for v: Buf[...] = value` when the
   /// value is vectorizable: aligned main loop with ltp_vstream, scalar
   /// streaming stores for the tail and the unaligned fallback.
@@ -1237,17 +1490,21 @@ private:
     Out += P3 + strFormat("ltp_dst0 = &%s[", St->BufferName.c_str()) +
            linearIndex(St->BufferName, St->Indices) + "];\n";
     Out += P2 + "}\n";
-    Out += P2 + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
-    Out += P2 + strFormat("if (((uintptr_t)ltp_dst0 & %d) == 0) {\n",
+    // As in the write-combining path, alignment picks the vector bound.
+    Out += P2 + strFormat("const int64_t ltp_vfull = ((uintptr_t)ltp_dst0 "
+                          "& %d) == 0\n",
                           Options.ISA.vectorBytes() - 1);
-    Out += P3 + "#pragma GCC unroll 4\n";
-    Out += P3 + strFormat("for (; %s + %d <= ltp_vend; %s += %d)\n",
-                          V.c_str(), Ctx.Lanes, V.c_str(), Ctx.Lanes);
-    Out += P3 + strFormat("  ltp_vstream_%s(&%s[", Sfx,
+    Out += P3 + strFormat("? ltp_vmin + (ltp_vend - ltp_vmin) / %d * %d\n",
+                          Ctx.Lanes, Ctx.Lanes);
+    Out += P3 + ": ltp_vmin;\n";
+    Out += P2 + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
+    Out += P2 + "#pragma GCC unroll 4\n";
+    Out += P2 + strFormat("for (; %s < ltp_vfull; %s += %d)\n", V.c_str(),
+                          V.c_str(), Ctx.Lanes);
+    Out += P2 + strFormat("  ltp_vstream_%s(&%s[", Sfx,
                           St->BufferName.c_str()) +
            linearIndex(St->BufferName, St->Indices) + "], " +
            emitVecExpr(St->Value, Ctx) + ");\n";
-    Out += P2 + "}\n";
     Out += P2 + strFormat("for (; %s < ltp_vend; ++%s)\n", V.c_str(),
                           V.c_str());
     Out += P2 + strFormat("  %s(&%s[", ScalarFn, St->BufferName.c_str()) +
@@ -1264,6 +1521,49 @@ private:
     if (VT == Type::float64())
       return "ltp_vf64";
     return "ltp_vint";
+  }
+
+  /// The frame every jammed form shares: the jam base and extent, then
+  /// \p Body at the indent it is passed, with the jam variable in scope.
+  /// A `min(U, rest)` extent (\p NeedGuard) runs \p Body on full tiles
+  /// only; a partial tile runs the original nest serially.
+  template <typename BodyFn>
+  void emitJamFrame(const For *UJ, int64_t U, bool NeedGuard,
+                    const char *Form, int Indent, std::string &Out,
+                    BodyFn Body) {
+    const std::string &UV = UJ->VarName;
+    auto Pad = [](int I) {
+      return std::string(static_cast<size_t>(I) * 2, ' ');
+    };
+    Out += Pad(Indent) + strFormat("{ /* unroll_jam %s x%lld%s */\n",
+                                   UV.c_str(), static_cast<long long>(U),
+                                   Form);
+    Out += Pad(Indent + 1) + "const int64_t ltp_uj_min = " +
+           emitExpr(UJ->Min) + ";\n";
+    Out += Pad(Indent + 1) + "const int64_t ltp_uj_ext = " +
+           emitExpr(UJ->Extent) + ";\n";
+    if (NeedGuard)
+      Out += Pad(Indent + 1) + strFormat("if (ltp_uj_ext == %lld) {\n",
+                                         static_cast<long long>(U));
+    else
+      Out += Pad(Indent + 1) + "(void)ltp_uj_ext;\n";
+    ScopeVars.push_back(UV);
+    Body(NeedGuard ? Indent + 2 : Indent + 1);
+    ScopeVars.pop_back();
+    if (NeedGuard) {
+      Out += Pad(Indent + 1) + "} else {\n";
+      Out += Pad(Indent + 2) +
+             strFormat("for (int64_t %s = ltp_uj_min, %s_end = ltp_uj_min "
+                       "+ ltp_uj_ext; %s < %s_end; ++%s) {\n",
+                       UV.c_str(), UV.c_str(), UV.c_str(), UV.c_str(),
+                       UV.c_str());
+      ScopeVars.push_back(UV);
+      emitStmt(UJ->Body, Indent + 3, Out);
+      ScopeVars.pop_back();
+      Out += Pad(Indent + 2) + "}\n";
+      Out += Pad(Indent + 1) + "}\n";
+    }
+    Out += Pad(Indent) + "}\n";
   }
 
   /// The register-accumulator form of a jammed loop. When the (single)
@@ -1294,26 +1594,11 @@ private:
     if (B->Op != BinOp::Add && B->Op != BinOp::Mul &&
         B->Op != BinOp::Min && B->Op != BinOp::Max)
       return false;
-    std::string StoreIdx = linearIndex(St->BufferName, St->Indices);
-    auto IsSelf = [&](const ExprPtr &E) {
-      const Load *L = exprDynAs<Load>(E);
-      return L && L->BufferName == St->BufferName &&
-             linearIndex(L->BufferName, L->Indices) == StoreIdx;
-    };
-    ExprPtr Rest;
-    if (IsSelf(B->A))
-      Rest = B->B;
-    else if (IsSelf(B->B))
-      Rest = B->A;
-    else
-      return false;
     // The rest term must not read the written buffer (the jam legality
     // pass only guarantees self-references match the store address).
-    LoadCollector RC;
-    RC.visitExpr(Rest);
-    for (const Load *L : RC.Loads)
-      if (L->BufferName == St->BufferName)
-        return false;
+    ExprPtr Rest = accumulatedTerm(St, B);
+    if (!Rest)
+      return false;
 
     // Longest suffix of the intervening loops the accumulator address
     // and the vector bounds are invariant in; those interchange inward.
@@ -1347,164 +1632,116 @@ private:
       }
     };
 
-    Out += Pad(Indent) +
-           strFormat("{ /* unroll_jam %s x%lld, register accumulators */\n",
-                     UV.c_str(), static_cast<long long>(U));
-    Out += Pad(Indent + 1) + "const int64_t ltp_uj_min = " +
-           emitExpr(UJ->Min) + ";\n";
-    Out += Pad(Indent + 1) + "const int64_t ltp_uj_ext = " +
-           emitExpr(UJ->Extent) + ";\n";
-    int Ind = Indent + 1;
-    if (NeedGuard) {
-      Out += Pad(Ind) + strFormat("if (ltp_uj_ext == %lld) {\n",
-                                  static_cast<long long>(U));
-      ++Ind;
-    } else {
-      Out += Pad(Ind) + "(void)ltp_uj_ext;\n";
-    }
-    ScopeVars.push_back(UV);
+    emitJamFrame(UJ, U, NeedGuard, ", register accumulators", Indent, Out,
+                 [&](int Ind) {
+      // Loops the accumulator address depends on stay outside.
+      for (size_t M = 0; M != FirstInner; ++M) {
+        Out += Pad(Ind) + loopHeader(Mid[M]);
+        ScopeVars.push_back(Mid[M]->VarName);
+        ++Ind;
+      }
 
-    // Loops the accumulator address depends on stay outside.
-    for (size_t M = 0; M != FirstInner; ++M) {
-      const For *F = Mid[M];
-      std::string Min = emitExpr(F->Min);
+      const std::string &V = Vec->VarName;
+      Out += Pad(Ind) + "{\n";
+      ++Ind;
+      Out += Pad(Ind) + "const int64_t ltp_vmin = " + emitExpr(Vec->Min) +
+             ";\n";
+      Out += Pad(Ind) + "const int64_t ltp_vend = ltp_vmin + (" +
+             emitExpr(Vec->Extent) + ");\n";
+      Out += Pad(Ind) + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
+      ScopeVars.push_back(V);
       Out += Pad(Ind) +
-             strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
-                       "%s < %s_end; ++%s) {\n",
-                       F->VarName.c_str(), Min.c_str(), F->VarName.c_str(),
-                       Min.c_str(), emitExpr(F->Extent).c_str(),
-                       F->VarName.c_str(), F->VarName.c_str(),
-                       F->VarName.c_str());
-      ScopeVars.push_back(F->VarName);
-      ++Ind;
-    }
+             strFormat("for (; %s + %d <= ltp_vend; %s += %d) {\n",
+                       V.c_str(), Ctx.Lanes, V.c_str(), Ctx.Lanes);
 
-    const std::string &V = Vec->VarName;
-    Out += Pad(Ind) + "{\n";
-    ++Ind;
-    Out += Pad(Ind) + "const int64_t ltp_vmin = " + emitExpr(Vec->Min) +
-           ";\n";
-    Out += Pad(Ind) + "const int64_t ltp_vend = ltp_vmin + (" +
-           emitExpr(Vec->Extent) + ");\n";
-    Out += Pad(Ind) + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
-    ScopeVars.push_back(V);
-    Out += Pad(Ind) + strFormat("for (; %s + %d <= ltp_vend; %s += %d) {\n",
-                                V.c_str(), Ctx.Lanes, V.c_str(), Ctx.Lanes);
+      // Load the accumulators.
+      for (int64_t Copy = 0; Copy != U; ++Copy)
+        Out += Pad(Ind + 1) + strFormat("%s ltp_acc_%lld;\n",
+                                        vecCType(Ctx.VT),
+                                        static_cast<long long>(Copy));
+      PerCopy(Ind + 1, Out, [&](int64_t Copy, int I2) {
+        Out += Pad(I2) +
+               strFormat("ltp_acc_%lld = ltp_vload_%s(&%s[",
+                         static_cast<long long>(Copy), Sfx,
+                         St->BufferName.c_str()) +
+               linearIndex(St->BufferName, St->Indices) + "]);\n";
+      });
 
-    // Load the accumulators.
-    for (int64_t Copy = 0; Copy != U; ++Copy)
-      Out += Pad(Ind + 1) + strFormat("%s ltp_acc_%lld;\n", vecCType(Ctx.VT),
-                                      static_cast<long long>(Copy));
-    PerCopy(Ind + 1, Out, [&](int64_t Copy, int I2) {
-      Out += Pad(I2) +
-             strFormat("ltp_acc_%lld = ltp_vload_%s(&%s[",
-                       static_cast<long long>(Copy), Sfx,
-                       St->BufferName.c_str()) +
-             linearIndex(St->BufferName, St->Indices) + "]);\n";
-    });
+      // The interchanged reduction loops, combining in registers.
+      int RedInd = Ind + 1;
+      for (size_t M = FirstInner; M != Mid.size(); ++M) {
+        Out += Pad(RedInd) + loopHeader(Mid[M]);
+        ScopeVars.push_back(Mid[M]->VarName);
+        ++RedInd;
+      }
+      PerCopy(RedInd, Out, [&](int64_t Copy, int I2) {
+        std::string Acc = strFormat("ltp_acc_%lld",
+                                    static_cast<long long>(Copy));
+        const Binary *RM = exprDynAs<Binary>(Rest);
+        if (Ctx.VT.isFloat() && B->Op == BinOp::Add && RM &&
+            RM->Op == BinOp::Mul)
+          Out += Pad(I2) + Acc + " = ltp_vfma_" + Sfx + "(" +
+                 emitVecExpr(RM->A, Ctx) + ", " + emitVecExpr(RM->B, Ctx) +
+                 ", " + Acc + ");\n";
+        else
+          Out += Pad(I2) + Acc + " = " + vecOpFn(B->Op, Ctx.VT) + "(" + Acc +
+                 ", " + emitVecExpr(Rest, Ctx) + ");\n";
+      });
+      for (size_t M = FirstInner; M != Mid.size(); ++M) {
+        ScopeVars.pop_back();
+        --RedInd;
+        Out += Pad(RedInd) + "}\n";
+      }
 
-    // The interchanged reduction loops, combining in registers.
-    int RedInd = Ind + 1;
-    for (size_t M = FirstInner; M != Mid.size(); ++M) {
-      const For *F = Mid[M];
-      std::string Min = emitExpr(F->Min);
-      Out += Pad(RedInd) +
-             strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
-                       "%s < %s_end; ++%s) {\n",
-                       F->VarName.c_str(), Min.c_str(), F->VarName.c_str(),
-                       Min.c_str(), emitExpr(F->Extent).c_str(),
-                       F->VarName.c_str(), F->VarName.c_str(),
-                       F->VarName.c_str());
-      ScopeVars.push_back(F->VarName);
-      ++RedInd;
-    }
-    PerCopy(RedInd, Out, [&](int64_t Copy, int I2) {
-      std::string Acc = strFormat("ltp_acc_%lld",
-                                  static_cast<long long>(Copy));
-      const Binary *RM = exprDynAs<Binary>(Rest);
-      if (Ctx.VT.isFloat() && B->Op == BinOp::Add && RM &&
-          RM->Op == BinOp::Mul)
-        Out += Pad(I2) + Acc + " = ltp_vfma_" + Sfx + "(" +
-               emitVecExpr(RM->A, Ctx) + ", " + emitVecExpr(RM->B, Ctx) +
-               ", " + Acc + ");\n";
-      else
-        Out += Pad(I2) + Acc + " = " + vecOpFn(B->Op, Ctx.VT) + "(" + Acc +
-               ", " + emitVecExpr(Rest, Ctx) + ");\n";
-    });
-    for (size_t M = FirstInner; M != Mid.size(); ++M) {
-      ScopeVars.pop_back();
-      --RedInd;
-      Out += Pad(RedInd) + "}\n";
-    }
+      // Store the accumulators.
+      PerCopy(Ind + 1, Out, [&](int64_t Copy, int I2) {
+        Out += Pad(I2) +
+               strFormat("ltp_vstore_%s(&%s[", Sfx,
+                         St->BufferName.c_str()) +
+               linearIndex(St->BufferName, St->Indices) +
+               strFormat("], ltp_acc_%lld);\n",
+                         static_cast<long long>(Copy));
+      });
+      Out += Pad(Ind) + "}\n";
 
-    // Store the accumulators.
-    PerCopy(Ind + 1, Out, [&](int64_t Copy, int I2) {
-      Out += Pad(I2) +
-             strFormat("ltp_vstore_%s(&%s[", Sfx, St->BufferName.c_str()) +
-             linearIndex(St->BufferName, St->Indices) +
-             strFormat("], ltp_acc_%lld);\n",
-                       static_cast<long long>(Copy));
-    });
-    Out += Pad(Ind) + "}\n";
-
-    // Scalar tail: the original (un-interchanged) nest per element.
-    Out += Pad(Ind) + strFormat("for (; %s < ltp_vend; ++%s) {\n",
-                                V.c_str(), V.c_str());
-    int TailInd = Ind + 1;
-    for (size_t M = FirstInner; M != Mid.size(); ++M) {
-      const For *F = Mid[M];
-      std::string Min = emitExpr(F->Min);
-      Out += Pad(TailInd) +
-             strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
-                       "%s < %s_end; ++%s) {\n",
-                       F->VarName.c_str(), Min.c_str(), F->VarName.c_str(),
-                       Min.c_str(), emitExpr(F->Extent).c_str(),
-                       F->VarName.c_str(), F->VarName.c_str(),
-                       F->VarName.c_str());
-      ScopeVars.push_back(F->VarName);
-      ++TailInd;
-    }
-    PerCopy(TailInd, Out, [&](int64_t /*Copy*/, int I2) {
-      emitStmt(Vec->Body, I2, Out);
-    });
-    for (size_t M = FirstInner; M != Mid.size(); ++M) {
-      ScopeVars.pop_back();
-      --TailInd;
-      Out += Pad(TailInd) + "}\n";
-    }
-    Out += Pad(Ind) + "}\n";
-    ScopeVars.pop_back(); // V
-    --Ind;
-    Out += Pad(Ind) + "}\n";
-
-    for (size_t M = 0; M != FirstInner; ++M) {
-      ScopeVars.pop_back();
+      // Scalar tail: the original (un-interchanged) nest per element.
+      Out += Pad(Ind) + strFormat("for (; %s < ltp_vend; ++%s) {\n",
+                                  V.c_str(), V.c_str());
+      int TailInd = Ind + 1;
+      for (size_t M = FirstInner; M != Mid.size(); ++M) {
+        Out += Pad(TailInd) + loopHeader(Mid[M]);
+        ScopeVars.push_back(Mid[M]->VarName);
+        ++TailInd;
+      }
+      PerCopy(TailInd, Out, [&](int64_t /*Copy*/, int I2) {
+        emitStmt(Vec->Body, I2, Out);
+      });
+      for (size_t M = FirstInner; M != Mid.size(); ++M) {
+        ScopeVars.pop_back();
+        --TailInd;
+        Out += Pad(TailInd) + "}\n";
+      }
+      Out += Pad(Ind) + "}\n";
+      ScopeVars.pop_back(); // V
       --Ind;
       Out += Pad(Ind) + "}\n";
-    }
-    ScopeVars.pop_back(); // UV
-    if (NeedGuard) {
-      Out += Pad(Indent + 1) + "} else {\n";
-      Out += Pad(Indent + 2) +
-             strFormat("for (int64_t %s = ltp_uj_min, %s_end = ltp_uj_min "
-                       "+ ltp_uj_ext; %s < %s_end; ++%s) {\n",
-                       UV.c_str(), UV.c_str(), UV.c_str(), UV.c_str(),
-                       UV.c_str());
-      ScopeVars.push_back(UV);
-      emitStmt(UJ->Body, Indent + 3, Out);
-      ScopeVars.pop_back();
-      Out += Pad(Indent + 2) + "}\n";
-      Out += Pad(Indent + 1) + "}\n";
-    }
-    Out += Pad(Indent) + "}\n";
+
+      for (size_t M = 0; M != FirstInner; ++M) {
+        ScopeVars.pop_back();
+        --Ind;
+        Out += Pad(Ind) + "}\n";
+      }
+    });
     return true;
   }
 
   /// Register tiling: emits an UnrollJammed loop whose body nests (through
   /// serial loops) down to a vectorized loop as U unrolled copies *inside*
   /// that vector loop, so each copy's accumulator can be register-promoted
-  /// across the intervening (reduction) loops. Falls back (returns false)
-  /// unless the jam is provably legal: every store advances with the jam
+  /// across the intervening (reduction) loops. When the vector loop is a
+  /// reduction into one element, each copy keeps its own partial-sum
+  /// vector instead (emitVecReduction). Falls back (returns false) unless
+  /// the jam is provably legal: every store advances with the jam
   /// variable, and loads from a written buffer are self-references.
   bool tryEmitJammedLoop(const For *UJ, int Indent, std::string &Out) {
     if (!Options.ExplicitSIMD)
@@ -1535,9 +1772,55 @@ private:
     VecCtx Ctx = makeVecCtx(Vec);
     if (Ctx.Lanes <= 1)
       return false;
-    std::vector<const Store *> Stores;
-    if (!checkVecStmt(Vec->Body, Ctx, Stores) || Stores.empty())
+
+    // The unroll factor: a constant extent, or the min(factor, rest)
+    // guard the splitter emits — then a runtime full-tile check.
+    int64_t U = 0;
+    bool NeedGuard = false;
+    if (const IntImm *I = exprDynAs<IntImm>(UJ->Extent)) {
+      U = I->Value;
+    } else if (const Binary *B = exprDynAs<Binary>(UJ->Extent);
+               B && B->Op == BinOp::Min) {
+      const IntImm *I = exprDynAs<IntImm>(B->A);
+      if (!I)
+        I = exprDynAs<IntImm>(B->B);
+      if (I) {
+        U = I->Value;
+        NeedGuard = true;
+      }
+    }
+    if (U < 2 || U > 8)
       return false;
+
+    auto Pad = [](int I) {
+      return std::string(static_cast<size_t>(I) * 2, ' ');
+    };
+    std::vector<const Store *> Stores;
+    if (!checkVecStmt(Vec->Body, Ctx, Stores) || Stores.empty()) {
+      // A reduction along the vector loop: one partial-sum vector per
+      // copy, each copy accumulating into its own element.
+      const Store *St = stmtDynAs<Store>(Vec->Body);
+      ExprPtr Rest = St ? vecReductionRest(St, Ctx) : nullptr;
+      auto CJ = St ? accessCoeff(St->BufferName, St->Indices, UV)
+                   : std::nullopt;
+      if (!Rest || !CJ || *CJ == 0)
+        return false;
+      emitJamFrame(UJ, U, NeedGuard, ", vector reduction accumulators",
+                   Indent, Out, [&](int Ind) {
+        for (const For *M : Mid) {
+          Out += Pad(Ind) + loopHeader(M);
+          ScopeVars.push_back(M->VarName);
+          ++Ind;
+        }
+        emitVecReduction(Vec, St, Rest, Ctx, UV, U, Ind, Out);
+        for (size_t M = 0; M != Mid.size(); ++M) {
+          ScopeVars.pop_back();
+          --Ind;
+          Out += Pad(Ind) + "}\n";
+        }
+      });
+      return true;
+    }
 
     // Jam legality. Each unrolled copy must write distinct addresses …
     std::map<std::string, std::string> StoreIndexByBuffer;
@@ -1563,25 +1846,6 @@ private:
         return false;
     }
 
-    // The unroll factor: a constant extent, or the min(factor, rest)
-    // guard the splitter emits — then a runtime full-tile check.
-    int64_t U = 0;
-    bool NeedGuard = false;
-    if (const IntImm *I = exprDynAs<IntImm>(UJ->Extent)) {
-      U = I->Value;
-    } else if (const Binary *B = exprDynAs<Binary>(UJ->Extent);
-               B && B->Op == BinOp::Min) {
-      const IntImm *I = exprDynAs<IntImm>(B->A);
-      if (!I)
-        I = exprDynAs<IntImm>(B->B);
-      if (I) {
-        U = I->Value;
-        NeedGuard = true;
-      }
-    }
-    if (U < 2 || U > 8)
-      return false;
-
     // Prefer the register-accumulator form (accumulators hoisted out of
     // the reduction loops); fall back to re-emitting the body per copy.
     if (Stores.size() == 1 &&
@@ -1589,91 +1853,52 @@ private:
                                  Out))
       return true;
 
-    auto Pad = [](int I) {
-      return std::string(static_cast<size_t>(I) * 2, ' ');
-    };
-    Out += Pad(Indent) + strFormat("{ /* unroll_jam %s x%lld */\n",
-                                   UV.c_str(), static_cast<long long>(U));
-    Out += Pad(Indent + 1) + "const int64_t ltp_uj_min = " +
-           emitExpr(UJ->Min) + ";\n";
-    Out += Pad(Indent + 1) + "const int64_t ltp_uj_ext = " +
-           emitExpr(UJ->Extent) + ";\n";
-    int Ind = Indent + 1;
-    if (NeedGuard) {
-      Out += Pad(Ind) + strFormat("if (ltp_uj_ext == %lld) {\n",
-                                  static_cast<long long>(U));
+    emitJamFrame(UJ, U, NeedGuard, "", Indent, Out, [&](int Ind) {
+      // Single instances of the intervening loops, jam copies innermost.
+      for (const For *M : Mid) {
+        Out += Pad(Ind) + loopHeader(M);
+        ScopeVars.push_back(M->VarName);
+        ++Ind;
+      }
+      const std::string &V = Vec->VarName;
+      Out += Pad(Ind) + "{\n";
       ++Ind;
-    } else {
-      Out += Pad(Ind) + "(void)ltp_uj_ext;\n";
-    }
-    ScopeVars.push_back(UV);
-    // Single instances of the intervening loops, jam copies innermost.
-    for (const For *M : Mid) {
-      std::string Min = emitExpr(M->Min);
+      Out += Pad(Ind) + "const int64_t ltp_vmin = " + emitExpr(Vec->Min) +
+             ";\n";
+      Out += Pad(Ind) + "const int64_t ltp_vend = ltp_vmin + (" +
+             emitExpr(Vec->Extent) + ");\n";
+      Out += Pad(Ind) + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
       Out += Pad(Ind) +
-             strFormat("for (int64_t %s = %s, %s_end = (%s) + (%s); "
-                       "%s < %s_end; ++%s) {\n",
-                       M->VarName.c_str(), Min.c_str(), M->VarName.c_str(),
-                       Min.c_str(), emitExpr(M->Extent).c_str(),
-                       M->VarName.c_str(), M->VarName.c_str(),
-                       M->VarName.c_str());
-      ScopeVars.push_back(M->VarName);
-      ++Ind;
-    }
-    const std::string &V = Vec->VarName;
-    Out += Pad(Ind) + "{\n";
-    ++Ind;
-    Out += Pad(Ind) + "const int64_t ltp_vmin = " + emitExpr(Vec->Min) +
-           ";\n";
-    Out += Pad(Ind) + "const int64_t ltp_vend = ltp_vmin + (" +
-           emitExpr(Vec->Extent) + ");\n";
-    Out += Pad(Ind) + strFormat("int64_t %s = ltp_vmin;\n", V.c_str());
-    Out += Pad(Ind) + strFormat("for (; %s + %d <= ltp_vend; %s += %d) {\n",
-                                V.c_str(), Ctx.Lanes, V.c_str(), Ctx.Lanes);
-    for (int64_t Copy = 0; Copy != U; ++Copy) {
-      Out += Pad(Ind + 1) + "{\n";
-      Out += Pad(Ind + 2) +
-             strFormat("const int64_t %s = ltp_uj_min + %lld;\n",
-                       UV.c_str(), static_cast<long long>(Copy));
-      emitVecStmt(Vec->Body, Ctx, Ind + 2, Out);
-      Out += Pad(Ind + 1) + "}\n";
-    }
-    Out += Pad(Ind) + "}\n";
-    Out += Pad(Ind) + strFormat("for (; %s < ltp_vend; ++%s) {\n",
-                                V.c_str(), V.c_str());
-    for (int64_t Copy = 0; Copy != U; ++Copy) {
-      Out += Pad(Ind + 1) + "{\n";
-      Out += Pad(Ind + 2) +
-             strFormat("const int64_t %s = ltp_uj_min + %lld;\n",
-                       UV.c_str(), static_cast<long long>(Copy));
-      emitStmt(Vec->Body, Ind + 2, Out);
-      Out += Pad(Ind + 1) + "}\n";
-    }
-    Out += Pad(Ind) + "}\n";
-    --Ind;
-    Out += Pad(Ind) + "}\n";
-    for (auto It = Mid.rbegin(); It != Mid.rend(); ++It) {
-      (void)It;
-      ScopeVars.pop_back();
+             strFormat("for (; %s + %d <= ltp_vend; %s += %d) {\n",
+                       V.c_str(), Ctx.Lanes, V.c_str(), Ctx.Lanes);
+      for (int64_t Copy = 0; Copy != U; ++Copy) {
+        Out += Pad(Ind + 1) + "{\n";
+        Out += Pad(Ind + 2) +
+               strFormat("const int64_t %s = ltp_uj_min + %lld;\n",
+                         UV.c_str(), static_cast<long long>(Copy));
+        emitVecStmt(Vec->Body, Ctx, Ind + 2, Out);
+        Out += Pad(Ind + 1) + "}\n";
+      }
+      Out += Pad(Ind) + "}\n";
+      Out += Pad(Ind) + strFormat("for (; %s < ltp_vend; ++%s) {\n",
+                                  V.c_str(), V.c_str());
+      for (int64_t Copy = 0; Copy != U; ++Copy) {
+        Out += Pad(Ind + 1) + "{\n";
+        Out += Pad(Ind + 2) +
+               strFormat("const int64_t %s = ltp_uj_min + %lld;\n",
+                         UV.c_str(), static_cast<long long>(Copy));
+        emitStmt(Vec->Body, Ind + 2, Out);
+        Out += Pad(Ind + 1) + "}\n";
+      }
+      Out += Pad(Ind) + "}\n";
       --Ind;
       Out += Pad(Ind) + "}\n";
-    }
-    ScopeVars.pop_back();
-    if (NeedGuard) {
-      // Partial tile: plain serial emission of the original nest.
-      Out += Pad(Indent + 1) + "} else {\n";
-      Out += Pad(Indent + 2) +
-             strFormat("for (int64_t %s = ltp_uj_min, %s_end = ltp_uj_min "
-                       "+ ltp_uj_ext; %s < %s_end; ++%s) {\n",
-                       UV.c_str(), UV.c_str(), UV.c_str(), UV.c_str(),
-                       UV.c_str());
-      ScopeVars.push_back(UV);
-      emitStmt(UJ->Body, Indent + 3, Out);
-      ScopeVars.pop_back();
-      Out += Pad(Indent + 2) + "}\n";
-      Out += Pad(Indent + 1) + "}\n";
-    }
-    Out += Pad(Indent) + "}\n";
+      for (size_t M = 0; M != Mid.size(); ++M) {
+        ScopeVars.pop_back();
+        --Ind;
+        Out += Pad(Ind) + "}\n";
+      }
+    });
     return true;
   }
 
@@ -1808,6 +2033,9 @@ private:
   std::vector<std::string> ScopeVars;
   std::string OutlinedFunctions;
   int ClosureCounter = 0;
+  /// While tryEmitScalarReduction emits its loop body: the element the
+  /// scalar accumulator `ltp_sacc` stands for.
+  std::string AccumulatorElem;
 };
 
 } // namespace

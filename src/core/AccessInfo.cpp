@@ -25,6 +25,46 @@ std::string StageAccessInfo::outputColumnVar() const {
   return *Vars.begin();
 }
 
+bool ArrayAccess::contiguousAlong(const std::string &Var,
+                                  int64_t Step) const {
+  for (size_t D = 0; D != Index.size(); ++D) {
+    const AffineIndex &Idx = Index[D];
+    if (!Idx.IsAffine) {
+      if (Idx.vars().contains(Var))
+        return false;
+      continue;
+    }
+    auto It = Idx.Coeffs.find(Var);
+    if (It == Idx.Coeffs.end() || It->second == 0)
+      continue;
+    if (D != 0 || It->second * Step != 1)
+      return false;
+  }
+  return true;
+}
+
+std::string StageAccessInfo::streamColumnVar() const {
+  auto AllContiguous = [&](const std::string &Var) {
+    return std::all_of(Accesses.begin(), Accesses.end(),
+                       [&](const ArrayAccess &A) {
+                         return A.contiguousAlong(Var);
+                       });
+  };
+  const std::string Column = outputColumnVar();
+  if (AllContiguous(Column))
+    return Column;
+  for (const LoopInfo &Loop : Loops) {
+    if (!Loop.IsReduction || Accesses.front().indexVars().contains(Loop.Name))
+      continue;
+    bool Streams = std::any_of(
+        Accesses.begin(), Accesses.end(),
+        [&](const ArrayAccess &A) { return A.indexVars().contains(Loop.Name); });
+    if (Streams && AllContiguous(Loop.Name))
+      return Loop.Name;
+  }
+  return Column;
+}
+
 std::set<std::string> StageAccessInfo::columnVars() const {
   std::set<std::string> Out;
   for (const ArrayAccess &A : Accesses)

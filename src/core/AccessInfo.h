@@ -58,6 +58,11 @@ struct ArrayAccess {
           Out.push_back(V);
     return Out;
   }
+
+  /// True when \p Step iterations of loop \p Var leave the access in place
+  /// or advance it by exactly one element of the contiguous dimension: the
+  /// operand a vector loop over \p Var streams (or broadcasts).
+  bool contiguousAlong(const std::string &Var, int64_t Step = 1) const;
 };
 
 /// One loop of the (untiled) nest with a concrete extent.
@@ -83,6 +88,13 @@ struct StageAccessInfo {
 
   /// The variable indexing dimension 0 of the output (the "column" loop).
   std::string outputColumnVar() const;
+
+  /// The loop the temporal optimizer streams innermost and vectorizes:
+  /// the output's column loop when every access is contiguous along it,
+  /// else a reduction loop every access is contiguous along (the output
+  /// then stays put: a reduction into one element, `k` of syrk), else
+  /// the output's column loop.
+  std::string streamColumnVar() const;
 
   /// All variables that index dimension 0 of some access ("column index"
   /// loops, invalid outermost per Algorithm 2).

@@ -79,8 +79,10 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
                                        const TemporalOptions &Options) {
   obs::ScopedSpan Span("opt.temporal");
   assert(Info.Loops.size() >= 2 && "temporal optimizer needs a loop nest");
-  const std::string Column = Info.outputColumnVar();
-  const std::set<std::string> ColumnVars = Info.columnVars();
+  // The column loop is the one streamed innermost and vectorized: every
+  // operand is contiguous or invariant along it (a reduction loop such as
+  // syrk's `k` when the output's own column loop strides an input).
+  const std::string Column = Info.streamColumnVar();
   const LoopInfo *ColumnLoop = findLoop(Info, Column);
   assert(ColumnLoop && "output column variable is not a loop");
   const int64_t Bc = ColumnLoop->Extent;
@@ -148,11 +150,16 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
     return Info.Loops[A].Name < Info.Loops[B].Name;
   });
 
-  // Parallel-candidate loops (Eq. 13), resolved to dense indices once.
+  // Parallel-candidate loops (Eq. 13), resolved to dense indices once,
+  // and every loop's extent by dense index (to count tiled loops).
   std::vector<std::pair<const LoopInfo *, int>> ParCandidates;
   for (const LoopInfo *Loop : BigLoops)
     if (!Loop->IsReduction && Loop->Name != Column)
       ParCandidates.emplace_back(Loop, Scorer.loopIndex(Loop->Name));
+  std::vector<int64_t> DenseExtents(NumLoops);
+  for (const LoopInfo &Loop : Info.Loops)
+    DenseExtents[static_cast<size_t>(Scorer.loopIndex(Loop.Name))] =
+        Loop.Extent;
 
   // Algorithm 1 bounds per column tile: L1 rows of width Tc, then L2 rows
   // with the constant-stride prefetcher active. They depend on Tc alone,
@@ -283,12 +290,19 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           }
 
           // Eq. 13: the loop we will parallelize must give every thread
-          // at least one inter-tile iteration. Nests whose only pure loop
-          // is the column loop (1-D outputs such as atax/mvt) have no
+          // at least one inter-tile iteration, and Step 2 must be able to
+          // put it outermost: it cannot be v, the innermost inter-tile
+          // loop, unless v is the only tiled loop. Nests whose only pure
+          // loop is the column loop (1-D outputs such as atax/mvt) have no
           // parallel candidate; the constraint is then vacuous.
+          int TiledLoops = 0;
+          for (size_t I = 0; I != NumLoops; ++I)
+            TiledLoops += Dense[I] < DenseExtents[I];
           std::string ParallelVar;
-          int64_t BestTrip = 0;
+          int64_t BestTrip = 1;
           for (const auto &[Loop, Idx] : ParCandidates) {
+            if (Idx == VIdx && TiledLoops > 1)
+              continue;
             int64_t Trip = interTrip(Loop->Extent,
                                      Dense[static_cast<size_t>(Idx)]);
             if (Trip > BestTrip) {
@@ -410,7 +424,8 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
   std::vector<std::string> IntraFixedPrefix;
   IntraFixedPrefix.push_back(Column);
   for (const LoopInfo *Loop : SmallLoops)
-    IntraFixedPrefix.push_back(Loop->Name);
+    if (Loop->Name != Column)
+      IntraFixedPrefix.push_back(Loop->Name);
 
   std::vector<std::string> IntraMiddles;
   for (const LoopInfo *Loop : BigLoops)
@@ -471,14 +486,11 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
     Best.OrderCostValue = BestOrder;
   }
 
-  // The parallel loop must be the outermost inter-tile loop; if the
-  // chosen parallel variable is untiled there is nothing to distribute.
-  if (!Best.InterOrder.empty() && !Best.ParallelVar.empty()) {
-    if (Best.InterOrder.back() != Best.ParallelVar)
-      Best.ParallelVar = "";
-  } else {
-    Best.ParallelVar = "";
-  }
+  // Step 1 only picks a tiled parallel loop that Step 2 can put outermost.
+  assert((Best.ParallelVar.empty() ||
+          (!Best.InterOrder.empty() &&
+           Best.InterOrder.back() == Best.ParallelVar)) &&
+         "the parallel loop must be the outermost inter-tile loop");
 
   // Fuse the two outermost inter-tile loops when the outermost alone does
   // not expose enough parallelism (Section 3.2: "we fuse the outer
@@ -506,10 +518,12 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
   // input that the vectorized column loop streams through is not, so each
   // jammed copy reuses that operand's vector load and keeps its own
   // accumulator in registers across the reduction loops (the matmul/
-  // syrk/trmm pattern). The back end re-checks dependence legality and
-  // falls back to a plain unroll pragma when the jam cannot be proven
-  // safe (e.g. trmm's in-place update).
-  if (!Best.VectorVar.empty() && U != Column) {
+  // syrk pattern). The back end re-checks dependence legality and falls
+  // back to a plain unroll pragma when the jam cannot be proven safe. A
+  // predicated stage (trmm's triangular domain) puts its guard between
+  // the jam and vector loops, where no jammed form applies and the
+  // fallback unroll only doubles the run time: no jam there.
+  if (!Best.VectorVar.empty() && U != Column && !Info.HasPredicates) {
     const LoopInfo *ULoop = findLoop(Info, U);
     const ArrayAccess *Output = nullptr;
     for (const ArrayAccess &A : Info.Accesses)

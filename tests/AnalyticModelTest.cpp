@@ -286,23 +286,23 @@ struct GoldenSchedule {
 // size 1000 the emulator.
 const GoldenSchedule Goldens[] = {
     {"convlayer", "5930k", 96, 0,
-     "temporal: tiles{b=1, ko=16, rc=24, rx=3, ry=3, x=96, y=4} intra[x,b,rx,ry,y,ko,rc] inter[y,ko] vectorize(x, 8) cost=1.14e+05 order=960 maxT1=96 maxT2=96",
-     "split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); reorder(x, b, rx, ry, y_i, ko_i, rc, y_t, ko_t); vectorize(x);"},
+     "temporal: tiles{b=1, ko=24, rc=24, rx=3, ry=3, x=96, y=2} intra[x,b,rx,ry,ko,y,rc] inter[y] parallel(y) vectorize(x, 8) cost=1.24e+05 order=24 maxT1=96 maxT2=96",
+     "split(y, y_t, y_i, 2); reorder(x, b, rx, ry, ko, y_i, rc, y_t); parallel(y_t); vectorize(x);"},
     {"convlayer", "5930k", 256, 0,
      "temporal: tiles{b=4, ko=16, rc=4, rx=3, ry=3, x=64, y=4} intra[x,b,rx,ry,rc,ko,y] inter[rc,x,ko,y] parallel(y) vectorize(x, 8) cost=3.04e+07 order=1.48e+05 maxT1=256 maxT2=256",
      "split(x, x_t, x_i, 64); split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); split(rc, rc_t, rc_i, 4); reorder(x_i, b, rx, ry, rc_i, ko_i, y_i, rc_t, x_t, ko_t, y_t); parallel(y_t); vectorize(x_i);"},
     {"convlayer", "5930k", 1000, 0,
-     "temporal: tiles{b=4, ko=16, rc=16, rx=3, ry=3, x=32, y=4} intra[x,rx,ry,y,ko,rc,b] inter[y,x,ko,rc,b] vectorize(x, 8) cost=2.04e+09 order=9.99e+06 maxT1=852 maxT2=1000",
-     "split(x, x_t, x_i, 32); split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); split(b, b_t, b_i, 4); split(rc, rc_t, rc_i, 16); reorder(x_i, rx, ry, y_i, ko_i, rc_i, b_i, y_t, x_t, ko_t, rc_t, b_t); vectorize(x_i);"},
+     "temporal: tiles{b=2, ko=16, rc=16, rx=3, ry=3, x=32, y=8} intra[x,rx,ry,b,ko,rc,y] inter[b,x,ko,rc,y] parallel(y) vectorize(x, 8) cost=2.29e+09 order=3.42e+05 maxT1=852 maxT2=1000",
+     "split(x, x_t, x_i, 32); split(y, y_t, y_i, 8); split(ko, ko_t, ko_i, 16); split(b, b_t, b_i, 2); split(rc, rc_t, rc_i, 16); reorder(x_i, rx, ry, b_i, ko_i, rc_i, y_i, b_t, x_t, ko_t, rc_t, y_t); parallel(y_t); vectorize(x_i);"},
     {"convlayer", "6700", 96, 0,
-     "temporal: tiles{b=1, ko=16, rc=24, rx=3, ry=3, x=96, y=4} intra[x,b,rx,ry,y,ko,rc] inter[y,ko] vectorize(x, 8) cost=1.14e+05 order=960 maxT1=96 maxT2=96",
-     "split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); reorder(x, b, rx, ry, y_i, ko_i, rc, y_t, ko_t); vectorize(x);"},
+     "temporal: tiles{b=1, ko=24, rc=24, rx=3, ry=3, x=96, y=2} intra[x,b,rx,ry,ko,y,rc] inter[y] parallel(y) vectorize(x, 8) cost=1.24e+05 order=24 maxT1=96 maxT2=96",
+     "split(y, y_t, y_i, 2); reorder(x, b, rx, ry, ko, y_i, rc, y_t); parallel(y_t); vectorize(x);"},
     {"convlayer", "6700", 256, 0,
      "temporal: tiles{b=4, ko=16, rc=4, rx=3, ry=3, x=64, y=4} intra[x,b,rx,ry,rc,ko,y] inter[rc,x,ko,y] parallel(y) vectorize(x, 8) cost=3.04e+07 order=1.48e+05 maxT1=256 maxT2=256",
      "split(x, x_t, x_i, 64); split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); split(rc, rc_t, rc_i, 4); reorder(x_i, b, rx, ry, rc_i, ko_i, y_i, rc_t, x_t, ko_t, y_t); parallel(y_t); vectorize(x_i);"},
     {"convlayer", "6700", 1000, 0,
-     "temporal: tiles{b=4, ko=16, rc=16, rx=3, ry=3, x=32, y=4} intra[x,rx,ry,y,ko,rc,b] inter[y,x,ko,rc,b] vectorize(x, 8) cost=2.04e+09 order=9.99e+06 maxT1=852 maxT2=1000",
-     "split(x, x_t, x_i, 32); split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); split(b, b_t, b_i, 4); split(rc, rc_t, rc_i, 16); reorder(x_i, rx, ry, y_i, ko_i, rc_i, b_i, y_t, x_t, ko_t, rc_t, b_t); vectorize(x_i);"},
+     "temporal: tiles{b=2, ko=16, rc=16, rx=3, ry=3, x=32, y=8} intra[x,rx,ry,b,ko,rc,y] inter[b,x,ko,rc,y] parallel(y) vectorize(x, 8) cost=2.29e+09 order=3.42e+05 maxT1=852 maxT2=1000",
+     "split(x, x_t, x_i, 32); split(y, y_t, y_i, 8); split(ko, ko_t, ko_i, 16); split(b, b_t, b_i, 2); split(rc, rc_t, rc_i, 16); reorder(x_i, rx, ry, b_i, ko_i, rc_i, y_i, b_t, x_t, ko_t, rc_t, y_t); parallel(y_t); vectorize(x_i);"},
     {"convlayer", "a15", 96, 0,
      "temporal: tiles{b=1, ko=24, rc=8, rx=3, ry=3, x=96, y=16} intra[x,b,rx,ry,ko,rc,y] inter[rc,y] parallel(y) vectorize(x, 4) cost=1.46e+05 order=19 maxT1=96 maxT2=96",
      "split(y, y_t, y_i, 16); split(rc, rc_t, rc_i, 8); reorder(x, b, rx, ry, ko, rc_i, y_i, rc_t, y_t); parallel(y_t); vectorize(x);"},
@@ -310,8 +310,8 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{b=4, ko=16, rc=4, rx=3, ry=3, x=64, y=8} intra[x,b,rx,ry,rc,ko,y] inter[rc,x,ko,y] parallel(y) vectorize(x, 4) cost=3.41e+07 order=2.96e+05 maxT1=256 maxT2=256",
      "split(x, x_t, x_i, 64); split(y, y_t, y_i, 8); split(ko, ko_t, ko_i, 16); split(rc, rc_t, rc_i, 4); reorder(x_i, b, rx, ry, rc_i, ko_i, y_i, rc_t, x_t, ko_t, y_t); parallel(y_t); vectorize(x_i);"},
     {"convlayer", "a15", 1000, 0,
-     "temporal: tiles{b=8, ko=16, rc=16, rx=3, ry=3, x=32, y=4} intra[x,rx,ry,y,ko,rc,b] inter[y,x,ko,rc,b] vectorize(x, 4) cost=3.15e+09 order=1.98e+07 maxT1=1000 maxT2=1000",
-     "split(x, x_t, x_i, 32); split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); split(b, b_t, b_i, 8); split(rc, rc_t, rc_i, 16); reorder(x_i, rx, ry, y_i, ko_i, rc_i, b_i, y_t, x_t, ko_t, rc_t, b_t); vectorize(x_i);"},
+     "temporal: tiles{b=8, ko=16, rc=16, rx=3, ry=3, x=32, y=4} intra[x,rx,ry,y,rc,ko,b] inter[y,x,rc,b,ko] parallel(fused:ko) vectorize(x, 4) cost=3.15e+09 order=2e+07 maxT1=1000 maxT2=1000",
+     "split(x, x_t, x_i, 32); split(y, y_t, y_i, 4); split(ko, ko_t, ko_i, 16); split(b, b_t, b_i, 8); split(rc, rc_t, rc_i, 16); reorder(x_i, rx, ry, y_i, rc_i, ko_i, b_i, y_t, x_t, rc_t, b_t, ko_t); fuse(ko_t, b_t, fused_outer); parallel(fused_outer); vectorize(x_i);"},
     {"doitgen", "5930k", 128, 0,
      "temporal: tiles{p=128, q=8, r=16, s=32} intra[p,s,r,q] inter[s,r,q] parallel(fused:q) vectorize(p, 8) unroll_jam(q, 8) cost=5.41e+05 order=192 maxT1=128 maxT2=128",
      "split(q, q_t, q_i, 8); split(r, r_t, r_i, 16); split(s, s_t, s_i, 32); reorder(p, s_i, r_i, q_i, s_t, r_t, q_t); fuse(q_t, r_t, fused_outer); parallel(fused_outer); vectorize(p); unroll_jam(q_i, 8);"},
@@ -319,8 +319,8 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{p=64, q=4, r=32, s=64} intra[p,s,r,q] inter[p,s,r,q] parallel(q) vectorize(p, 8) unroll_jam(q, 4) cost=9.96e+06 order=8.9e+03 maxT1=256 maxT2=256",
      "split(p, p_t, p_i, 64); split(q, q_t, q_i, 4); split(r, r_t, r_i, 32); split(s, s_t, s_i, 64); reorder(p_i, s_i, r_i, q_i, p_t, s_t, r_t, q_t); parallel(q_t); vectorize(p_i); unroll_jam(q_i, 4);"},
     {"doitgen", "5930k", 1000, 0,
-     "temporal: tiles{p=32, q=16, r=8, s=128} intra[p,r,s,q] inter[r,p,s,q] vectorize(p, 8) unroll_jam(q, 8) cost=2.85e+09 order=2.15e+06 maxT1=852 maxT2=1000",
-     "split(p, p_t, p_i, 32); split(q, q_t, q_i, 16); split(r, r_t, r_i, 8); split(s, s_t, s_i, 128); reorder(p_i, r_i, s_i, q_i, r_t, p_t, s_t, q_t); vectorize(p_i); unroll_jam(q_i, 8);"},
+     "temporal: tiles{p=32, q=16, r=8, s=128} intra[p,r,s,q] inter[r,p,s,q] parallel(q) vectorize(p, 8) unroll_jam(q, 8) cost=2.85e+09 order=2.15e+06 maxT1=852 maxT2=1000",
+     "split(p, p_t, p_i, 32); split(q, q_t, q_i, 16); split(r, r_t, r_i, 8); split(s, s_t, s_i, 128); reorder(p_i, r_i, s_i, q_i, r_t, p_t, s_t, q_t); parallel(q_t); vectorize(p_i); unroll_jam(q_i, 8);"},
     {"doitgen", "6700", 128, 0,
      "temporal: tiles{p=128, q=8, r=16, s=32} intra[p,s,r,q] inter[s,r,q] parallel(q) vectorize(p, 8) unroll_jam(q, 8) cost=5.41e+05 order=192 maxT1=128 maxT2=128",
      "split(q, q_t, q_i, 8); split(r, r_t, r_i, 16); split(s, s_t, s_i, 32); reorder(p, s_i, r_i, q_i, s_t, r_t, q_t); parallel(q_t); vectorize(p); unroll_jam(q_i, 8);"},
@@ -328,8 +328,8 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{p=64, q=4, r=32, s=64} intra[p,s,r,q] inter[p,s,r,q] parallel(q) vectorize(p, 8) unroll_jam(q, 4) cost=9.96e+06 order=8.9e+03 maxT1=256 maxT2=256",
      "split(p, p_t, p_i, 64); split(q, q_t, q_i, 4); split(r, r_t, r_i, 32); split(s, s_t, s_i, 64); reorder(p_i, s_i, r_i, q_i, p_t, s_t, r_t, q_t); parallel(q_t); vectorize(p_i); unroll_jam(q_i, 4);"},
     {"doitgen", "6700", 1000, 0,
-     "temporal: tiles{p=32, q=16, r=8, s=128} intra[p,r,s,q] inter[r,p,s,q] vectorize(p, 8) unroll_jam(q, 8) cost=2.85e+09 order=2.15e+06 maxT1=852 maxT2=1000",
-     "split(p, p_t, p_i, 32); split(q, q_t, q_i, 16); split(r, r_t, r_i, 8); split(s, s_t, s_i, 128); reorder(p_i, r_i, s_i, q_i, r_t, p_t, s_t, q_t); vectorize(p_i); unroll_jam(q_i, 8);"},
+     "temporal: tiles{p=32, q=16, r=8, s=128} intra[p,r,s,q] inter[r,p,s,q] parallel(q) vectorize(p, 8) unroll_jam(q, 8) cost=2.85e+09 order=2.15e+06 maxT1=852 maxT2=1000",
+     "split(p, p_t, p_i, 32); split(q, q_t, q_i, 16); split(r, r_t, r_i, 8); split(s, s_t, s_i, 128); reorder(p_i, r_i, s_i, q_i, r_t, p_t, s_t, q_t); parallel(q_t); vectorize(p_i); unroll_jam(q_i, 8);"},
     {"doitgen", "a15", 128, 0,
      "temporal: tiles{p=128, q=16, r=16, s=32} intra[p,s,r,q] inter[s,r,q] parallel(q) vectorize(p, 4) unroll_jam(q, 8) cost=8.6e+05 order=352 maxT1=128 maxT2=128",
      "split(q, q_t, q_i, 16); split(r, r_t, r_i, 16); split(s, s_t, s_i, 32); reorder(p, s_i, r_i, q_i, s_t, r_t, q_t); parallel(q_t); vectorize(p); unroll_jam(q_i, 8);"},
@@ -343,8 +343,8 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "5930k", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k=8} intra[j,i,k] inter[i,k] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k, k_t, k_i, 8); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "5930k", 1000, 0,
      "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
@@ -352,20 +352,20 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "6700", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k=8} intra[j,i,k] inter[i,k] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k, k_t, k_i, 8); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "6700", 1000, 0,
      "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "a15", 1024, 0,
-     "temporal: tiles{i=4, j=1024, k=32} intra[j,i,k] inter[i,k] vectorize(j, 4) cost=1.88e+06 order=288 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 4); split(k, k_t, k_i, 32); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=32, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.92e+06 order=288 maxT1=64 maxT2=256",
+     "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "a15", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k=16} intra[j,i,k] inter[i,k] vectorize(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k, k_t, k_i, 16); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=16, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.33e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"matmul", "a15", 1000, 0,
-     "temporal: tiles{i=4, j=1000, k=32} intra[j,i,k] inter[i,k] vectorize(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
-     "split(i, i_t, i_i, 4); split(k, k_t, k_i, 32); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=32, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.86e+06 order=282 maxT1=66 maxT2=197",
+     "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "5930k", 768, 0,
      "temporal: tiles{i=32, j=768, k1=8} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=5.38e+05 order=128 maxT1=64 maxT2=341",
      "split(i, i_t, i_i, 32); split(k1, k1_t, k1_i, 8); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
@@ -376,14 +376,14 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=32, j=768, k3=8} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=5.38e+05 order=128 maxT1=64 maxT2=341",
      "split(i, i_t, i_i, 32); split(k3, k3_t, k3_i, 8); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "5930k", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k1=8} intra[j,i,k1] inter[i,k1] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k1, k1_t, k1_i, 8); reorder(j, i_i, k1_i, i_t, k1_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k1=2} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k1, k1_t, k1_i, 2); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "5930k", 2048, 1,
-     "temporal: tiles{i=2, j=2048, k2=8} intra[j,i,k2] inter[i,k2] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k2, k2_t, k2_i, 8); reorder(j, i_i, k2_i, i_t, k2_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k2=2} intra[j,k2,i] inter[k2,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k2, k2_t, k2_i, 2); reorder(j, k2_i, i_i, k2_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "5930k", 2048, 2,
-     "temporal: tiles{i=2, j=2048, k3=8} intra[j,i,k3] inter[i,k3] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k3, k3_t, k3_i, 8); reorder(j, i_i, k3_i, i_t, k3_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k3=2} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k3, k3_t, k3_i, 2); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "5930k", 1000, 0,
      "temporal: tiles{i=16, j=1000, k1=4} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
      "split(i, i_t, i_i, 16); split(k1, k1_t, k1_i, 4); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
@@ -403,14 +403,14 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=32, j=768, k3=8} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=5.38e+05 order=128 maxT1=64 maxT2=341",
      "split(i, i_t, i_i, 32); split(k3, k3_t, k3_i, 8); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "6700", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k1=8} intra[j,i,k1] inter[i,k1] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k1, k1_t, k1_i, 8); reorder(j, i_i, k1_i, i_t, k1_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k1=2} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k1, k1_t, k1_i, 2); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "6700", 2048, 1,
-     "temporal: tiles{i=2, j=2048, k2=8} intra[j,i,k2] inter[i,k2] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k2, k2_t, k2_i, 8); reorder(j, i_i, k2_i, i_t, k2_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k2=2} intra[j,k2,i] inter[k2,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k2, k2_t, k2_i, 2); reorder(j, k2_i, i_i, k2_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "6700", 2048, 2,
-     "temporal: tiles{i=2, j=2048, k3=8} intra[j,i,k3] inter[i,k3] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k3, k3_t, k3_i, 8); reorder(j, i_i, k3_i, i_t, k3_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k3=2} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k3, k3_t, k3_i, 2); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "6700", 1000, 0,
      "temporal: tiles{i=16, j=1000, k1=4} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
      "split(i, i_t, i_i, 16); split(k1, k1_t, k1_i, 4); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
@@ -430,29 +430,29 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=64, j=768, k3=8} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=8.26e+05 order=160 maxT1=86 maxT2=341",
      "split(i, i_t, i_i, 64); split(k3, k3_t, k3_i, 8); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "a15", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k1=16} intra[j,i,k1] inter[i,k1] vectorize(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k1, k1_t, k1_i, 16); reorder(j, i_i, k1_i, i_t, k1_t); vectorize(j);"},
+     "temporal: tiles{i=16, j=2048, k1=2} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.33e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "split(i, i_t, i_i, 16); split(k1, k1_t, k1_i, 2); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "a15", 2048, 1,
-     "temporal: tiles{i=2, j=2048, k2=16} intra[j,i,k2] inter[i,k2] vectorize(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k2, k2_t, k2_i, 16); reorder(j, i_i, k2_i, i_t, k2_t); vectorize(j);"},
+     "temporal: tiles{i=16, j=2048, k2=2} intra[j,k2,i] inter[k2,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.33e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "split(i, i_t, i_i, 16); split(k2, k2_t, k2_i, 2); reorder(j, k2_i, i_i, k2_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "a15", 2048, 2,
-     "temporal: tiles{i=2, j=2048, k3=16} intra[j,i,k3] inter[i,k3] vectorize(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k3, k3_t, k3_i, 16); reorder(j, i_i, k3_i, i_t, k3_t); vectorize(j);"},
+     "temporal: tiles{i=16, j=2048, k3=2} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.33e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "split(i, i_t, i_i, 16); split(k3, k3_t, k3_i, 2); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "a15", 1000, 0,
-     "temporal: tiles{i=4, j=1000, k1=32} intra[j,i,k1] inter[i,k1] vectorize(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
-     "split(i, i_t, i_i, 4); split(k1, k1_t, k1_i, 32); reorder(j, i_i, k1_i, i_t, k1_t); vectorize(j);"},
+     "temporal: tiles{i=32, j=1000, k1=4} intra[j,k1,i] inter[k1,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.86e+06 order=282 maxT1=66 maxT2=197",
+     "split(i, i_t, i_i, 32); split(k1, k1_t, k1_i, 4); reorder(j, k1_i, i_i, k1_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "a15", 1000, 1,
-     "temporal: tiles{i=4, j=1000, k2=32} intra[j,i,k2] inter[i,k2] vectorize(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
-     "split(i, i_t, i_i, 4); split(k2, k2_t, k2_i, 32); reorder(j, i_i, k2_i, i_t, k2_t); vectorize(j);"},
+     "temporal: tiles{i=32, j=1000, k2=4} intra[j,k2,i] inter[k2,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.86e+06 order=282 maxT1=66 maxT2=197",
+     "split(i, i_t, i_i, 32); split(k2, k2_t, k2_i, 4); reorder(j, k2_i, i_i, k2_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"3mm", "a15", 1000, 2,
-     "temporal: tiles{i=4, j=1000, k3=32} intra[j,i,k3] inter[i,k3] vectorize(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
-     "split(i, i_t, i_i, 4); split(k3, k3_t, k3_i, 32); reorder(j, i_i, k3_i, i_t, k3_t); vectorize(j);"},
+     "temporal: tiles{i=32, j=1000, k3=4} intra[j,k3,i] inter[k3,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.86e+06 order=282 maxT1=66 maxT2=197",
+     "split(i, i_t, i_i, 32); split(k3, k3_t, k3_i, 4); reorder(j, k3_i, i_i, k3_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "5930k", 1024, 0,
      "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "5930k", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k=8} intra[j,i,k] inter[i,k] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k, k_t, k_i, 8); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "5930k", 1000, 0,
      "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
@@ -460,101 +460,101 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "6700", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k=8} intra[j,i,k] inter[i,k] vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k, k_t, k_i, 8); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.52e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "6700", 1000, 0,
      "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "a15", 1024, 0,
-     "temporal: tiles{i=4, j=1024, k=32} intra[j,i,k] inter[i,k] vectorize(j, 4) cost=1.88e+06 order=288 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 4); split(k, k_t, k_i, 32); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
+     "temporal: tiles{i=32, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.92e+06 order=288 maxT1=64 maxT2=256",
+     "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
     {"gemm", "a15", 2048, 0,
-     "temporal: tiles{i=2, j=2048, k=16} intra[j,i,k] inter[i,k] vectorize(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
-     "split(i, i_t, i_i, 2); split(k, k_t, k_i, 16); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
-    {"gemm", "a15", 1000, 0,
-     "temporal: tiles{i=4, j=1000, k=32} intra[j,i,k] inter[i,k] vectorize(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
-     "split(i, i_t, i_i, 4); split(k, k_t, k_i, 32); reorder(j, i_i, k_i, i_t, k_t); vectorize(j);"},
-    {"trmm", "5930k", 1024, 0,
-     "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
-     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "5930k", 2048, 0,
-     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "5930k", 1000, 0,
-     "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
-     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "6700", 1024, 0,
-     "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
-     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "6700", 2048, 0,
-     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
-     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "6700", 1000, 0,
-     "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
-     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "a15", 1024, 0,
-     "temporal: tiles{i=32, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=1.88e+06 order=288 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "a15", 2048, 0,
-     "temporal: tiles{i=16, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "temporal: tiles{i=16, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.33e+07 order=1.04e+03 maxT1=32 maxT2=128",
      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
-    {"trmm", "a15", 1000, 0,
-     "temporal: tiles{i=32, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
+    {"gemm", "a15", 1000, 0,
+     "temporal: tiles{i=32, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 4) cost=2.86e+06 order=282 maxT1=66 maxT2=197",
      "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); unroll_jam(i_i, 4);"},
+    {"trmm", "5930k", 1024, 0,
+     "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
+     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "5930k", 2048, 0,
+     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "5930k", 1000, 0,
+     "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
+     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "6700", 1024, 0,
+     "temporal: tiles{i=16, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
+     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "6700", 2048, 0,
+     "temporal: tiles{i=8, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(i, i_t, i_i, 8); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "6700", 1000, 0,
+     "temporal: tiles{i=16, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 8) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
+     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "a15", 1024, 0,
+     "temporal: tiles{i=32, j=1024, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) cost=1.88e+06 order=288 maxT1=64 maxT2=256",
+     "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "a15", 2048, 0,
+     "temporal: tiles{i=16, j=2048, k=2} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "split(i, i_t, i_i, 16); split(k, k_t, k_i, 2); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
+    {"trmm", "a15", 1000, 0,
+     "temporal: tiles{i=32, j=1000, k=4} intra[j,k,i] inter[k,i] parallel(i) vectorize(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
+     "split(i, i_t, i_i, 32); split(k, k_t, k_i, 4); reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j);"},
     {"syrk", "5930k", 1024, 0,
-     "temporal: tiles{i=32, j=8, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=1.91e+06 order=2.07e+04 maxT1=64 maxT2=256",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=16, k=1024} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "5930k", 2048, 0,
-     "temporal: tiles{i=32, j=8, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=1.52e+07 order=2.56e+04 maxT1=32 maxT2=128",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=8, k=2048} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 2); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "5930k", 1000, 0,
-     "temporal: tiles{i=32, j=8, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=1.86e+06 order=2.06e+04 maxT1=1000 maxT2=1000",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=16, k=1000} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "6700", 1024, 0,
-     "temporal: tiles{i=32, j=8, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=1.91e+06 order=2.07e+04 maxT1=64 maxT2=256",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=16, k=1024} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.9e+06 order=272 maxT1=32 maxT2=256",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "6700", 2048, 0,
-     "temporal: tiles{i=32, j=8, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=1.52e+07 order=2.56e+04 maxT1=32 maxT2=128",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=8, k=2048} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.1e+07 order=1.03e+03 maxT1=16 maxT2=128",
+     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 2); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "6700", 1000, 0,
-     "temporal: tiles{i=32, j=8, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=1.86e+06 order=2.06e+04 maxT1=1000 maxT2=1000",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=16, k=1000} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.83e+06 order=266 maxT1=49 maxT2=197",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "a15", 1024, 0,
-     "temporal: tiles{i=32, j=4, k=1024} intra[j,k,i] inter[j,i] parallel(i) vectorize(j, 4) unroll_jam(i, 8) cost=2.92e+06 order=3.3e+04 maxT1=128 maxT2=256",
-     "split(j, j_t, j_i, 4); split(i, i_t, i_i, 32); reorder(j_i, k, i_i, j_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=32, k=1024} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 4) unroll_jam(j, 4) cost=1.88e+06 order=288 maxT1=64 maxT2=256",
+     "split(j, j_t, j_i, 32); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "a15", 2048, 0,
-     "temporal: tiles{i=32, j=4, k=1024} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 8) cost=2.34e+07 order=5.02e+04 maxT1=64 maxT2=128",
-     "split(j, j_t, j_i, 4); split(i, i_t, i_i, 32); split(k, k_t, k_i, 1024); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=16, k=2048} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 4) unroll_jam(j, 4) cost=1.08e+07 order=1.04e+03 maxT1=32 maxT2=128",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 2); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syrk", "a15", 1000, 0,
-     "temporal: tiles{i=32, j=4, k=1000} intra[j,k,i] inter[j,i] parallel(i) vectorize(j, 4) unroll_jam(i, 8) cost=2.86e+06 order=3.22e+04 maxT1=1000 maxT2=1000",
-     "split(j, j_t, j_i, 4); split(i, i_t, i_i, 32); reorder(j_i, k, i_i, j_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=32, k=1000} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 4) unroll_jam(j, 4) cost=1.83e+06 order=282 maxT1=66 maxT2=197",
+     "split(j, j_t, j_i, 32); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syr2k", "5930k", 768, 0,
-     "temporal: tiles{i=32, j=8, k=256} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=2.12e+06 order=1.16e+04 maxT1=256 maxT2=768",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 256); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=16, k=768} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.41e+06 order=208 maxT1=64 maxT2=341",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syr2k", "5930k", 2048, 0,
-     "temporal: tiles{i=32, j=8, k=256} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=4e+07 order=1.84e+04 maxT1=32 maxT2=128",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 256); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=8, k=1024} intra[k,i,j] inter[i,k,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=3.15e+07 order=1.84e+04 maxT1=32 maxT2=128",
+     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 2); split(k, k_t, k_i, 1024); reorder(k_i, i_i, j_i, i_t, k_t, j_t); parallel(j_t); vectorize(k_i); unroll_jam(j_i, 4);"},
     {"syr2k", "5930k", 1000, 0,
-     "temporal: tiles{i=32, j=8, k=256} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=4.9e+06 order=1.27e+04 maxT1=1000 maxT2=1000",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 256); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=8, k=1000} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=3.76e+06 order=508 maxT1=49 maxT2=197",
+     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 2); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syr2k", "6700", 768, 0,
-     "temporal: tiles{i=32, j=8, k=256} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=2.12e+06 order=1.16e+04 maxT1=256 maxT2=768",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 256); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=16, k=768} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=1.41e+06 order=208 maxT1=64 maxT2=341",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syr2k", "6700", 2048, 0,
-     "temporal: tiles{i=32, j=8, k=256} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=4e+07 order=1.84e+04 maxT1=32 maxT2=128",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 256); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=8, k=1024} intra[k,i,j] inter[i,k,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=3.15e+07 order=1.84e+04 maxT1=32 maxT2=128",
+     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 2); split(k, k_t, k_i, 1024); reorder(k_i, i_i, j_i, i_t, k_t, j_t); parallel(j_t); vectorize(k_i); unroll_jam(j_i, 4);"},
     {"syr2k", "6700", 1000, 0,
-     "temporal: tiles{i=32, j=8, k=256} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 8) unroll_jam(i, 8) cost=4.9e+06 order=1.27e+04 maxT1=1000 maxT2=1000",
-     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 32); split(k, k_t, k_i, 256); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=8, k=1000} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 8) unroll_jam(j, 4) cost=3.76e+06 order=508 maxT1=49 maxT2=197",
+     "split(j, j_t, j_i, 8); split(i, i_t, i_i, 2); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syr2k", "a15", 768, 0,
-     "temporal: tiles{i=32, j=4, k=768} intra[j,k,i] inter[j,i] parallel(i) vectorize(j, 4) unroll_jam(i, 8) cost=1.97e+06 order=2.48e+04 maxT1=512 maxT2=768",
-     "split(j, j_t, j_i, 4); split(i, i_t, i_i, 32); reorder(j_i, k, i_i, j_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=4, j=32, k=768} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 4) unroll_jam(j, 4) cost=1.38e+06 order=224 maxT1=86 maxT2=341",
+     "split(j, j_t, j_i, 32); split(i, i_t, i_i, 4); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"syr2k", "a15", 2048, 0,
-     "temporal: tiles{i=32, j=4, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 8) cost=5.57e+07 order=3.48e+04 maxT1=64 maxT2=128",
-     "split(j, j_t, j_i, 4); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=16, k=1024} intra[k,i,j] inter[i,k,j] parallel(j) vectorize(k, 4) unroll_jam(j, 4) cost=3.05e+07 order=3.48e+04 maxT1=64 maxT2=128",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 2); split(k, k_t, k_i, 1024); reorder(k_i, i_i, j_i, i_t, k_t, j_t); parallel(j_t); vectorize(k_i); unroll_jam(j_i, 4);"},
     {"syr2k", "a15", 1000, 0,
-     "temporal: tiles{i=32, j=4, k=512} intra[j,k,i] inter[j,k,i] parallel(i) vectorize(j, 4) unroll_jam(i, 8) cost=6.82e+06 order=2.49e+04 maxT1=1000 maxT2=1000",
-     "split(j, j_t, j_i, 4); split(i, i_t, i_i, 32); split(k, k_t, k_i, 512); reorder(j_i, k_i, i_i, j_t, k_t, i_t); parallel(i_t); vectorize(j_i); unroll_jam(i_i, 8);"},
+     "temporal: tiles{i=2, j=16, k=1000} intra[k,i,j] inter[i,j] parallel(j) vectorize(k, 4) unroll_jam(j, 4) cost=3.67e+06 order=516 maxT1=66 maxT2=197",
+     "split(j, j_t, j_i, 16); split(i, i_t, i_i, 2); reorder(k, i_i, j_i, i_t, j_t); parallel(j_t); vectorize(k); unroll_jam(j_i, 4);"},
     {"tpm", "5930k", 2048, 0,
      "spatial: tile x x y = 16 x 128 (maxTy 128), wsL1=272 wsL2=4096, parallel(y_t) vectorize(x_i, 8) cost=2.95e+05 +NTI",
      "split(x, x_t, x_i, 16); split(y, y_t, y_i, 128); reorder(x_i, y_i, x_t, y_t); parallel(y_t); vectorize(x_i); store_nontemporal;"},
@@ -665,8 +665,8 @@ const GoldenSchedule Goldens[] = {
      "parallel(y); vectorize(x);"},
     // Extended suite, DefaultSize on 6700.
     {"atax", "6700", 1024, 0,
-     "temporal: tiles{i=256, jr=64} intra[i,jr] inter[jr,i] vectorize(i, 8) cost=1.12e+06 order=1.02e+03 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 256); split(jr, jr_t, jr_i, 64); reorder(i_i, jr_i, jr_t, i_t); vectorize(i_i);"},
+     "temporal: tiles{i=16, jr=1024} intra[jr,i] inter[i] parallel(i) vectorize(jr, 8) unroll_jam(i, 4) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
+     "split(i, i_t, i_i, 16); reorder(jr, i_i, i_t); parallel(i_t); vectorize(jr); unroll_jam(i_i, 4);"},
     {"atax", "6700", 1024, 1,
      "temporal: tiles{ir=16, j=1024} intra[j,ir] inter[ir] vectorize(j, 8) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
      "split(ir, ir_t, ir_i, 16); reorder(j, ir_i, ir_t); vectorize(j);"},
@@ -674,11 +674,11 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{ir=16, j=1024} intra[j,ir] inter[ir] vectorize(j, 8) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
      "split(ir, ir_t, ir_i, 16); reorder(j, ir_i, ir_t); vectorize(j);"},
     {"bicg", "6700", 1024, 1,
-     "temporal: tiles{i=256, jr=64} intra[i,jr] inter[jr,i] vectorize(i, 8) cost=1.12e+06 order=1.02e+03 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 256); split(jr, jr_t, jr_i, 64); reorder(i_i, jr_i, jr_t, i_t); vectorize(i_i);"},
+     "temporal: tiles{i=16, jr=1024} intra[jr,i] inter[i] parallel(i) vectorize(jr, 8) unroll_jam(i, 4) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
+     "split(i, i_t, i_i, 16); reorder(jr, i_i, i_t); parallel(i_t); vectorize(jr); unroll_jam(i_i, 4);"},
     {"mvt", "6700", 1024, 0,
-     "temporal: tiles{i=256, jr=64} intra[i,jr] inter[jr,i] vectorize(i, 8) cost=1.12e+06 order=1.02e+03 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 256); split(jr, jr_t, jr_i, 64); reorder(i_i, jr_i, jr_t, i_t); vectorize(i_i);"},
+     "temporal: tiles{i=16, jr=1024} intra[jr,i] inter[i] parallel(i) vectorize(jr, 8) unroll_jam(i, 4) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
+     "split(i, i_t, i_i, 16); reorder(jr, i_i, i_t); parallel(i_t); vectorize(jr); unroll_jam(i_i, 4);"},
     {"gemver", "6700", 1024, 0,
      "no-transform: parallel+vectorize +NTI",
      "parallel(i); vectorize(j); store_nontemporal;"},
@@ -686,8 +686,8 @@ const GoldenSchedule Goldens[] = {
      "temporal: tiles{i=1024, jr2=16} intra[i,jr2] inter[jr2] vectorize(i, 8) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
      "split(jr2, jr2_t, jr2_i, 16); reorder(i, jr2_i, jr2_t); vectorize(i);"},
     {"gemver", "6700", 1024, 2,
-     "temporal: tiles{i=256, jr3=64} intra[i,jr3] inter[jr3,i] vectorize(i, 8) cost=1.12e+06 order=1.02e+03 maxT1=64 maxT2=256",
-     "split(i, i_t, i_i, 256); split(jr3, jr3_t, jr3_i, 64); reorder(i_i, jr3_i, jr3_t, i_t); vectorize(i_i);"},
+     "temporal: tiles{i=16, jr3=1024} intra[jr3,i] inter[i] parallel(i) vectorize(jr3, 8) unroll_jam(i, 4) cost=6.47e+03 order=1 maxT1=32 maxT2=256",
+     "split(i, i_t, i_i, 16); reorder(jr3, i_i, i_t); parallel(i_t); vectorize(jr3); unroll_jam(i_i, 4);"},
     {"jacobi2d", "6700", 2048, 0,
      "no-transform(stencil): parallel+vectorize +NTI",
      "parallel(y); vectorize(x); store_nontemporal;"},

@@ -36,7 +36,7 @@ TEST_P(BaselineCorrectness, BaselineScheduleIsCorrect) {
   for (size_t S = 0; S != Instance.Stages.size(); ++S)
     applyBaselineSchedule(Instance.Stages[S], Instance.StageExtents[S],
                           intelI7_6700());
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance));
 }
 
@@ -45,7 +45,7 @@ TEST_P(BaselineCorrectness, AutoSchedulerScheduleIsCorrect) {
   for (size_t S = 0; S != Instance.Stages.size(); ++S)
     applyAutoSchedulerSchedule(Instance.Stages[S],
                                Instance.StageExtents[S], intelI7_6700());
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance));
 }
 
@@ -75,7 +75,7 @@ TEST(TSSTTSTest, SchedulesAreCorrect) {
                              ? optimizeTSS(Info, intelI7_5930K())
                              : optimizeTTS(Info, intelI7_5930K());
     applyTemporalSchedule(F, F.numUpdates() - 1, S, Info);
-    runInterpreted(Instance);
+    ASSERT_EQ(runInterpreted(Instance), "");
     EXPECT_TRUE(verifyOutput(Instance)) << Model;
   }
 }
@@ -126,7 +126,7 @@ TEST(AutotunerTest, FindsCorrectScheduleWithinBudget) {
   EXPECT_GT(Outcome.BestSeconds, 0.0);
 
   // The instance is left with the best schedule applied and correct.
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance));
 }
 

@@ -211,7 +211,7 @@ TEST_P(BenchmarkShape, PlannedShapeRunsCorrectlyOnceMaterialized) {
   for (size_t S = 0; S != Instance.Stages.size(); ++S)
     optimize(Instance.Stages[S], Instance.StageExtents[S], intelI7_6700());
   ASSERT_EQ(materialize(Instance), "");
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance));
 }
 

@@ -156,6 +156,38 @@ TEST(BoundsTest, OutOfBoundsPipelineIsACompileError) {
   EXPECT_EQ(Compiler.compileCount(), 0);
 }
 
+// The interpreter and the simulator refuse the same pipeline with the
+// same diagnostic, touching nothing, instead of aborting.
+TEST(BoundsTest, OutOfBoundsPipelineIsAnInterpreterAndSimulatorError) {
+  Var X("x");
+  InputBuffer In("In", ir::Type::float32(), 1);
+  Func Out("Out");
+  Out(X) = In(Expr(X) + 2); // needs extent + 2
+  Buffer<float> InBuf({32}), OutBuf({32});
+  BenchmarkInstance Instance;
+  Instance.Name = "undersized";
+  Instance.Stages = {Out};
+  Instance.StageExtents = {{32}};
+  Instance.Buffers = {{"In", InBuf.ref()}, {"Out", OutBuf.ref()}};
+  Instance.OutputName = "Out";
+
+  std::string Error = runInterpreted(Instance);
+  EXPECT_EQ(Error.rfind("schedule accesses out of bounds: ", 0), 0u)
+      << Error;
+  EXPECT_NE(Error.find("'In'"), std::string::npos) << Error;
+
+  BenchmarkInstance InBounds = Instance;
+  Buffer<float> Padded({34});
+  InBounds.Buffers["In"] = Padded.ref();
+  std::vector<ErrorOr<SimResult>> Sims = simulatePipelines(
+      {{&Instance, intelI7_6700()}, {&InBounds, intelI7_6700()}});
+  ASSERT_EQ(Sims.size(), 2u);
+  ASSERT_FALSE(static_cast<bool>(Sims[0]));
+  EXPECT_EQ(Sims[0].getError(), Error);
+  ASSERT_TRUE(static_cast<bool>(Sims[1])) << Sims[1].getError();
+  EXPECT_GT(Sims[1]->Stats.L1.DemandMisses, 0u);
+}
+
 TEST(BoundsTest, ValidateCatchesUnboundBuffer) {
   Var X("x");
   InputBuffer In("In", ir::Type::float32(), 1);

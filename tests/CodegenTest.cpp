@@ -120,6 +120,41 @@ TEST(CodegenTest, VectorizePragmaFallbackWhenSimdDisabled) {
   EXPECT_EQ(Source.find("ltp_vload_f32"), std::string::npos) << Source;
 }
 
+TEST(CodegenTest, SyrkAndSyr2kVectorizeTheirReductionWithoutPragmas) {
+  // Their output column strides A; the optimizer streams the reduction
+  // loop k instead, and the jammed reduction takes the partial-sum form:
+  // no `ivdep` fallback and no `unroll 8` over an unmatched jam.
+  CodeGenOptions Options;
+  Options.ISA = codegen::TargetISA(codegen::SimdLevel::AVX2);
+  if (Options.ISA.Level > codegen::TargetISA::host().Level)
+    Options.ISA = codegen::TargetISA::host();
+  if (Options.ISA.Level == codegen::SimdLevel::Scalar)
+    GTEST_SKIP() << "host has no SIMD support";
+  for (const char *Name : {"syrk", "syr2k"})
+    for (const ArchParams &Arch : {detectHost(), intelI7_6700()}) {
+      const BenchmarkDef *Def = findBenchmark(Name);
+      ASSERT_NE(Def, nullptr) << Name;
+      BenchmarkInstance Instance = Def->Shape(Def->DefaultSize);
+      for (size_t S = 0; S != Instance.Stages.size(); ++S)
+        optimize(Instance.Stages[S], Instance.StageExtents[S], Arch);
+      PipelineCompileJob Job = makeCompileJob(Instance, Options);
+      ASSERT_TRUE(Job.Error.empty()) << Job.Error;
+      for (const ir::StmtPtr &Stage : Job.Stages) {
+        std::string Source =
+            generateC(Stage, Job.Signature, "k", Options);
+        const std::string Context = std::string(Name) + " on " + Arch.Name;
+        EXPECT_EQ(Source.find("#pragma GCC ivdep"), std::string::npos)
+            << Context;
+        EXPECT_EQ(Source.find("#pragma GCC unroll 8"), std::string::npos)
+            << Context;
+      }
+      EXPECT_NE(generateC(Job.Stages.back(), Job.Signature, "k", Options)
+                    .find("vector reduction accumulators"),
+                std::string::npos)
+          << Name << " on " << Arch.Name;
+    }
+}
+
 TEST(CodegenTest, StreamingStoresAndFence) {
   Var X("x"), Y("y");
   InputBuffer In("In", ir::Type::float32(), 2);

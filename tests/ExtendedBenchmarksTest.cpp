@@ -29,7 +29,7 @@ TEST_P(ExtendedCorrectness, OptimizedScheduleMatchesReference) {
   for (size_t S = 0; S != Instance.Stages.size(); ++S)
     optimize(Instance.Stages[S], Instance.StageExtents[S],
              intelI7_5930K());
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance));
 }
 
@@ -40,7 +40,7 @@ TEST_P(ExtendedCorrectness, BaselineScheduleMatchesReference) {
   for (size_t S = 0; S != Instance.Stages.size(); ++S)
     applyBaselineSchedule(Instance.Stages[S], Instance.StageExtents[S],
                           intelI7_6700());
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance));
 }
 
@@ -90,16 +90,35 @@ TEST(ExtendedClassificationTest, GemverMixesClasses) {
 }
 
 TEST(ExtendedOptimizerTest, OneDimensionalOutputHasNoParallelLoop) {
-  // atax: the only pure loop is the column loop; Eq. 13 must be vacuous
-  // and the schedule serial but valid.
+  // bicg's s(j) += r(ir) * A(j, ir): the only pure loop is the streamed
+  // column loop; Eq. 13 must be vacuous and the schedule serial but
+  // valid.
+  const BenchmarkDef *Def = findBenchmark("bicg");
+  BenchmarkInstance Instance = Def->Create(512);
+  ArchParams Arch = intelI7_5930K(); // 12 threads
+  StageAccessInfo Info =
+      analyzeComputeStage(Instance.Stages[0], Instance.StageExtents[0]);
+  ASSERT_EQ(Info.streamColumnVar(), "j");
+  TemporalSchedule S = optimizeTemporal(Info, Arch);
+  EXPECT_TRUE(S.ParallelVar.empty());
+  EXPECT_GE(S.Tiles.at("j"), Arch.VectorWidth);
+}
+
+TEST(ExtendedOptimizerTest, OneDimensionalOutputOverAStridedInputStreamsTheReduction) {
+  // mvt's x1(i) += A(jr, i) * y1(jr): vectorizing i would stride A, so the
+  // reduction loop jr is streamed, and the output loop i is free to run
+  // in parallel.
   const BenchmarkDef *Def = findBenchmark("mvt");
   BenchmarkInstance Instance = Def->Create(512);
   ArchParams Arch = intelI7_5930K(); // 12 threads
   StageAccessInfo Info =
       analyzeComputeStage(Instance.Stages[0], Instance.StageExtents[0]);
+  ASSERT_EQ(Info.streamColumnVar(), "jr");
   TemporalSchedule S = optimizeTemporal(Info, Arch);
-  EXPECT_TRUE(S.ParallelVar.empty());
-  EXPECT_GE(S.Tiles.at("i"), Arch.VectorWidth);
+  EXPECT_EQ(S.VectorVar, "jr");
+  EXPECT_EQ(S.ParallelVar, "i");
+  ASSERT_FALSE(S.InterOrder.empty());
+  EXPECT_EQ(S.InterOrder.back(), "i");
 }
 
 } // namespace

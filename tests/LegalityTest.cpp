@@ -38,6 +38,18 @@ Func makeMatmul() {
   return C;
 }
 
+/// Symmetric rank-k update: C(j, i) += A(k, i) * A(k, j). Both operands
+/// are contiguous along the reduction loop k, along which C stays put.
+Func makeSyrk() {
+  InputBuffer A("A", ir::Type::float32(), 2);
+  Var J("j"), I("i");
+  RDom K(0, static_cast<int>(N), "k");
+  Func C("C");
+  C(J, I) = 0.0f;
+  C(J, I) += A(K, I) * A(K, J);
+  return C;
+}
+
 /// First-order recurrence: A(x) += A(x - 1). Carries an exact flow
 /// dependence of distance +1 on x.
 Func makeShift1D() {
@@ -97,16 +109,48 @@ TEST(Legality, MatmulParallelPureLoopAccepted) {
   expectLegal(report(F, {N, N}));
 }
 
-TEST(Legality, MatmulVectorizeReductionLoopRejected) {
+TEST(Legality, MatmulVectorizeReductionLoopAccepted) {
+  // C(j, i) stays put along k: the lanes keep partial sums, which only
+  // reassociates the reduction (as unroll_jam on it does).
   Func F = makeMatmul();
   F.update(0).vectorize("k");
+  expectLegal(report(F, {N, N}));
+}
+
+TEST(Legality, MatmulVectorizeWithWidthOnReductionAccepted) {
+  Func F = makeMatmul();
+  F.update(0).vectorize("k", 8);
+  expectLegal(report(F, {N, N}));
+}
+
+TEST(Legality, SyrkVectorizeReductionLoopAccepted) {
+  Func F = makeSyrk();
+  F.update(0)
+      .split("j", "j_t", "j_i", 8)
+      .reorder({"k", "j_i", "i", "j_t"})
+      .vectorize("k");
+  expectLegal(report(F, {N, N}));
+}
+
+TEST(Legality, SyrkVectorizeLoopMovingTheOutputRejected) {
+  // Fusing k with the pure loop i makes the stored element move along
+  // the vectorized loop: the reduction no longer lands in one element.
+  Func F = makeSyrk();
+  F.update(0).fuse("k", "i", "ki").vectorize("ki");
   expectIllegal(report(F, {N, N}), "vector width");
 }
 
-TEST(Legality, MatmulVectorizeWithWidthOnReductionRejected) {
-  Func F = makeMatmul();
-  F.update(0).vectorize("k", 8);
-  expectIllegal(report(F, {N, N}), "vector width");
+TEST(Legality, VectorizeReductionLoopCarryingARecurrenceRejected) {
+  // A(x) += A(x + 1) * In(r): the read of the neighbour is not the
+  // accumulator, and r carries it.
+  InputBuffer In("In", ir::Type::float32(), 1);
+  Var X("x");
+  RDom R(0, static_cast<int>(N), "r");
+  Func A("A");
+  A(X) = In(X);
+  A(X) += A(X + 1) * In(R);
+  A.update(0).vectorize("r");
+  expectIllegal(report(A, {N}), "vector width");
 }
 
 TEST(Legality, MatmulVectorizeColumnAccepted) {
@@ -402,13 +446,13 @@ TEST(VerifiedScheduleText, LegalScheduleAccepted) {
 }
 
 TEST(VerifiedScheduleText, VectorizeWidthUnitMapsToBothDirectives) {
-  // vectorize(k, 8) expands to split + mark; the verdict lands on the
+  // vectorize(x, 8) expands to split + mark; the verdict lands on the
   // mark but the quoted span must still be the whole source unit.
-  Func F = makeMatmul();
+  Func F = makeShift1D();
   ErrorOr<bool> R = applyVerifiedScheduleText(F, F.computeStageIndex(),
-                                              "vectorize(k, 8);", {N, N});
+                                              "vectorize(x, 8);", {N});
   ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_NE(R.getError().find("'vectorize(k, 8)'"), std::string::npos)
+  EXPECT_NE(R.getError().find("'vectorize(x, 8)'"), std::string::npos)
       << R.getError();
 }
 

@@ -83,7 +83,7 @@ lint::LintReport lintOn(const CorpusRow &Row, const ArchParams &Arch) {
 TEST(LintCorpus, EveryRuleFiresAtItsPinnedSpan) {
   const ArchParams Arch = intelI7_6700();
   std::vector<CorpusRow> Rows = loadCorpus();
-  ASSERT_EQ(Rows.size(), 9u) << "one corpus row per rule";
+  ASSERT_GE(Rows.size(), 9u) << "at least one corpus row per rule";
 
   std::set<std::string> RulesSeen;
   for (const CorpusRow &Row : Rows) {
@@ -103,7 +103,7 @@ TEST(LintCorpus, EveryRuleFiresAtItsPinnedSpan) {
     EXPECT_TRUE(Found->HasFixIt) << Row.Rule;
     RulesSeen.insert(Row.Rule);
   }
-  EXPECT_EQ(RulesSeen.size(), 9u) << "the corpus covers every rule once";
+  EXPECT_EQ(RulesSeen.size(), 9u) << "the corpus covers every rule";
 }
 
 TEST(LintCorpus, FixItsRoundTripToCleanLegalSchedules) {

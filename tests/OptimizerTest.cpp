@@ -126,7 +126,7 @@ TEST_P(OptimizedCorrectness, OptimizedScheduleMatchesReference) {
     for (const analysis::LegalityReport &R : analysis::verifyFuncSchedule(
              Instance.Stages[S], Instance.StageExtents[S]))
       EXPECT_FALSE(R.hasErrors()) << Case.Name << ": " << R.message();
-  runInterpreted(Instance);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance)) << "benchmark " << Case.Name;
 }
 
@@ -175,6 +175,44 @@ TEST(TemporalOptimizerTest, MatmulScheduleIsFeasible) {
   EXPECT_EQ(S.VectorVar, "j");
   EXPECT_EQ(S.IntraOrder.front(), "j");
   EXPECT_EQ(S.Cost > 0.0, true);
+}
+
+TEST(TemporalOptimizerTest, ParallelLoopIsOutermostOnTheParityGrid) {
+  // Eq. 13 as a Step-1 constraint: whenever a pure tiled loop gives every
+  // thread an inter-tile trip, the chosen schedule's outermost inter-tile
+  // loop is parallel (fused with the next one when its trips are few).
+  const std::pair<const char *, ArchParams> Platforms[] = {
+      {"5930k", intelI7_5930K()},
+      {"6700", intelI7_6700()},
+      {"a15", armCortexA15()}};
+  int Checked = 0;
+  for (const BenchmarkDef &Def : allBenchmarks())
+    for (const auto &[ArchName, Arch] : Platforms)
+      for (int64_t Size : {Def.DefaultSize, Def.PaperSize, int64_t(1000)}) {
+        BenchmarkInstance Instance = Def.Shape(Size);
+        for (size_t S = 0; S != Instance.Stages.size(); ++S) {
+          StagePlan Plan = planStage(Instance.Stages[S],
+                                     Instance.StageExtents[S], Arch);
+          if (Plan.Kind != StagePlan::Mode::Temporal)
+            continue;
+          const TemporalSchedule &T = Plan.Temporal;
+          bool HasParallelTrip = false;
+          for (const LoopInfo &Loop : Plan.Info.Loops)
+            HasParallelTrip |=
+                !Loop.IsReduction &&
+                interTrip(Loop.Extent, T.Tiles.at(Loop.Name)) >=
+                    Arch.totalThreads();
+          if (!HasParallelTrip)
+            continue;
+          ++Checked;
+          const std::string Context = Def.Name + " on " + ArchName +
+                                      " size " + std::to_string(Size) +
+                                      ": " + describeTemporalSchedule(T);
+          ASSERT_FALSE(T.InterOrder.empty()) << Context;
+          EXPECT_EQ(T.ParallelVar, T.InterOrder.back()) << Context;
+        }
+      }
+  EXPECT_GE(Checked, 60);
 }
 
 TEST(TemporalOptimizerTest, OuterIntraLoopIsNotColumn) {

@@ -5,11 +5,13 @@
 // Property test: ANY schedule the static legality verifier accepts must
 // compute the same values as the unscheduled definition. Each seed draws
 // random splits (including non-dividing factors), a random loop order and
-// random vectorize/unroll/parallel marks — legality-blind — then asks the
-// verifier for a verdict. Verifier-rejected draws are skipped (lowering
-// would refuse them); verifier-accepted draws must execute correctly,
-// which is the agreement the sweep asserts between the verifier and the
-// VM-vs-reference differential.
+// random vectorize/unroll/parallel marks — legality-blind, a vectorize
+// mark also on loops split from a reduction variable — then asks the
+// verifier for a verdict. A per-seed test redraws a rejected schedule
+// (lowering would refuse it) within a fixed budget, so every seed runs;
+// verifier-accepted draws must execute correctly, which is the agreement
+// the sweep asserts between the verifier and the VM-vs-reference
+// differential.
 //
 // The seed count is overridable with LTP_FUZZ_SEEDS (default 24): the
 // per-seed tests pick it up when the binary is (re)discovered or run
@@ -57,6 +59,7 @@ void applyRandomSchedule(Func &F, const std::vector<int64_t> &Extents,
   Stage S = ComputeStage < 0 ? F.pureStage() : F.update(ComputeStage);
 
   std::vector<std::string> Leaves;
+  std::vector<std::string> ReductionLeaves;
   // Chains of split descendants, innermost first: a split's guarded
   // inner loop must stay nested inside its outer, so the relative order
   // within a chain is fixed.
@@ -82,6 +85,9 @@ void applyRandomSchedule(Func &F, const std::vector<int64_t> &Extents,
     }
     Leaves.push_back(Name);
     Chain.insert(Chain.begin(), Name);
+    if (Loop.IsReduction)
+      ReductionLeaves.insert(ReductionLeaves.end(), Chain.begin(),
+                             Chain.end());
     Chains.push_back(std::move(Chain));
   }
 
@@ -101,12 +107,18 @@ void applyRandomSchedule(Func &F, const std::vector<int64_t> &Extents,
     Order.push_back(Name);
   S.reorder(Order);
 
-  // Random marks on distinct loops, drawn legality-blind: the callers
-  // precheck the schedule with the static verifier and skip rejected
-  // draws (a vectorize or parallel mark may land on a loop carrying a
-  // reduction dependence).
-  if (Rand(0, 1))
+  // Random marks, drawn legality-blind: the callers precheck the schedule
+  // with the static verifier and redraw or skip rejected draws (a parallel
+  // mark may land on a loop carrying a reduction dependence). A vectorize
+  // mark lands on the innermost loop or on a loop of a reduction
+  // variable, which the verifier accepts when the accumulated element
+  // stays put along it.
+  int VectorDraw = Rand(0, 2);
+  if (VectorDraw == 1)
     S.vectorize(Leaves.front());
+  else if (VectorDraw == 2 && !ReductionLeaves.empty())
+    S.vectorize(ReductionLeaves[static_cast<size_t>(
+        Rand(0, static_cast<int>(ReductionLeaves.size()) - 1))]);
   if (Leaves.size() > 1 && Rand(0, 1))
     S.unroll(Leaves[1]);
   if (Rand(0, 1))
@@ -121,7 +133,7 @@ bool verifierAccepts(const Func &F, const std::vector<int64_t> &Extents) {
               .hasErrors();
 }
 
-/// The four fuzzed kernels: name, problem size (deliberately not powers
+/// The fuzzed kernels: name, problem size (deliberately not powers
 /// of two) and the per-kernel seed mix keeping their schedule streams
 /// independent.
 struct FuzzKernel {
@@ -136,6 +148,7 @@ const FuzzKernel FuzzKernels[] = {
     {"trmm", 21, 7919u, 0u},
     {"tpm", 33, 104729u, 0u},
     {"convlayer", 12, 31u, 5u},
+    {"syrk", 27, 104723u, 3u},
 };
 
 /// Element-wise engine agreement: integers and doubles bit-exact (both
@@ -180,8 +193,10 @@ bool runDifferential(const FuzzKernel &Kernel, int Seed) {
   applyRandomSchedule(OnRef.Stages[0], OnRef.StageExtents[0], RngB);
   if (!verifierAccepts(OnVM.Stages[0], OnVM.StageExtents[0]))
     return false;
-  runInterpreted(OnVM, /*RunParallel=*/true, InterpEngine::VM);
-  runInterpreted(OnRef, /*RunParallel=*/false, InterpEngine::Reference);
+  EXPECT_EQ(runInterpreted(OnVM, /*RunParallel=*/true, InterpEngine::VM), "");
+  EXPECT_EQ(runInterpreted(OnRef, /*RunParallel=*/false,
+                           InterpEngine::Reference),
+            "");
   std::string Context =
       std::string(Kernel.Name) + " seed " + std::to_string(Seed);
   EXPECT_TRUE(verifyOutput(OnVM)) << Context << " (vm)";
@@ -193,17 +208,26 @@ bool runDifferential(const FuzzKernel &Kernel, int Seed) {
 
 class FuzzSeeds : public ::testing::TestWithParam<int> {};
 
-/// Per-seed body shared by the four kernels: draw, ask the verifier,
-/// skip rejected draws (lowering refuses them), execute accepted ones.
+/// Per-seed body shared by the kernels: draw until the verifier accepts a
+/// schedule (lowering refuses rejected draws), then execute it. A seed
+/// fails, not skips, when the redraw budget runs out.
 void runSeed(const char *Name, int64_t Size, uint32_t Mix) {
+  constexpr int RedrawBudget = 64;
   std::mt19937 Rng(Mix);
   const BenchmarkDef *Def = findBenchmark(Name);
   ASSERT_NE(Def, nullptr) << Name;
   BenchmarkInstance Instance = Def->Create(Size);
-  applyRandomSchedule(Instance.Stages[0], Instance.StageExtents[0], Rng);
-  if (!verifierAccepts(Instance.Stages[0], Instance.StageExtents[0]))
-    GTEST_SKIP() << "schedule rejected by the legality verifier";
-  runInterpreted(Instance);
+  int Rejected = 0;
+  for (;;) {
+    applyRandomSchedule(Instance.Stages[0], Instance.StageExtents[0], Rng);
+    if (verifierAccepts(Instance.Stages[0], Instance.StageExtents[0]))
+      break;
+    ASSERT_LT(++Rejected, RedrawBudget)
+        << Name << " mix " << Mix << ": the verifier rejected every draw";
+  }
+  std::printf("[fuzz] %s mix %u: 1 schedule accepted, %d rejected\n", Name,
+              Mix, Rejected);
+  ASSERT_EQ(runInterpreted(Instance), "");
   EXPECT_TRUE(verifyOutput(Instance)) << Name << " mix " << Mix;
 }
 
@@ -222,6 +246,11 @@ TEST_P(FuzzSeeds, TransposeMaskAnyScheduleIsCorrect) {
 
 TEST_P(FuzzSeeds, ConvLayerAnyScheduleIsCorrect) {
   runSeed("convlayer", 12, static_cast<uint32_t>(GetParam()) * 31u + 5u);
+}
+
+TEST_P(FuzzSeeds, SyrkReductionVectorScheduleIsCorrect) {
+  runSeed("syrk", 27, // not a multiple of the vector width
+          static_cast<uint32_t>(GetParam()) * 104723u + 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

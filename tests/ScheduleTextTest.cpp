@@ -30,7 +30,7 @@ TEST(ScheduleTextTest, RoundTripPreservesSemantics) {
   ASSERT_TRUE(static_cast<bool>(Applied)) << Applied.getError();
   EXPECT_EQ(printSchedule(B.Stages[0], Stage), Text);
 
-  runInterpreted(B);
+  ASSERT_EQ(runInterpreted(B), "");
   EXPECT_TRUE(verifyOutput(B));
 }
 
@@ -43,7 +43,7 @@ TEST(ScheduleTextTest, ParsesListingThreeStyle) {
       "split(j, j_o, j_i, 12); split(i, i_o, i_i, 8);\n"
       "reorder(j_i, i_i, j_o, i_o); vectorize(j_i); parallel(i_o);");
   ASSERT_TRUE(static_cast<bool>(R)) << R.getError();
-  runInterpreted(I);
+  ASSERT_EQ(runInterpreted(I), "");
   EXPECT_TRUE(verifyOutput(I));
 }
 
@@ -78,7 +78,7 @@ TEST(ScheduleTextTest, UnrollJamRoundTrip) {
   ASSERT_TRUE(static_cast<bool>(Applied)) << Applied.getError();
   EXPECT_EQ(printSchedule(B.Stages[0], Stage), Text);
 
-  runInterpreted(B);
+  ASSERT_EQ(runInterpreted(B), "");
   EXPECT_TRUE(verifyOutput(B));
 }
 

@@ -111,7 +111,7 @@ TEST_P(SimdEquivalence, CompiledMatchesInterpreter) {
 
   BenchmarkInstance Interpreted = Def->Create(Size);
   test::applyVariant(Interpreted, V);
-  runInterpreted(Interpreted);
+  ASSERT_EQ(runInterpreted(Interpreted), "");
 
   expectBuffersMatch(Jitted.Buffers.at(Jitted.OutputName),
                      Interpreted.Buffers.at(Interpreted.OutputName));
@@ -217,6 +217,91 @@ INSTANTIATE_TEST_SUITE_P(
            &Info) {
       return std::string(test::variantName(std::get<0>(Info.param))) +
              "_" + TargetISA(std::get<1>(Info.param)).name();
+    });
+
+/// A syrk-shaped reduction, C(j, i) = Cin(j, i) + sum_k 1.5 * A(k, i) *
+/// A(k, j) + 0.25, whose operands are all contiguous along k: k
+/// vectorized (one partial-sum vector per element, a horizontal add on
+/// exit), alone or with j unroll-jammed by 4 (the 7 x 5 output leaves a
+/// partial jam tile). K = 26 leaves a tail at every vector width, K =
+/// 1000 runs long main loops; the broadcast addend checks that masked
+/// tail lanes add nothing.
+class SimdReductionEquivalence
+    : public ::testing::TestWithParam<
+          std::tuple<bool, int64_t, Variant, SimdLevel>> {};
+
+template <typename T>
+void runReductionCase(int64_t K, Variant V, SimdLevel Level) {
+  constexpr int64_t NJ = 7, NI = 5;
+  const ir::Type Ty =
+      sizeof(T) == 8 ? ir::Type::float64() : ir::Type::float32();
+  Buffer<T> A({K, NJ}), Cin({NJ, NI}), C({NJ, NI}), Want({NJ, NI});
+  A.fillRandom(41);
+  Cin.fillRandom(42);
+
+  Var J("j"), I("i");
+  RDom R(0, static_cast<int>(K), "k");
+  InputBuffer AIn("A", Ty, 2);
+  InputBuffer CIn("Cin", Ty, 2);
+  Func F("C");
+  F(J, I) = CIn(J, I);
+  F(J, I) += Expr(T(1.5)) * AIn(R, I) * AIn(R, J) + Expr(T(0.25));
+  F.update().reorder({"k", "j", "i"}).vectorize("k");
+  if (V == Variant::UnrollJam)
+    F.update().unrollJam("j", 4);
+
+  ir::StmtPtr S = lowerFunc(F, {NJ, NI});
+  std::map<std::string, BufferRef> Buffers = {
+      {"A", A.ref()}, {"Cin", Cin.ref()}, {"C", Want.ref()}};
+  interpret(S, Buffers);
+  for (int64_t Row = 0; Row != NI; ++Row)
+    for (int64_t Col = 0; Col != NJ; ++Col) {
+      double Sum = Cin(Col, Row);
+      for (int64_t Red = 0; Red != K; ++Red)
+        Sum += 1.5 * double(A(Red, Row)) * double(A(Red, Col)) + 0.25;
+      ASSERT_NEAR(double(Want(Col, Row)), Sum, 1e-4 * (1.0 + std::fabs(Sum)));
+    }
+
+  JITCompiler Compiler;
+  ErrorOr<CompiledKernel> Kernel = Compiler.compile(
+      S,
+      {BufferBinding::fromRef("C", C.ref()),
+       BufferBinding::fromRef("A", A.ref()),
+       BufferBinding::fromRef("Cin", Cin.ref())},
+      optionsFor(Level));
+  ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError();
+  if (Level != SimdLevel::Scalar) {
+    EXPECT_NE(Kernel->source().find("ltp_hsum_"), std::string::npos)
+        << "the reduction did not take the partial-sum form";
+  }
+  EXPECT_EQ(Kernel->source().find("#pragma GCC ivdep"), std::string::npos);
+  Buffers["C"] = C.ref();
+  Kernel->run(Buffers);
+  expectBuffersMatch(C.ref(), Want.ref());
+}
+
+TEST_P(SimdReductionEquivalence, CompiledMatchesInterpreter) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  const auto &[F64, K, V, Level] = GetParam();
+  if (F64)
+    runReductionCase<double>(K, V, Level);
+  else
+    runReductionCase<float>(K, V, Level);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SyrkShaped, SimdReductionEquivalence,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(26, 1000),
+                       ::testing::Values(Variant::Vectorized,
+                                         Variant::UnrollJam),
+                       ::testing::ValuesIn(hostLevels())),
+    [](const ::testing::TestParamInfo<SimdReductionEquivalence::ParamType>
+           &Info) {
+      return std::string(std::get<0>(Info.param) ? "f64" : "f32") + "_k" +
+             std::to_string(std::get<1>(Info.param)) + "_" +
+             test::variantName(std::get<2>(Info.param)) + "_" +
+             TargetISA(std::get<3>(Info.param)).name();
     });
 
 } // namespace
