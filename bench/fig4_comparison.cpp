@@ -145,7 +145,12 @@ int main(int Argc, char **Argv) {
         BenchmarkInstance SimInstance = Def.Create(simSize(Def.Name));
         applyScheduler(SimInstance, R.S, Arch, &Compiler, 1.0, {},
                        Candidates);
-        R.SimCycles = simulatePipeline(SimInstance, Arch).EstimatedCycles;
+        ErrorOr<SimResult> SimR = simulatePipeline(SimInstance, Arch);
+        if (!SimR) {
+          std::fprintf(stderr, "error: %s\n", SimR.getError().c_str());
+          return 1;
+        }
+        R.SimCycles = SimR->EstimatedCycles;
       }
     }
 

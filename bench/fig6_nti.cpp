@@ -64,13 +64,17 @@ int main(int Argc, char **Argv) {
 
       BenchmarkInstance SimInstance = Def->Create(SimSize);
       applyScheduler(SimInstance, S, Arch, &Compiler);
-      SimResult Sim = simulatePipeline(SimInstance, Arch);
+      ErrorOr<SimResult> Sim = simulatePipeline(SimInstance, Arch);
+      if (!Sim) {
+        std::fprintf(stderr, "error: %s\n", Sim.getError().c_str());
+        return 1;
+      }
 
-      Rows.push_back({S, Seconds, Sim.Stats.memoryTraffic(),
-                      Sim.EstimatedCycles});
+      Rows.push_back({S, Seconds, Sim->Stats.memoryTraffic(),
+                      Sim->EstimatedCycles});
       if (S == Scheduler::Proposed) {
         BaseSeconds = Seconds;
-        BaseCycles = Sim.EstimatedCycles;
+        BaseCycles = Sim->EstimatedCycles;
       }
     }
     for (const Row &R : Rows) {

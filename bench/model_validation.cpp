@@ -148,7 +148,12 @@ int main(int Argc, char **Argv) {
     // Predicted: simulate the proposed schedule against the host model.
     BenchmarkInstance SimInstance = Def.Create(Size);
     applyScheduler(SimInstance, Scheduler::Proposed, Host, &Compiler);
-    SimResult Sim = simulatePipeline(SimInstance, Host);
+    ErrorOr<SimResult> Simulated = simulatePipeline(SimInstance, Host);
+    if (!Simulated) {
+      std::fprintf(stderr, "error: %s\n", Simulated.getError().c_str());
+      return 1;
+    }
+    const SimResult &Sim = *Simulated;
     double PredL1 = Sim.Stats.L1.missRate();
     // The hardware LLC event maps to the last level the host actually
     // has; the ARM-like 2-level config has no L3.

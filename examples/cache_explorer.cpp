@@ -16,9 +16,11 @@
 #include "baselines/Baselines.h"
 #include "benchmarks/PipelineRunner.h"
 #include "core/Optimizer.h"
+#include "model/NestScorer.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 using namespace ltp;
 
@@ -54,34 +56,46 @@ int main(int Argc, char **Argv) {
   BenchmarkInstance Baseline = Def->Create(N);
   applyBaselineSchedule(Baseline.Stages[0], Baseline.StageExtents[0],
                         Arch);
-  SimResult BaselineSim = simulatePipeline(Baseline, Arch);
-  report("baseline", BaselineSim);
+  ErrorOr<SimResult> BaselineSim = simulatePipeline(Baseline, Arch);
+  if (!BaselineSim) {
+    std::fprintf(stderr, "error: %s\n", BaselineSim.getError().c_str());
+    return 1;
+  }
+  report("baseline", *BaselineSim);
 
   // Proposed schedule.
   BenchmarkInstance Proposed = Def->Create(N);
   OptimizationResult R =
       optimize(Proposed.Stages[0], Proposed.StageExtents[0], Arch);
-  SimResult ProposedSim = simulatePipeline(Proposed, Arch);
-  report("proposed", ProposedSim);
+  ErrorOr<SimResult> ProposedSim = simulatePipeline(Proposed, Arch);
+  if (!ProposedSim) {
+    std::fprintf(stderr, "error: %s\n", ProposedSim.getError().c_str());
+    return 1;
+  }
+  report("proposed", *ProposedSim);
 
   std::printf("\nschedule: %s\n", R.Description.c_str());
   std::printf("\nmodel vs simulator (proposed schedule):\n");
   StageAccessInfo Info = analyzeComputeStage(Proposed.Stages[0],
                                              Proposed.StageExtents[0]);
-  double ModelL1 = estimateL1Misses(
-      Info, R.Temporal.Tiles, R.Temporal.IntraOrder.back());
+  model::NestScorer Scorer(Info, Arch);
+  std::vector<int64_t> Tiles;
+  for (const LoopInfo &Loop : Info.Loops)
+    Tiles.push_back(R.Temporal.Tiles.at(Loop.Name));
+  double ModelL1 = Scorer.l1Misses(
+      Tiles.data(), Scorer.loopIndex(R.Temporal.IntraOrder.back()));
   std::printf("  Eq. 5 estimated L1 misses : %.4g\n", ModelL1);
   std::printf("  simulated L1 misses       : %llu\n",
               static_cast<unsigned long long>(
-                  ProposedSim.Stats.L1.DemandMisses));
+                  ProposedSim->Stats.L1.DemandMisses));
   std::printf("  (same order of magnitude expected; the model counts\n"
               "   prefetch-adjusted cold misses of the update stage only)\n");
 
   double CycleGain =
-      BaselineSim.EstimatedCycles / ProposedSim.EstimatedCycles;
+      BaselineSim->EstimatedCycles / ProposedSim->EstimatedCycles;
   double TrafficGain =
-      static_cast<double>(BaselineSim.Stats.memoryTraffic()) /
-      static_cast<double>(ProposedSim.Stats.memoryTraffic());
+      static_cast<double>(BaselineSim->Stats.memoryTraffic()) /
+      static_cast<double>(ProposedSim->Stats.memoryTraffic());
   std::printf("\ntiling vs baseline on this configuration: %.2fx estimated "
               "cycles, %.2fx DRAM traffic\n"
               "(cycles compress the difference because both nests enjoy "

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <random>
 
 using namespace ltp;
@@ -63,18 +64,27 @@ void applyDecision(Func &F, int StageIndex, const StageAccessInfo &Info,
                    const StageDecision &D, const ArchParams &Arch) {
   Stage S = StageIndex < 0 ? F.pureStage() : F.update(StageIndex);
 
+  // The loop the optimizer streams and vectorizes goes first, so it stays
+  // innermost below.
+  const std::string Column = Info.streamColumnVar();
+  std::vector<const LoopInfo *> Loops;
+  for (const LoopInfo &Loop : Info.Loops)
+    if (Loop.Name == Column)
+      Loops.insert(Loops.begin(), &Loop);
+    else
+      Loops.push_back(&Loop);
+
   std::vector<std::string> Intra;
   std::vector<std::string> Inter;
-  const std::string Column = Info.Loops.front().Name;
-  for (const LoopInfo &Loop : Info.Loops) {
-    auto It = D.Tiles.find(Loop.Name);
-    bool Tiled = It != D.Tiles.end() && It->second < Loop.Extent;
+  for (const LoopInfo *Loop : Loops) {
+    auto It = D.Tiles.find(Loop->Name);
+    bool Tiled = It != D.Tiles.end() && It->second < Loop->Extent;
     if (Tiled) {
-      S.split(Loop.Name, Loop.Name + "_t", Loop.Name + "_i", It->second);
-      Intra.push_back(Loop.Name + "_i");
-      Inter.push_back(Loop.Name + "_t");
+      S.split(Loop->Name, Loop->Name + "_t", Loop->Name + "_i", It->second);
+      Intra.push_back(Loop->Name + "_i");
+      Inter.push_back(Loop->Name + "_t");
     } else {
-      Intra.push_back(Loop.Name);
+      Intra.push_back(Loop->Name);
     }
   }
 
@@ -108,7 +118,7 @@ void applyDecision(Func &F, int StageIndex, const StageAccessInfo &Info,
     S.parallel(Order[Pick]);
   }
   if (D.Vectorize && Arch.VectorWidth > 1 && !Order.empty()) {
-    // Mostly the innermost (column) loop, occasionally any loop. Like the
+    // Mostly the innermost (stream) loop, occasionally any loop. Like the
     // parallel draw this is purity-blind; a vectorize drawn on a
     // dependence-carrying reduction loop is pruned statically.
     if (std::uniform_int_distribution<int>(0, 9)(OrderRng) < 3) {
@@ -116,12 +126,11 @@ void applyDecision(Func &F, int StageIndex, const StageAccessInfo &Info,
           OrderRng);
       S.vectorize(Order[Pick]);
     } else {
+      const int64_t Extent = Loops.front()->Extent;
       auto It = D.Tiles.find(Column);
-      bool Tiled = It != D.Tiles.end() &&
-                   It->second < Info.Loops.front().Extent;
-      int64_t InnerExtent = Tiled ? It->second : Info.Loops.front().Extent;
-      if (InnerExtent >= Arch.VectorWidth)
-        S.vectorize(Tiled ? Column + "_i" : Column);
+      bool Tiled = It != D.Tiles.end() && It->second < Extent;
+      if ((Tiled ? It->second : Extent) >= Arch.VectorWidth)
+        S.vectorize(Intra.front());
     }
   }
 }
@@ -166,8 +175,6 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
       obs::counter("opt.candidates.lint_pruned");
   static obs::Counter &PredictAnalytic =
       obs::counter("model.predict.analytic");
-  static obs::Counter &PredictFallback =
-      obs::counter("model.predict.fallback");
   std::mt19937 Rng(Options.Seed);
   ArchParams Arch = detectHost();
   Timer Budget;
@@ -187,30 +194,27 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
     Strides[Name] = Buf.Strides;
 
   // Predicted weighted misses (Eq. 11 weights) for the candidate whose
-  // schedules are currently applied to the instance. Closed form when it
-  // applies; the cache simulator otherwise.
-  auto ScoreCandidate = [&](bool &UsedAnalytic) {
+  // schedules are currently applied to the instance, or nothing when the
+  // closed form declines a stage. Nothing is simulated: a candidate
+  // without a score is never model-pruned.
+  auto ScoreCandidate = [&]() -> std::optional<double> {
     double Score = 0.0;
-    UsedAnalytic = true;
-    for (size_t I = 0; I != Instance.Stages.size() && UsedAnalytic; ++I) {
+    for (size_t I = 0; I != Instance.Stages.size(); ++I) {
       const Func &F = Instance.Stages[I];
       int ComputeStage = F.computeStageIndex();
       StageAccessInfo Info =
           analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
       std::vector<model::LoopDim> Nest;
-      model::MissPrediction P;
-      if (model::scheduledNest(F, ComputeStage, Info, Nest))
-        P = model::predictMisses(Info, Nest, Arch, Strides);
-      UsedAnalytic = P.Analytic;
+      if (!model::scheduledNest(F, ComputeStage, Info, Nest))
+        return std::nullopt;
+      model::MissPrediction P =
+          model::predictMisses(Info, Nest, Arch, Strides);
+      if (!P.Analytic)
+        return std::nullopt;
       Score += Arch.A2 * P.L1Misses + Arch.A3 * P.L2Misses;
     }
-    if (!UsedAnalytic) {
-      SimResult R = simulatePipeline(Instance, Arch);
-      Score = Arch.A2 * static_cast<double>(R.Stats.L1.DemandMisses) +
-              Arch.A3 * static_cast<double>(R.Stats.L2.DemandMisses);
-    }
-    (UsedAnalytic ? PredictAnalytic : PredictFallback).add();
-    ++(UsedAnalytic ? Outcome.ScoredAnalytic : Outcome.ScoredSim);
+    PredictAnalytic.add();
+    ++Outcome.ScoredAnalytic;
     return Score;
   };
 
@@ -227,7 +231,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
 
     struct Ranked {
       PipelineDecision Decision;
-      double Score = 0.0;
+      std::optional<double> Score;
     };
     std::vector<Ranked> Legal;
     for (int B = 0; B != BatchN; ++B) {
@@ -290,32 +294,36 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
         }
       }
       Ranked R;
-      if (ModelPruning) {
-        bool UsedAnalytic = false;
-        R.Score = ScoreCandidate(UsedAnalytic);
-      }
+      if (ModelPruning)
+        R.Score = ScoreCandidate();
       R.Decision = std::move(Decision);
       Legal.push_back(std::move(R));
     }
     Drawn += BatchN;
 
     // Miss-model ranking: compile only the most promising fraction of the
-    // legal candidates. The stable sort keeps the draw order on ties, so
-    // the search stays a deterministic function of the seed.
-    if (ModelPruning && Legal.size() > 1) {
+    // scored candidates; unscored ones sort after them and are all kept.
+    // The stable sort keeps the draw order on ties, so the search stays a
+    // deterministic function of the seed.
+    const size_t Scored = static_cast<size_t>(
+        std::count_if(Legal.begin(), Legal.end(),
+                      [](const Ranked &R) { return R.Score.has_value(); }));
+    if (ModelPruning && Scored > 1) {
       size_t Keep = std::max<size_t>(
           1, static_cast<size_t>(std::ceil(
-                 static_cast<double>(Legal.size()) *
+                 static_cast<double>(Scored) *
                  std::max(0.0, Options.ModelKeepFraction))));
-      if (Keep < Legal.size()) {
+      if (Keep < Scored) {
         std::stable_sort(Legal.begin(), Legal.end(),
                          [](const Ranked &A, const Ranked &B) {
-                           return A.Score < B.Score;
+                           return A.Score &&
+                                  (!B.Score || *A.Score < *B.Score);
                          });
-        int Dropped = static_cast<int>(Legal.size() - Keep);
+        int Dropped = static_cast<int>(Scored - Keep);
         Outcome.CandidatesModelPruned += Dropped;
         ModelPrunedCounter.add(Dropped);
-        Legal.resize(Keep);
+        Legal.erase(Legal.begin() + static_cast<std::ptrdiff_t>(Keep),
+                    Legal.begin() + static_cast<std::ptrdiff_t>(Scored));
       }
     }
 

@@ -53,8 +53,8 @@ struct AutotuneOptions {
   /// `ceil(fraction * legal)` of them, spending the compile+time budget
   /// on schedules the model thinks can win. 1.0 compiles every legal
   /// candidate (the original search). Candidates are scored by the
-  /// closed-form miss model, with a counted fallback to the cache
-  /// simulator when its applicability check fails.
+  /// closed-form miss model; one it declines (a predicated domain, say)
+  /// is never pruned and goes straight to compile-and-time.
   double ModelKeepFraction = 0.5;
   /// Lint pruning: after the legality verifier accepts a candidate, run
   /// the static diagnostics pass and drop the candidate when a rule of
@@ -79,10 +79,9 @@ struct AutotuneOutcome {
   /// Legal candidates dropped because a static lint diagnostic of Error
   /// severity fired on their schedule.
   int CandidatesLintPruned = 0;
-  /// Of the candidates the pruning stage scored: how many the closed-form
-  /// model handled vs how many fell back to the cache simulator.
+  /// Candidates the closed-form model scored for the pruning stage (the
+  /// rest it declined, and they were compiled unranked).
   int ScoredAnalytic = 0;
-  int ScoredSim = 0;
   std::string BestDescription;
 };
 

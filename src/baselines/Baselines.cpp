@@ -3,7 +3,7 @@
 #include "baselines/Baselines.h"
 
 #include "model/CacheEmu.h"
-#include "model/CostModel.h"
+#include "model/NestScorer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -81,17 +81,15 @@ void ltp::applyAutoSchedulerSchedule(
       if (!Loop.IsReduction)
         PureLoops.push_back(&Loop);
     const int64_t Budget = Arch.L2.SizeBytes / Info.DTS;
+    const model::NestScorer Scorer(Info, Arch);
 
     int64_t Tile = std::max<int64_t>(Arch.VectorWidth, 8);
     for (;;) {
       int64_t Next = Tile * 2;
-      bool Fits = true;
-      TileMap Tiles;
+      std::vector<int64_t> Tiles;
       for (const LoopInfo &Loop : Info.Loops)
-        Tiles[Loop.Name] =
-            Loop.IsReduction ? 1 : std::min(Next, Loop.Extent);
-      if (workingSetElements(Info, Tiles) > Budget)
-        Fits = false;
+        Tiles.push_back(Loop.IsReduction ? 1 : std::min(Next, Loop.Extent));
+      bool Fits = Scorer.workingSet(Tiles.data()) <= Budget;
       bool Grew = false;
       for (const LoopInfo *Loop : PureLoops)
         Grew |= std::min(Next, Loop->Extent) > std::min(Tile, Loop->Extent);
@@ -172,11 +170,15 @@ TemporalSchedule optimizePrefetchUnaware(const StageAccessInfo &Info,
       SmallLoops.push_back(&Loop);
   }
 
+  const model::NestScorer Scorer(Info, Arch);
+  const int ColumnIdx = Scorer.loopIndex(Column);
+  std::vector<int64_t> Tiles(Info.Loops.size());
   TemporalSchedule Best;
   Best.Cost = -1.0;
   for (const LoopInfo *U : BigLoops) {
     if (U->Name == Column)
       continue;
+    const int UIdx = Scorer.loopIndex(U->Name);
     // The emulated bound on Tu depends on (U, Tc) only: one call per
     // column tile, shared by every V.
     std::vector<int64_t> MaxTUs;
@@ -195,39 +197,36 @@ TemporalSchedule optimizePrefetchUnaware(const StageAccessInfo &Info,
     for (const LoopInfo *V : BigLoops) {
       if (V->Name == Column)
         continue; // keep the column dimension for the intra tile only
+      const int VIdx = Scorer.loopIndex(V->Name);
       size_t TcIdx = 0;
       for (int64_t Tc = Arch.VectorWidth; Tc <= Bc; Tc *= 2) {
         const int64_t MaxTU = MaxTUs[TcIdx++];
 
         for (int64_t Tu = 2; Tu <= std::min(MaxTU, U->Extent); Tu *= 2) {
           for (int64_t Tv = 2; Tv < V->Extent; Tv *= 2) {
-            TileMap Tiles;
-            for (const LoopInfo &Loop : Info.Loops)
-              Tiles[Loop.Name] = Loop.Extent;
-            Tiles[Column] = std::min(Tc, Bc);
-            Tiles[U->Name] = Tu;
-            Tiles[V->Name] = Tv;
+            for (size_t L = 0; L != Info.Loops.size(); ++L)
+              Tiles[L] = Info.Loops[L].Extent;
+            Tiles[ColumnIdx] = std::min(Tc, Bc);
+            Tiles[UIdx] = Tu;
+            Tiles[VIdx] = Tv;
             for (const LoopInfo *Loop : BigLoops)
               if (Loop != U && Loop != V && Loop->Name != Column)
-                Tiles[Loop->Name] = std::min<int64_t>(Loop->Extent, 64);
+                Tiles[Scorer.loopIndex(Loop->Name)] =
+                    std::min<int64_t>(Loop->Extent, 64);
 
-            TileMap InnerTiles = Tiles;
-            InnerTiles[U->Name] = 1;
-            if (workingSetElements(Info, InnerTiles) >
+            if (Scorer.workingSetPivotOne(Tiles.data(), UIdx) >
                 Budgets.InnerBudgetElems)
               continue;
-            if (workingSetElements(Info, Tiles) > Budgets.OuterBudgetElems)
+            if (Scorer.workingSet(Tiles.data()) > Budgets.OuterBudgetElems)
               continue;
 
             double Cost =
-                Arch.A2 * estimateL1MissesNoPrefetch(Info, Tiles, U->Name,
-                                                     Lc) +
-                Arch.A3 * estimateL2MissesNoPrefetch(Info, Tiles, V->Name,
-                                                     Lc);
+                Arch.A2 * Scorer.l1MissesNoPrefetch(Tiles.data(), UIdx, Lc) +
+                Arch.A3 * Scorer.l2MissesNoPrefetch(Tiles.data(), VIdx, Lc);
             if (Best.Cost >= 0.0 && Cost >= Best.Cost)
               continue;
             Best.Cost = Cost;
-            Best.Tiles = Tiles;
+            Best.Tiles = Scorer.toTileMap(Tiles.data());
             Best.IntraOrder = {U->Name};
             Best.InterOrder = {V->Name};
             Best.MaxT1 = MaxTU;

@@ -41,10 +41,9 @@ ltp::lowerPipeline(const BenchmarkInstance &Instance) {
 }
 
 std::string ltp::runInterpreted(const BenchmarkInstance &Instance,
-                                bool RunParallel, InterpEngine Engine) {
+                                bool RunParallel) {
   InterpOptions Options;
   Options.RunParallel = RunParallel;
-  Options.Engine = Engine;
   std::vector<ir::StmtPtr> Lowered = lowerPipeline(Instance);
   std::string Error = boundsError(Lowered, Instance.Buffers);
   if (!Error.empty())
@@ -111,15 +110,13 @@ ltp::compilePipelines(const std::vector<PipelineCompileJob> &Jobs,
   return Out;
 }
 
-SimResult ltp::simulatePipeline(const BenchmarkInstance &Instance,
-                                const ArchParams &Arch, SimEngine Engine) {
-  return simulate(lowerPipeline(Instance), Instance.Buffers, Arch,
-                  LatencyModel(), Engine);
+ErrorOr<SimResult> ltp::simulatePipeline(const BenchmarkInstance &Instance,
+                                         const ArchParams &Arch) {
+  return std::move(simulatePipelines({{&Instance, Arch}}).front());
 }
 
 std::vector<ErrorOr<SimResult>>
-ltp::simulatePipelines(const std::vector<PipelineSimJob> &Jobs,
-                       SimEngine Engine) {
+ltp::simulatePipelines(const std::vector<PipelineSimJob> &Jobs) {
   // Lowering mutates shared Func schedule state; keep it (and the bounds
   // check) serial and feed the thread pool pure simulations.
   std::vector<std::string> Errors(Jobs.size());
@@ -136,7 +133,7 @@ ltp::simulatePipelines(const std::vector<PipelineSimJob> &Jobs,
     Sim.Arch = Job.Arch;
     SimJobs.push_back(std::move(Sim));
   }
-  std::vector<SimResult> Results = simulateMany(SimJobs, Engine);
+  std::vector<SimResult> Results = simulateMany(SimJobs);
   std::vector<ErrorOr<SimResult>> Out;
   size_t Next = 0;
   for (const std::string &Error : Errors)

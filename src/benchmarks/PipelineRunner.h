@@ -26,14 +26,11 @@ namespace ltp {
 /// Lowers every stage of the pipeline with its current schedule.
 std::vector<ir::StmtPtr> lowerPipeline(const BenchmarkInstance &Instance);
 
-/// Runs the pipeline through the interpreter (the bytecode VM by
-/// default; pass `InterpEngine::Reference` for the tree-walking oracle).
-/// Returns "schedule accesses out of bounds: <diagnostic>" without
-/// running anything when a stage would access outside its buffers, else
-/// empty.
-[[nodiscard]] std::string
-runInterpreted(const BenchmarkInstance &Instance, bool RunParallel = false,
-               InterpEngine Engine = InterpEngine::VM);
+/// Runs the pipeline through the interpreter (the bytecode VM). Returns
+/// "schedule accesses out of bounds: <diagnostic>" without running
+/// anything when a stage would access outside its buffers, else empty.
+[[nodiscard]] std::string runInterpreted(const BenchmarkInstance &Instance,
+                                         bool RunParallel = false);
 
 /// A pipeline compiled to native kernels (one per stage).
 struct CompiledPipeline {
@@ -82,14 +79,6 @@ std::vector<ErrorOr<CompiledPipeline>>
 compilePipelines(const std::vector<PipelineCompileJob> &Jobs,
                  JITCompiler &Compiler);
 
-/// Runs the pipeline through the cache simulator configured from \p Arch
-/// and returns the merged miss profile. Uses the compiled access-program
-/// fast path when the lowered stages admit one, falling back to the
-/// interpreter transparently (identical statistics either way).
-SimResult simulatePipeline(const BenchmarkInstance &Instance,
-                           const ArchParams &Arch,
-                           SimEngine Engine = SimEngine::Auto);
-
 /// One (scheduled instance, platform) simulation of a sweep.
 struct PipelineSimJob {
   const BenchmarkInstance *Instance = nullptr;
@@ -97,13 +86,19 @@ struct PipelineSimJob {
 };
 
 /// Simulates every job across the global thread pool (lowering and
-/// bounds-checking run serially up front). Results are in job order; a
-/// job whose schedule accesses out of bounds is not simulated and holds
-/// that error. Instances must be distinct objects: a simulation may
-/// write the instance's buffers when it takes the interpreter path.
+/// bounds-checking run serially up front) and returns each merged miss
+/// profile. Uses the compiled access-program fast path when the lowered
+/// stages admit one, falling back to the interpreter transparently
+/// (identical statistics either way). Results are in job order; a job
+/// whose schedule accesses out of bounds is not simulated and holds that
+/// error. Instances must be distinct objects: a simulation may write the
+/// instance's buffers when it takes the interpreter path.
 std::vector<ErrorOr<SimResult>>
-simulatePipelines(const std::vector<PipelineSimJob> &Jobs,
-                  SimEngine Engine = SimEngine::Auto);
+simulatePipelines(const std::vector<PipelineSimJob> &Jobs);
+
+/// One simulation: simulatePipelines({{&Instance, Arch}}).
+ErrorOr<SimResult> simulatePipeline(const BenchmarkInstance &Instance,
+                                    const ArchParams &Arch);
 
 } // namespace ltp
 

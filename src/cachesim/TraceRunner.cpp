@@ -16,19 +16,8 @@ namespace {
 void countEngine(TraceEngine Engine, uint64_t Accesses) {
   static obs::Counter &AP = obs::counter("sim.engine.access_program");
   static obs::Counter &VM = obs::counter("sim.engine.vm");
-  static obs::Counter &Ref = obs::counter("sim.engine.reference");
   static obs::Counter &Acc = obs::counter("sim.accesses");
-  switch (Engine) {
-  case TraceEngine::AccessProgram:
-    AP.add();
-    break;
-  case TraceEngine::VM:
-    VM.add();
-    break;
-  case TraceEngine::Reference:
-    Ref.add();
-    break;
-  }
+  (Engine == TraceEngine::AccessProgram ? AP : VM).add();
   Acc.add(static_cast<int64_t>(Accesses));
 }
 
@@ -40,8 +29,6 @@ const char *ltp::traceEngineName(TraceEngine Engine) {
     return "access-program";
   case TraceEngine::VM:
     return "vm";
-  case TraceEngine::Reference:
-    return "reference";
   }
   return "";
 }
@@ -54,49 +41,35 @@ SimResult ltp::simulate(const std::vector<ir::StmtPtr> &Stmts,
   MemoryHierarchy Hierarchy(Arch);
   SimResult Result;
 
-  if (Engine != SimEngine::Interpreter && Engine != SimEngine::Reference) {
-    if (std::optional<AccessProgram> Program =
-            compileAccessProgram(Stmts, Buffers)) {
-      Result.Accesses = Program->run(Hierarchy, Buffers);
-      Result.FastPath = true;
-      Result.Engine = TraceEngine::AccessProgram;
-      Result.Stats = Hierarchy.stats();
-      Result.EstimatedCycles = Hierarchy.estimatedCycles(Latency);
-      countEngine(Result.Engine, Result.Accesses);
-      if (Span.active())
-        Span.setArgs(strFormat(
-            "engine=%s accesses=%llu", traceEngineName(Result.Engine),
-            static_cast<unsigned long long>(Result.Accesses)));
-      return Result;
-    }
+  std::optional<AccessProgram> Program;
+  if (Engine == SimEngine::Auto)
+    Program = compileAccessProgram(Stmts, Buffers);
+  if (Program) {
+    Result.Accesses = Program->run(Hierarchy, Buffers);
+    Result.Engine = TraceEngine::AccessProgram;
+  } else {
+    InterpOptions Options;
+    Options.Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
+      ++Result.Accesses;
+      switch (Kind) {
+      case AccessKind::Load:
+        Hierarchy.load(Address, Size);
+        return;
+      case AccessKind::Store:
+        Hierarchy.store(Address, Size, /*NonTemporal=*/false);
+        return;
+      case AccessKind::NonTemporalStore:
+        Hierarchy.store(Address, Size, /*NonTemporal=*/true);
+        return;
+      }
+    };
+    for (const ir::StmtPtr &S : Stmts)
+      interpret(S, Buffers, Options);
+    Result.Engine = TraceEngine::VM;
   }
 
-  uint64_t Accesses = 0;
-  InterpOptions Options;
-  Options.Engine = Engine == SimEngine::Reference ? InterpEngine::Reference
-                                                  : InterpEngine::VM;
-  Options.Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
-    ++Accesses;
-    switch (Kind) {
-    case AccessKind::Load:
-      Hierarchy.load(Address, Size);
-      return;
-    case AccessKind::Store:
-      Hierarchy.store(Address, Size, /*NonTemporal=*/false);
-      return;
-    case AccessKind::NonTemporalStore:
-      Hierarchy.store(Address, Size, /*NonTemporal=*/true);
-      return;
-    }
-  };
-  for (const ir::StmtPtr &S : Stmts)
-    interpret(S, Buffers, Options);
-
-  Result.Engine = Engine == SimEngine::Reference ? TraceEngine::Reference
-                                                 : TraceEngine::VM;
   Result.Stats = Hierarchy.stats();
   Result.EstimatedCycles = Hierarchy.estimatedCycles(Latency);
-  Result.Accesses = Accesses;
   countEngine(Result.Engine, Result.Accesses);
   if (Span.active())
     Span.setArgs(strFormat("engine=%s accesses=%llu",
@@ -113,8 +86,7 @@ SimResult ltp::simulate(const ir::StmtPtr &S,
                   Engine);
 }
 
-std::vector<SimResult> ltp::simulateMany(const std::vector<SimJob> &Jobs,
-                                         SimEngine Engine) {
+std::vector<SimResult> ltp::simulateMany(const std::vector<SimJob> &Jobs) {
   obs::ScopedSpan Span("sim.simulate_many", [&] {
     return strFormat("jobs=%zu", Jobs.size());
   });
@@ -127,7 +99,7 @@ std::vector<SimResult> ltp::simulateMany(const std::vector<SimJob> &Jobs,
         });
         const SimJob &Job = Jobs[static_cast<size_t>(I)];
         Results[static_cast<size_t>(I)] =
-            simulate(Job.Stmts, *Job.Buffers, Job.Arch, Job.Latency, Engine);
+            simulate(Job.Stmts, *Job.Buffers, Job.Arch, Job.Latency);
       });
   return Results;
 }

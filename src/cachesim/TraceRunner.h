@@ -11,15 +11,13 @@
 /// Cortex-A15 configuration (hardware we do not have) and how it
 /// validates the analytical model's miss estimates.
 ///
-/// Three engines produce bit-identical statistics:
+/// Two engines produce bit-identical statistics:
 ///
 ///  * the *compiled* fast path (AccessProgram.h) replays a precompiled
 ///    affine access stream with no interpreter and no per-access
 ///    indirect call — the default whenever the lowered IR compiles;
 ///  * the *interpreter* path feeds a memory hook from the bytecode VM —
-///    the automatic fallback for non-affine programs;
-///  * the *reference* path does the same on the tree walker — the
-///    original oracle, kept for differential testing of the other two.
+///    the automatic fallback for non-affine programs.
 ///
 /// `simulateMany` fans independent simulations across the global thread
 /// pool for schedule x platform sweeps.
@@ -44,18 +42,17 @@ namespace ltp {
 enum class SimEngine {
   Auto,        ///< compiled fast path when possible, interpreter otherwise
   Interpreter, ///< force the interpreter-hook path (bytecode VM)
-  Reference,   ///< force the interpreter-hook path on the tree walker
 };
 
 /// Which engine actually produced the address trace of a simulation.
 enum class TraceEngine {
-  AccessProgram, ///< compiled fast path (AccessProgram.h)
-  VM,            ///< interpreter-hook path on the bytecode VM
-  Reference,     ///< interpreter-hook path on the tree walker
+  /// Compiled fast path (AccessProgram.h); escaped subtrees may still have
+  /// used the interpreter for their share.
+  AccessProgram,
+  VM, ///< interpreter-hook path on the bytecode VM
 };
 
-/// Printable spelling of a TraceEngine ("access-program", "vm",
-/// "reference").
+/// Printable spelling of a TraceEngine ("access-program", "vm").
 const char *traceEngineName(TraceEngine Engine);
 
 /// Result of one simulated execution.
@@ -63,9 +60,6 @@ struct SimResult {
   HierarchyStats Stats;
   double EstimatedCycles = 0.0;
   uint64_t Accesses = 0;
-  /// True when the compiled fast path produced the trace (escaped
-  /// subtrees may still have used the interpreter for their share).
-  bool FastPath = false;
   /// The engine that actually ran (the fallback taken under Auto).
   TraceEngine Engine = TraceEngine::AccessProgram;
 };
@@ -102,8 +96,7 @@ struct SimJob {
 /// order. Jobs must not share writable buffers: a job whose program
 /// falls back to (or escapes into) the interpreter writes its output
 /// buffers while running.
-std::vector<SimResult> simulateMany(const std::vector<SimJob> &Jobs,
-                                    SimEngine Engine = SimEngine::Auto);
+std::vector<SimResult> simulateMany(const std::vector<SimJob> &Jobs);
 
 } // namespace ltp
 

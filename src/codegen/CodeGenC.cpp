@@ -634,14 +634,13 @@ private:
         if (tryEmitScalarReduction(F, Indent, Out))
           return;
       }
+      // An UnrollJammed loop whose jam form does not match is emitted as
+      // the plain loop: an unroll pragma without the jam only grows the
+      // body (a guarded one ran at half speed).
       if (F->Kind == ForKind::Vectorized && storesAdvanceAlong(F))
         Out += Pad + "#pragma GCC ivdep\n";
       else if (F->Kind == ForKind::Unrolled)
         Out += Pad + "#pragma GCC unroll 16\n";
-      else if (F->Kind == ForKind::UnrollJammed)
-        // The jam pattern did not match; a plain unroll still exposes the
-        // register reuse to the host compiler's scheduler.
-        Out += Pad + "#pragma GCC unroll 8\n";
       Out += Pad + loopHeader(F);
       ScopeVars.push_back(F->VarName);
       emitStmt(F->Body, Indent + 1, Out);

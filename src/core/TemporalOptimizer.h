@@ -28,7 +28,7 @@
 
 #include "arch/ArchParams.h"
 #include "core/AccessInfo.h"
-#include "model/CostModel.h"
+#include "model/NestScorer.h"
 
 #include <cstdint>
 #include <string>

@@ -1,18 +1,20 @@
-//===- Interpreter.h - reference executor for lowered IR --------*- C++ -*-===//
+//===- Interpreter.h - executor for lowered IR ------------------*- C++ -*-===//
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes lowered loop nests directly over buffers. The interpreter is
-/// the correctness oracle for lowering, the schedule search and the JIT
-/// (every schedule must compute the same values as the default schedule),
-/// and it exposes a memory-access hook that the cache simulator uses to
-/// obtain the address trace of a scheduled loop nest.
+/// Executes lowered loop nests directly over buffers by compiling them to
+/// register bytecode and running it on the VM (Bytecode.h, VM.h). The
+/// interpreter is the correctness oracle for lowering, the schedule search
+/// and the JIT (every schedule must compute the same values as the default
+/// schedule), and it exposes a memory-access hook that the cache simulator
+/// uses to obtain the address trace of a scheduled loop nest.
 ///
 /// Parallel loops run serially by default (deterministic traces) or across
-/// the thread pool when requested.
+/// the thread pool when requested. Float32 arithmetic runs in `float`, like
+/// compiled code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,21 +43,6 @@ enum class AccessKind {
 using AccessHook =
     std::function<void(AccessKind, uint64_t Address, uint32_t SizeBytes)>;
 
-/// Which executor runs the statement.
-enum class InterpEngine {
-  /// Compile to register bytecode and run it on the VM (Bytecode.h, VM.h).
-  /// ~10-20x faster than the walker; Float32 arithmetic runs in `float`
-  /// like compiled code (the walker computes it in `double` and only
-  /// rounds at stores).
-  VM,
-  /// The original tree-walking interpreter, kept as the differential
-  /// oracle for the VM itself.
-  Reference,
-};
-
-/// Printable spelling of an InterpEngine.
-const char *interpEngineName(InterpEngine Engine);
-
 /// Options controlling interpretation.
 struct InterpOptions {
   /// Execute Parallel loops on the thread pool. Must be false when a trace
@@ -67,17 +54,12 @@ struct InterpOptions {
   /// if bound by enclosing loops/lets. Used by the access-program fast
   /// path to interpret an escaped subtree in its surrounding loop context.
   std::map<std::string, int64_t> InitialScalars;
-  /// Executor selection; both engines honour the same trace-order and
-  /// parallel-loop contracts.
-  InterpEngine Engine = InterpEngine::VM;
 };
 
-/// Executes \p S against the named buffers in \p Buffers.
-///
-/// By default this compiles \p S to bytecode and runs it on the VM; pass
-/// `InterpEngine::Reference` to run the tree-walking oracle instead.
-/// Buffer lookups are by name; a missing buffer or an out-of-bounds access
-/// is a programmatic error (assert). Loop variables are 64-bit internally.
+/// Executes \p S against the named buffers in \p Buffers: compiles it to
+/// bytecode and runs it on the VM. Buffer lookups are by name; a missing
+/// buffer or an out-of-bounds access is a programmatic error (assert).
+/// Loop variables are 64-bit internally.
 void interpret(const ir::StmtPtr &S,
                const std::map<std::string, BufferRef> &Buffers,
                const InterpOptions &Options = InterpOptions());

@@ -326,3 +326,15 @@ void ltp::vm::run(const Program &P, const InterpOptions &Options) {
   }
   exec(P, Frame.data(), 0, Options.Hook ? &Options.Hook : nullptr);
 }
+
+void ltp::interpret(const ir::StmtPtr &S,
+                    const std::map<std::string, BufferRef> &Buffers,
+                    const InterpOptions &Options) {
+  assert(S && "interpreting a null statement");
+  assert(!(Options.RunParallel && Options.Hook) &&
+         "traced interpretation must be deterministic (serial)");
+  CompileOptions CO;
+  CO.Trace = static_cast<bool>(Options.Hook);
+  CO.Parallel = Options.RunParallel;
+  run(compile(S, Buffers, CO), Options);
+}

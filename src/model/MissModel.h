@@ -40,8 +40,8 @@
 /// contiguous dimension, coupled subscripts, fused loops, unknown buffer
 /// shapes, and sub-line strided traversals whose revisit window is not
 /// L1-resident (column-major walks, conflict-prone tile strides) all
-/// return Analytic=false with a reason, and the caller falls back to the
-/// AccessProgram simulator (counted in `model.predict.fallback`).
+/// return Analytic=false with a reason; the autotuner then compiles and
+/// times the candidate unranked.
 /// AnalyticModelTest pins the prediction against the simulator across
 /// the kernel suite and randomized schedules within a pinned tolerance.
 ///

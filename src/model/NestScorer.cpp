@@ -7,6 +7,59 @@
 using namespace ltp;
 using namespace ltp::model;
 
+int64_t ltp::interTrip(int64_t Extent, int64_t Tile) {
+  assert(Extent > 0 && Tile > 0 && "trip count of an empty loop");
+  return (Extent + Tile - 1) / Tile;
+}
+
+double ltp::orderCost(const StageAccessInfo &Info, const TileMap &Tiles,
+                      const std::vector<std::string> &IntraOrder,
+                      const std::vector<std::string> &InterOrder) {
+  auto LoopExtent = [&](const std::string &Var) {
+    for (const LoopInfo &Loop : Info.Loops)
+      if (Loop.Name == Var)
+        return Loop.Extent;
+    assert(false && "unknown loop variable");
+    return int64_t(1);
+  };
+  // Build the full nest, innermost first: intra block then inter block.
+  struct NestLoop {
+    std::string Var;
+    bool IsIntra;
+    double Trip;
+  };
+  std::vector<NestLoop> Nest;
+  for (const std::string &Var : IntraOrder)
+    Nest.push_back({Var, true, static_cast<double>(Tiles.at(Var))});
+  for (const std::string &Var : InterOrder)
+    Nest.push_back(
+        {Var, false,
+         static_cast<double>(interTrip(LoopExtent(Var), Tiles.at(Var)))});
+
+  double Total = 0.0;
+  for (const std::string &Var : IntraOrder) {
+    // Distance between the intra loop and its inter partner: the product
+    // of the trip counts of the loops strictly between them.
+    size_t IntraPos = Nest.size(), InterPos = Nest.size();
+    for (size_t P = 0; P != Nest.size(); ++P) {
+      if (Nest[P].Var != Var)
+        continue;
+      if (Nest[P].IsIntra)
+        IntraPos = P;
+      else
+        InterPos = P;
+    }
+    if (InterPos == Nest.size())
+      continue; // untiled loop: no inter incarnation, no distance
+    assert(IntraPos < InterPos && "intra loop must be inside its inter loop");
+    double Distance = 1.0;
+    for (size_t P = IntraPos + 1; P != InterPos; ++P)
+      Distance *= Nest[P].Trip;
+    Total += Distance;
+  }
+  return Total;
+}
+
 NestScorer::NestScorer(const StageAccessInfo &Info, const ArchParams &Arch)
     : A2(Arch.A2), A3(Arch.A3) {
   for (const LoopInfo &Loop : Info.Loops) {
@@ -21,9 +74,9 @@ NestScorer::NestScorer(const StageAccessInfo &Info, const ArchParams &Arch)
       for (const auto &[Var, Coeff] : Index.Coeffs) {
         int Loop = loopIndex(Var);
         if (Loop < 0)
-          continue; // non-loop symbol: footprintDimExtent skips it too
-        // accessUsesVar looks at raw coefficients regardless of
-        // affinity; the footprint terms honour IsAffine below.
+          continue; // non-loop symbol: no footprint term
+        // Use is decided on raw coefficients regardless of affinity;
+        // the footprint terms honour IsAffine below.
         if (Coeff != 0)
           A.Uses[static_cast<size_t>(Loop)] = true;
         if (Index.IsAffine)
@@ -108,9 +161,12 @@ double NestScorer::numTiles(const int64_t *Tiles) const {
 template <typename MissFn>
 double NestScorer::levelMisses(const int64_t *Tiles, int Pivot,
                                bool PivotIsIntra, MissFn Misses) const {
-  // Mirrors estimateLevelMisses: for the L1 estimate the footprint is
-  // over the intra-tile loops excluding the pivot (pivot tile treated as
-  // 1); for the L2 estimate the footprint is the whole tile.
+  // Shared structure of Eq. 5 and Eq. 10: per access, `T_pivot` fresh
+  // footprints when the pivot loop indexes the access, else one reused
+  // footprint; times the trips of the remaining enclosing loops. For the
+  // L1 estimate the footprint is over the intra-tile loops excluding the
+  // pivot (pivot tile treated as 1); for the L2 estimate it is the whole
+  // tile.
   const int PivotOne = PivotIsIntra ? Pivot : -1;
   const size_t P = static_cast<size_t>(Pivot);
   int64_t PivotIterations =

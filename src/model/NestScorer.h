@@ -5,21 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The temporal search (Algorithm 2) evaluates thousands of tile
-/// assignments per stage, and the generic cost-model entry points
-/// (`workingSetElements`, `estimateL1Misses`, ...) pay a
-/// `std::map<std::string,int64_t>` lookup per coefficient per candidate —
-/// which profiling shows dominating the optimizer runtime on the larger
-/// nests (convlayer, doitgen). NestScorer compiles the stage's access
-/// functions ONCE into flat per-dimension coefficient arrays so each
-/// candidate scores in O(accesses x dims) integer/double arithmetic with
-/// no allocation and no string hashing.
+/// The analytical model of Section 3.2 (Eqs. 1-12), generalized from the
+/// paper's matmul walkthrough to arbitrary affine accesses (DESIGN.md
+/// spells out the generalization):
 ///
-/// Every method reproduces its CostModel counterpart bit for bit — same
-/// integer footprint algebra, same double accumulation order — so
-/// swapping the optimizer onto the scorer cannot change a chosen
-/// schedule (AnalyticModelTest pins the equivalence on randomized
-/// candidates, DeterminismTest-style parity pins the chosen schedules).
+///  * the *footprint* of an access over a set of (tiled) loops extends
+///    each array dimension by `sum |ci| * (Ti - 1) + 1`;
+///  * with streaming prefetchers, the *cold misses* of a footprint equal
+///    its number of distinct contiguous segments — the product of the
+///    non-column extents (Eq. 3's "1 + 1 + Tk");
+///  * `CL1` (Eq. 5) counts, per access, `T_outer` fresh footprints per
+///    tile when the outermost intra-tile loop indexes the access, or one
+///    reused footprint otherwise, times the number of tiles;
+///  * `CL2` (Eq. 10) applies the same rule at the innermost inter-tile
+///    loop over whole-tile footprints;
+///  * `Ctotal = a2*CL1 + a3*CL2` (Eq. 11);
+///  * `Corder` (Eq. 12) sums, per original loop, the iteration distance
+///    between its inter-tile and intra-tile incarnations in the final
+///    order.
+///
+/// The temporal search (Algorithm 2) evaluates thousands of tile
+/// assignments per stage, so NestScorer compiles the stage's access
+/// functions ONCE into flat per-dimension coefficient arrays: each
+/// candidate scores in O(accesses x dims) integer/double arithmetic with
+/// no allocation and no string hashing. A map-based formulation of the
+/// same equations is kept under tests/oracles as the test oracle: the
+/// parity tests hold the two bit-exact, and the oracle is checked against
+/// the paper's worked matmul equations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,13 +40,28 @@
 
 #include "arch/ArchParams.h"
 #include "core/AccessInfo.h"
-#include "model/CostModel.h"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 namespace ltp {
+
+/// Tile sizes per original loop variable. A loop tiled at its full extent
+/// is effectively untiled (its inter-tile loop has one iteration).
+using TileMap = std::map<std::string, int64_t>;
+
+/// Returns ceil(Extent / Tile) — the inter-tile trip count of a loop.
+int64_t interTrip(int64_t Extent, int64_t Tile);
+
+/// Loop-order cost (Eq. 12). \p IntraOrder and \p InterOrder list original
+/// loop names innermost-first; loops tiled at full extent have no
+/// inter-tile loop and must be omitted from \p InterOrder.
+double orderCost(const StageAccessInfo &Info, const TileMap &Tiles,
+                 const std::vector<std::string> &IntraOrder,
+                 const std::vector<std::string> &InterOrder);
+
 namespace model {
 
 class NestScorer {
@@ -51,23 +78,26 @@ public:
   /// interTrip(extent, tile) of loop \p Loop under \p Tiles.
   int64_t interTripAt(int Loop, const int64_t *Tiles) const;
 
-  /// == workingSetElements(Info, Tiles).
+  /// Working set in elements over the loops' tiles, summed over all
+  /// accesses (Eqs. 1 and 6 generalized). \p Tiles covers every loop.
   int64_t workingSet(const int64_t *Tiles) const;
 
-  /// == workingSetElements(Info, Tiles with loop U set to 1): the Eq. 1
-  /// footprint of one iteration of the outermost intra-tile loop.
+  /// workingSet with loop \p U's tile set to 1: the Eq. 1 footprint of
+  /// one iteration of the outermost intra-tile loop.
   int64_t workingSetPivotOne(const int64_t *Tiles, int U) const;
 
-  /// == estimateL1Misses (Eq. 5) with intra pivot \p U.
+  /// Estimated L1 misses (Eq. 5) with outermost intra-tile loop \p U.
   double l1Misses(const int64_t *Tiles, int U) const;
 
-  /// == estimateL2Misses (Eq. 10) with inter pivot \p V.
+  /// Estimated L2 misses (Eq. 10) with innermost inter-tile loop \p V.
   double l2Misses(const int64_t *Tiles, int V) const;
 
-  /// == totalCost (Eq. 11).
+  /// Weighted total (Eq. 11).
   double cost(const int64_t *Tiles, int U, int V) const;
 
-  /// == the prefetch-unaware ablation pair with line size \p Lc.
+  /// Prefetch-*unaware* variants with line size \p Lc, used by the TSS/TTS
+  /// baselines and the ablation: cold misses are footprint lines
+  /// (`elements / lc`) instead of segments.
   double l1MissesNoPrefetch(const int64_t *Tiles, int U, int64_t Lc) const;
   double l2MissesNoPrefetch(const int64_t *Tiles, int V, int64_t Lc) const;
 
@@ -81,8 +111,8 @@ private:
     int64_t AbsCoeff;
   };
   struct Dim {
-    // Empty for non-affine dims (footprint extent degrades to 1, as in
-    // footprintDimExtent).
+    // Empty for non-affine dims: unknown structure degrades to a
+    // footprint extent of 1.
     std::vector<Term> Terms;
   };
   struct Access {

@@ -4,11 +4,13 @@
 //
 // The compiled access-program engine (cachesim/AccessProgram.h) must be
 // invisible: for every kernel and every platform configuration it has to
-// produce bit-identical HierarchyStats to the interpreter-hook reference
-// path. These tests sweep representative kernels — dense affine nests,
-// min-tail splits, non-unit strides, RDom reductions, non-temporal
-// stores, predicated updates (escape path) and data-dependent indexing
-// (full fallback) — across all three platforms/*.conf files.
+// produce bit-identical HierarchyStats to the interpreter-hook path on the
+// VM, and both to a hierarchy driven by the tree-walking oracle
+// (tests/oracles). These tests sweep representative kernels — dense
+// affine nests, min-tail splits, non-unit strides, RDom reductions,
+// non-temporal stores, predicated updates (escape path) and
+// data-dependent indexing (full fallback) — across all three
+// platforms/*.conf files.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #include "cachesim/TraceRunner.h"
 #include "lang/Func.h"
 #include "lang/Lower.h"
+#include "tests/oracles/TreeWalker.h"
 
 #include <gtest/gtest.h>
 
@@ -66,11 +69,11 @@ void expectIdenticalStats(const HierarchyStats &Fast,
   EXPECT_EQ(Fast.PrefetchIssuedL2, Ref.PrefetchIssuedL2) << Context;
 }
 
-/// Simulates \p Stmts with all three engines on every platform and
-/// asserts bit-identical statistics and access counts. \p ExpectFastPath
-/// asserts whether the compiled engine actually took the fast path; the
-/// recorded `SimResult::Engine` must name the engine that actually ran
-/// (access-program, or the VM when compilation falls back).
+/// Simulates \p Stmts with both engines and on the tree walker on every
+/// platform and asserts bit-identical statistics and access counts.
+/// \p ExpectFastPath asserts whether the compiled engine actually took the
+/// fast path: the recorded `SimResult::Engine` must name the engine that
+/// actually ran (access-program, or the VM when compilation falls back).
 void expectEnginesAgree(const std::vector<ir::StmtPtr> &Stmts,
                         const std::map<std::string, BufferRef> &Buffers,
                         const std::string &Kernel, bool ExpectFastPath) {
@@ -79,17 +82,12 @@ void expectEnginesAgree(const std::vector<ir::StmtPtr> &Stmts,
         simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Auto);
     SimResult VM =
         simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Interpreter);
-    SimResult Ref =
-        simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Reference);
+    WalkerSim Ref = simulateOnWalker(Stmts, Buffers, Arch);
     std::string Context = Kernel + " on " + Platform;
-    EXPECT_EQ(Fast.FastPath, ExpectFastPath) << Context;
     EXPECT_EQ(Fast.Engine, ExpectFastPath ? TraceEngine::AccessProgram
                                           : TraceEngine::VM)
         << Context;
-    EXPECT_FALSE(VM.FastPath) << Context;
     EXPECT_EQ(VM.Engine, TraceEngine::VM) << Context;
-    EXPECT_FALSE(Ref.FastPath) << Context;
-    EXPECT_EQ(Ref.Engine, TraceEngine::Reference) << Context;
     EXPECT_EQ(Fast.Accesses, VM.Accesses) << Context;
     EXPECT_EQ(VM.Accesses, Ref.Accesses) << Context;
     expectIdenticalStats(Fast.Stats, VM.Stats, Context + " (fast vs vm)");
@@ -241,7 +239,6 @@ TEST(AccessProgramTest, SimulateManyMatchesSerialSimulate) {
                                 Jobs[J].Latency);
     std::string Context = "job " + std::to_string(J);
     EXPECT_EQ(Many[J].Accesses, Serial.Accesses) << Context;
-    EXPECT_EQ(Many[J].FastPath, Serial.FastPath) << Context;
     EXPECT_EQ(Many[J].Engine, Serial.Engine) << Context;
     expectIdenticalStats(Many[J].Stats, Serial.Stats, Context);
   }

@@ -32,7 +32,7 @@
 #include "core/AccessInfo.h"
 #include "core/Optimizer.h"
 #include "lang/ScheduleText.h"
-#include "model/CostModel.h"
+#include "tests/oracles/CostModel.h"
 #include "model/MissModel.h"
 #include "model/NestScorer.h"
 
@@ -226,7 +226,9 @@ void checkInstance(BenchmarkInstance &Instance, const ArchParams &Arch,
     return;
   }
   ++AnalyticRows;
-  SimResult R = simulatePipeline(Instance, Arch);
+  ErrorOr<SimResult> Sim = simulatePipeline(Instance, Arch);
+  ASSERT_TRUE(static_cast<bool>(Sim)) << Context << ": " << Sim.getError();
+  const SimResult &R = *Sim;
   EXPECT_TRUE(withinTolerance(
       L1, static_cast<double>(R.Stats.L1.DemandMisses)))
       << Context << ": L1 predicted " << L1 << " vs simulated "

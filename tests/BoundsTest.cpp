@@ -186,6 +186,14 @@ TEST(BoundsTest, OutOfBoundsPipelineIsAnInterpreterAndSimulatorError) {
   EXPECT_EQ(Sims[0].getError(), Error);
   ASSERT_TRUE(static_cast<bool>(Sims[1])) << Sims[1].getError();
   EXPECT_GT(Sims[1]->Stats.L1.DemandMisses, 0u);
+
+  // The one-instance entry point takes the same checked path.
+  ErrorOr<SimResult> One = simulatePipeline(Instance, intelI7_6700());
+  ASSERT_FALSE(static_cast<bool>(One));
+  EXPECT_EQ(One.getError(), Error);
+  ErrorOr<SimResult> OneInBounds = simulatePipeline(InBounds, intelI7_6700());
+  ASSERT_TRUE(static_cast<bool>(OneInBounds)) << OneInBounds.getError();
+  EXPECT_EQ(OneInBounds->Accesses, Sims[1]->Accesses);
 }
 
 TEST(BoundsTest, ValidateCatchesUnboundBuffer) {

@@ -143,17 +143,19 @@ TEST(TraceRunnerTest, TiledMatmulMissesFewerThanBaseline) {
 
   BenchmarkInstance Baseline = Def->Create(96);
   applyBaselineSchedule(Baseline.Stages[0], Baseline.StageExtents[0], Arch);
-  SimResult BaseSim = simulatePipeline(Baseline, Arch);
+  ErrorOr<SimResult> BaseSim = simulatePipeline(Baseline, Arch);
+  ASSERT_TRUE(static_cast<bool>(BaseSim)) << BaseSim.getError();
 
   BenchmarkInstance Tiled = Def->Create(96);
   optimize(Tiled.Stages[0], Tiled.StageExtents[0], Arch);
-  SimResult TiledSim = simulatePipeline(Tiled, Arch);
+  ErrorOr<SimResult> TiledSim = simulatePipeline(Tiled, Arch);
+  ASSERT_TRUE(static_cast<bool>(TiledSim)) << TiledSim.getError();
 
-  EXPECT_LT(TiledSim.Stats.L2.DemandMisses, BaseSim.Stats.L2.DemandMisses)
+  EXPECT_LT(TiledSim->Stats.L2.DemandMisses, BaseSim->Stats.L2.DemandMisses)
       << "tiling must reduce L2 misses on a cache-exceeding matmul";
   // At this scaled size the total cycle estimate is dominated by L1 hits
   // common to both schedules; the differentiator is the miss profile.
-  EXPECT_LT(TiledSim.Stats.L2.missRate(), BaseSim.Stats.L2.missRate());
+  EXPECT_LT(TiledSim->Stats.L2.missRate(), BaseSim->Stats.L2.missRate());
 }
 
 TEST(TraceRunnerTest, NTIReducesDramTrafficOnCopy) {
@@ -164,26 +166,29 @@ TEST(TraceRunnerTest, NTIReducesDramTrafficOnCopy) {
   OptimizerOptions On;
   optimize(WithNTI.Stages[0], WithNTI.StageExtents[0], Arch, On);
   ASSERT_TRUE(WithNTI.Stages[0].isStoreNonTemporal());
-  SimResult NTISim = simulatePipeline(WithNTI, Arch);
+  ErrorOr<SimResult> NTISim = simulatePipeline(WithNTI, Arch);
+  ASSERT_TRUE(static_cast<bool>(NTISim)) << NTISim.getError();
 
   BenchmarkInstance Without = Def->Create(512);
   OptimizerOptions Off;
   Off.EnableNonTemporal = false;
   optimize(Without.Stages[0], Without.StageExtents[0], Arch, Off);
-  SimResult PlainSim = simulatePipeline(Without, Arch);
+  ErrorOr<SimResult> PlainSim = simulatePipeline(Without, Arch);
+  ASSERT_TRUE(static_cast<bool>(PlainSim)) << PlainSim.getError();
 
   // NTI removes the read-for-ownership of the output: the copy touches
   // ~2N bytes of DRAM instead of ~3N.
-  EXPECT_LT(NTISim.Stats.memoryTraffic(),
-            PlainSim.Stats.memoryTraffic() * 85 / 100);
+  EXPECT_LT(NTISim->Stats.memoryTraffic(),
+            PlainSim->Stats.memoryTraffic() * 85 / 100);
 }
 
 TEST(TraceRunnerTest, AccessCountMatchesIterationSpace) {
   const BenchmarkDef *Def = findBenchmark("copy");
   BenchmarkInstance Instance = Def->Create(64);
-  SimResult Sim = simulatePipeline(Instance, intelI7_6700());
+  ErrorOr<SimResult> Sim = simulatePipeline(Instance, intelI7_6700());
+  ASSERT_TRUE(static_cast<bool>(Sim)) << Sim.getError();
   // copy: one load + one store per element.
-  EXPECT_EQ(Sim.Accesses, 2u * 64 * 64);
+  EXPECT_EQ(Sim->Accesses, 2u * 64 * 64);
 }
 
 TEST(CacheLevelTest, TreePLRUCoversAllWaysUnderRoundRobin) {

@@ -16,6 +16,7 @@
 #include "core/Optimizer.h"
 #include "lang/Func.h"
 #include "lang/Lower.h"
+#include "lang/ScheduleText.h"
 #include "tests/ScheduleVariants.h"
 
 #include <gtest/gtest.h>
@@ -153,6 +154,36 @@ TEST(CodegenTest, SyrkAndSyr2kVectorizeTheirReductionWithoutPragmas) {
                 std::string::npos)
           << Name << " on " << Arch.Name;
     }
+}
+
+TEST(CodegenTest, UnmatchedJamOnTrmmEmitsThePlainLoop) {
+  // trmm's triangle guard sits between the jam and vector loops, so no
+  // jammed form applies; the loop is emitted as written, without an
+  // unroll pragma (unrolling the guarded body halved its speed).
+  const BenchmarkDef *Def = findBenchmark("trmm");
+  ASSERT_NE(Def, nullptr);
+  BenchmarkInstance Instance = Def->Shape(256);
+  Func &F = Instance.Stages[0];
+  F.clearSchedules();
+  ErrorOr<bool> Applied = applyVerifiedScheduleText(
+      F, F.computeStageIndex(),
+      "split(i, i_t, i_i, 16); split(k, k_t, k_i, 4); "
+      "reorder(j, k_i, i_i, k_t, i_t); parallel(i_t); vectorize(j); "
+      "unroll_jam(i_i, 4);",
+      Instance.StageExtents[0]);
+  ASSERT_TRUE(static_cast<bool>(Applied)) << Applied.getError();
+  for (const codegen::SimdLevel Level :
+       {codegen::SimdLevel::Scalar, codegen::SimdLevel::SSE2,
+        codegen::SimdLevel::AVX2}) {
+    CodeGenOptions Options;
+    Options.ISA = codegen::TargetISA(Level);
+    PipelineCompileJob Job = makeCompileJob(Instance, Options);
+    ASSERT_TRUE(Job.Error.empty()) << Job.Error;
+    std::string Source =
+        generateC(Job.Stages.back(), Job.Signature, "k", Options);
+    EXPECT_EQ(Source.find("#pragma GCC unroll"), std::string::npos)
+        << Source;
+  }
 }
 
 TEST(CodegenTest, StreamingStoresAndFence) {

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/Benchmarks.h"
-#include "model/CostModel.h"
+#include "tests/oracles/CostModel.h"
 
 #include <gtest/gtest.h>
 

@@ -103,7 +103,7 @@ TEST(DeterminismTest, SimulatorStatsReproducible) {
     BenchmarkInstance Instance = Def->Create(48);
     optimize(Instance.Stages[0], Instance.StageExtents[0],
              intelI7_6700());
-    return simulatePipeline(Instance, intelI7_6700());
+    return *simulatePipeline(Instance, intelI7_6700());
   };
   SimResult A = Simulate();
   SimResult B = Simulate();

@@ -12,6 +12,7 @@
 #include "ir/Simplify.h"
 #include "lang/Func.h"
 #include "lang/Lower.h"
+#include "tests/oracles/TreeWalker.h"
 
 #include <gtest/gtest.h>
 
@@ -240,19 +241,18 @@ TEST(InterpreterTest, VMTraceMatchesReferenceWalkerExactly) {
       return Kind == O.Kind && Address == O.Address && Size == O.Size;
     }
   };
-  auto traceWith = [&](InterpEngine Engine) {
+  auto traceWith = [&](auto Run) {
     std::vector<Event> Events;
     InterpOptions Options;
-    Options.Engine = Engine;
     Options.Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
       Events.push_back({Kind, Address, Size});
     };
-    interpret(S, Buffers, Options);
+    Run(S, Buffers, Options);
     return Events;
   };
 
-  std::vector<Event> VM = traceWith(InterpEngine::VM);
-  std::vector<Event> Ref = traceWith(InterpEngine::Reference);
+  std::vector<Event> VM = traceWith(interpret);
+  std::vector<Event> Ref = traceWith(walkStmt);
   ASSERT_EQ(VM.size(), Ref.size());
   for (size_t E = 0; E != VM.size(); ++E)
     ASSERT_TRUE(VM[E] == Ref[E]) << "event " << E;
@@ -278,15 +278,10 @@ TEST(InterpreterTest, VMAndReferenceAgreeOnCastChains) {
       Cast::make(Type::int32(),
                  Cast::make(Type::boolean(),
                             Binary::make(BinOp::Mod, I, IntImm::make(3)))));
-  auto Run = [&](Buffer<int32_t> &Out, InterpEngine Engine) {
-    InterpOptions Options;
-    Options.Engine = Engine;
-    interpret(For::make("i", IntImm::make(0), IntImm::make(N),
-                        ForKind::Serial, Store::make("Out", {I}, E)),
-              {{"Out", Out.ref()}}, Options);
-  };
-  Run(OutVM, InterpEngine::VM);
-  Run(OutRef, InterpEngine::Reference);
+  StmtPtr S = For::make("i", IntImm::make(0), IntImm::make(N),
+                        ForKind::Serial, Store::make("Out", {I}, E));
+  interpret(S, {{"Out", OutVM.ref()}});
+  walkStmt(S, {{"Out", OutRef.ref()}});
   for (int64_t Idx = 0; Idx != N; ++Idx)
     ASSERT_EQ(OutVM(Idx), OutRef(Idx)) << "element " << Idx;
 }

@@ -18,7 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/PipelineRunner.h"
-#include "model/CostModel.h"
+#include "tests/oracles/CostModel.h"
 #include "core/Optimizer.h"
 
 #include <gtest/gtest.h>
@@ -69,8 +69,9 @@ std::pair<double, double> modelAndSim(int64_t N, int64_t Ti, int64_t Tj,
   applyTemporalSchedule(F, F.numUpdates() - 1, Sched, Info);
 
   // Simulate only the update stage (the pure init adds a constant).
-  SimResult Sim = simulatePipeline(Instance, Arch);
-  return {Model, static_cast<double>(Sim.Stats.L1.DemandMisses)};
+  ErrorOr<SimResult> Sim = simulatePipeline(Instance, Arch);
+  EXPECT_TRUE(static_cast<bool>(Sim)) << Sim.getError();
+  return {Model, Sim ? static_cast<double>(Sim->Stats.L1.DemandMisses) : -1.0};
 }
 
 TEST(ModelValidationTest, CL1TracksSimulatedMissOrdering) {
@@ -172,7 +173,7 @@ TEST(ModelValidationTest, OptimizerBeatsMedianRandomTiling) {
   BenchmarkInstance Chosen = Def->Create(N);
   optimize(Chosen.Stages[0], Chosen.StageExtents[0], Arch);
   double ChosenCycles = static_cast<double>(
-      simulatePipeline(Chosen, Arch).Stats.memoryTraffic());
+      simulatePipeline(Chosen, Arch)->Stats.memoryTraffic());
 
   std::vector<double> RandomCycles;
   for (auto [Ti, Tj, Tk] :
@@ -195,7 +196,7 @@ TEST(ModelValidationTest, OptimizerBeatsMedianRandomTiling) {
     applyTemporalSchedule(Other.Stages[0],
                           Other.Stages[0].numUpdates() - 1, S, Info);
     RandomCycles.push_back(static_cast<double>(
-        simulatePipeline(Other, Arch).Stats.memoryTraffic()));
+        simulatePipeline(Other, Arch)->Stats.memoryTraffic()));
   }
   std::sort(RandomCycles.begin(), RandomCycles.end());
   double Median = RandomCycles[RandomCycles.size() / 2];

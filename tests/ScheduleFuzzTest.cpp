@@ -10,15 +10,16 @@
 // verifier for a verdict. A per-seed test redraws a rejected schedule
 // (lowering would refuse it) within a fixed budget, so every seed runs;
 // verifier-accepted draws must execute correctly, which is the agreement
-// the sweep asserts between the verifier and the VM-vs-reference
+// the sweep asserts between the verifier and the VM-vs-walker
 // differential.
 //
 // The seed count is overridable with LTP_FUZZ_SEEDS (default 24): the
 // per-seed tests pick it up when the binary is (re)discovered or run
 // directly, and the DifferentialVMvsReference sweep honours it at run
 // time, so `LTP_FUZZ_SEEDS=200 ctest -L fuzz` deepens coverage without a
-// rebuild. The sweep runs every seed through both InterpEngine::VM and
-// InterpEngine::Reference and asserts the engines agree element-wise.
+// rebuild. The sweep runs every seed through both the bytecode VM and the
+// tree-walking oracle (tests/oracles) and asserts they agree
+// element-wise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include "benchmarks/PipelineRunner.h"
 #include "core/AccessInfo.h"
 #include "model/MissModel.h"
+#include "tests/oracles/TreeWalker.h"
 
 #include <gtest/gtest.h>
 
@@ -176,7 +178,7 @@ void expectEnginesMatch(const BufferRef &VM, const BufferRef &Ref,
 /// Applies the same random schedule to two fresh instances of \p Kernel,
 /// asks the verifier for a verdict and — when accepted — runs one
 /// instance on the VM (threaded, exercising verified-race-free parallel
-/// marks) and one on the reference walker; both must verify against the
+/// marks) and one on the tree-walking oracle; both must verify against the
 /// oracle and agree with each other. Returns true when the seed executed,
 /// false when the verifier rejected the draw.
 bool runDifferential(const FuzzKernel &Kernel, int Seed) {
@@ -193,10 +195,8 @@ bool runDifferential(const FuzzKernel &Kernel, int Seed) {
   applyRandomSchedule(OnRef.Stages[0], OnRef.StageExtents[0], RngB);
   if (!verifierAccepts(OnVM.Stages[0], OnVM.StageExtents[0]))
     return false;
-  EXPECT_EQ(runInterpreted(OnVM, /*RunParallel=*/true, InterpEngine::VM), "");
-  EXPECT_EQ(runInterpreted(OnRef, /*RunParallel=*/false,
-                           InterpEngine::Reference),
-            "");
+  EXPECT_EQ(runInterpreted(OnVM, /*RunParallel=*/true), "");
+  EXPECT_EQ(walkPipeline(OnRef), "");
   std::string Context =
       std::string(Kernel.Name) + " seed " + std::to_string(Seed);
   EXPECT_TRUE(verifyOutput(OnVM)) << Context << " (vm)";
@@ -362,7 +362,9 @@ TEST(ModelSweep, AnalyticVsSimDifferential) {
         continue;
       }
       ++Analytic;
-      SimResult R = simulatePipeline(Instance, Arch);
+      ErrorOr<SimResult> Sim = simulatePipeline(Instance, Arch);
+      ASSERT_TRUE(static_cast<bool>(Sim)) << Context << ": " << Sim.getError();
+      const SimResult &R = *Sim;
       auto Within = [](double Pred, double Sim) {
         if (std::fabs(Pred - Sim) <= 1024.0)
           return true;

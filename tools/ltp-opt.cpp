@@ -329,7 +329,12 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   if (Args.has("simulate")) {
     std::printf("simulating on the %s configuration...\n",
                 Arch.Name.c_str());
-    SimResult Sim = simulatePipeline(Instance, Arch);
+    ErrorOr<SimResult> Simulated = simulatePipeline(Instance, Arch);
+    if (!Simulated) {
+      std::fprintf(stderr, "error: %s\n", Simulated.getError().c_str());
+      return 1;
+    }
+    const SimResult &Sim = *Simulated;
     std::printf("  accesses      : %llu\n",
                 static_cast<unsigned long long>(Sim.Accesses));
     std::printf("  L1 miss rate  : %.3f%% (prefetch hits %llu)\n",
