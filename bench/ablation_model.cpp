@@ -15,7 +15,7 @@
 
 #include "bench/Harness.h"
 
-#include "interp/Interpreter.h"
+#include "cachesim/AccessProgram.h"
 #include "lang/Lower.h"
 #include "support/Format.h"
 
@@ -130,17 +130,14 @@ int main(int Argc, char **Argv) {
     const BenchmarkDef *Def = findBenchmark("matmul");
     BenchmarkInstance SimInstance = Def->Create(96);
     applyScheduler(SimInstance, Scheduler::Proposed, Arch, &Compiler, 1.0);
+    ErrorOr<AccessProgram> Program =
+        compileAccessProgram(lowerPipeline(SimInstance), SimInstance.Buffers);
+    if (!Program) {
+      std::fprintf(stderr, "error: %s\n", Program.getError().c_str());
+      return 1;
+    }
     MemoryHierarchy Hierarchy(Arch, Policy);
-    InterpOptions Options;
-    Options.Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
-      if (Kind == AccessKind::Load)
-        Hierarchy.load(Address, Size);
-      else
-        Hierarchy.store(Address, Size,
-                        Kind == AccessKind::NonTemporalStore);
-    };
-    for (const ir::StmtPtr &S : lowerPipeline(SimInstance))
-      interpret(S, SimInstance.Buffers, Options);
+    Program->run(Hierarchy);
     HierarchyStats Stats = Hierarchy.stats();
     std::printf("  %-9s L1 misses %8llu   L2 misses %8llu   dram %8llu\n",
                 Policy == ReplacementPolicy::LRU ? "LRU" : "tree-PLRU",

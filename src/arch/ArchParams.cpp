@@ -98,6 +98,19 @@ int64_t parseSize(const std::string &Text) {
 
 } // namespace
 
+ErrorOr<ArchParams> ltp::archByName(const std::string &Name) {
+  if (Name == "5930k")
+    return intelI7_5930K();
+  if (Name == "6700")
+    return intelI7_6700();
+  if (Name == "a15" || Name == "arm")
+    return armCortexA15();
+  if (Name == "host" || Name.empty())
+    return detectHost();
+  return ErrorOr<ArchParams>::makeError(
+      "unknown arch '" + Name + "' (want 5930k|6700|a15|host)");
+}
+
 ArchParams ltp::detectHost() {
   ArchParams Arch = intelI7_6700();
   Arch.Name = "host";

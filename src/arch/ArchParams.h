@@ -16,6 +16,8 @@
 #ifndef LTP_ARCH_ARCHPARAMS_H
 #define LTP_ARCH_ARCHPARAMS_H
 
+#include "support/ErrorOr.h"
+
 #include <cstdint>
 #include <string>
 
@@ -90,6 +92,11 @@ ArchParams armCortexA15();
 /// Detects the host machine's cache hierarchy from sysfs; falls back to
 /// i7-6700-like defaults for fields that cannot be read.
 ArchParams detectHost();
+
+/// The built-in platform called \p Name: "5930k", "6700", "a15" (or
+/// "arm"), and "host" (or empty) for detectHost(); an error naming the
+/// accepted names otherwise.
+ErrorOr<ArchParams> archByName(const std::string &Name);
 
 /// Renders the parameters as a one-line summary for bench headers.
 std::string describe(const ArchParams &Arch);

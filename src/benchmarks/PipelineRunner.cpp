@@ -133,12 +133,11 @@ ltp::simulatePipelines(const std::vector<PipelineSimJob> &Jobs) {
     Sim.Arch = Job.Arch;
     SimJobs.push_back(std::move(Sim));
   }
-  std::vector<SimResult> Results = simulateMany(SimJobs);
+  std::vector<ErrorOr<SimResult>> Results = simulateMany(SimJobs);
   std::vector<ErrorOr<SimResult>> Out;
   size_t Next = 0;
   for (const std::string &Error : Errors)
-    Out.push_back(Error.empty()
-                      ? ErrorOr<SimResult>(std::move(Results[Next++]))
-                      : ErrorOr<SimResult>::makeError(Error));
+    Out.push_back(Error.empty() ? std::move(Results[Next++])
+                                : ErrorOr<SimResult>::makeError(Error));
   return Out;
 }

@@ -87,12 +87,11 @@ struct PipelineSimJob {
 
 /// Simulates every job across the global thread pool (lowering and
 /// bounds-checking run serially up front) and returns each merged miss
-/// profile. Uses the compiled access-program fast path when the lowered
-/// stages admit one, falling back to the interpreter transparently
-/// (identical statistics either way). Results are in job order; a job
-/// whose schedule accesses out of bounds is not simulated and holds that
-/// error. Instances must be distinct objects: a simulation may write the
-/// instance's buffers when it takes the interpreter path.
+/// profile. Results are in job order; a job whose schedule accesses out
+/// of bounds is not simulated and holds that error, and a job whose
+/// trace would depend on buffer contents holds the access program's
+/// refusal. Simulation reads only the buffers' addresses, so jobs may
+/// share an instance.
 std::vector<ErrorOr<SimResult>>
 simulatePipelines(const std::vector<PipelineSimJob> &Jobs);
 

@@ -2,12 +2,14 @@
 
 #include "cachesim/AccessProgram.h"
 
+#include "support/Format.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <set>
+#include <optional>
 
 using namespace ltp;
 using namespace ltp::ir;
@@ -19,7 +21,8 @@ using namespace ltp::ir;
 int64_t ScalarFn::eval(const std::vector<int64_t> &Slots,
                        std::vector<int64_t> &Scratch) const {
   Scratch.clear();
-  for (const Inst &I : Insts) {
+  for (size_t Pc = 0; Pc != Insts.size();) {
+    const Inst &I = Insts[Pc++];
     switch (I.Code) {
     case Op::PushConst:
       Scratch.push_back(I.Imm);
@@ -40,6 +43,16 @@ int64_t ScalarFn::eval(const std::vector<int64_t> &Slots,
       continue;
     case Op::CastBool:
       Scratch.back() = Scratch.back() != 0;
+      continue;
+    case Op::JumpIfZero: {
+      int64_t Cond = Scratch.back();
+      Scratch.pop_back();
+      if (Cond == 0)
+        Pc = static_cast<size_t>(I.Imm);
+      continue;
+    }
+    case Op::Jump:
+      Pc = static_cast<size_t>(I.Imm);
       continue;
     default:
       break;
@@ -118,11 +131,13 @@ int64_t ScalarFn::eval(const std::vector<int64_t> &Slots,
 
 namespace {
 
-/// Name -> slot scope stack; innermost binding wins on lookup.
+/// Name -> slot scope stack (innermost binding wins on lookup) and the
+/// first refusal.
 struct CompileCtx {
   const std::map<std::string, BufferRef> &Buffers;
   std::vector<std::pair<std::string, int>> Scope;
   int NumSlots = 0;
+  std::string Error;
 
   int lookup(const std::string &Name) const {
     for (auto It = Scope.rbegin(); It != Scope.rend(); ++It)
@@ -138,14 +153,34 @@ struct CompileCtx {
   }
 
   void pop() { Scope.pop_back(); }
+
+  bool refuse(const std::string &Why) {
+    if (Error.empty())
+      Error = "cannot simulate: " + Why;
+    return false;
+  }
 };
 
-/// Result of compiling one statement: a node sequence plus whether any
-/// escape sits inside it (drives the escape-to-loop escalation).
-struct CompiledSeq {
-  std::vector<ProgramNode> Nodes;
-  bool ContainsEscape = false;
-};
+/// True when any Load appears in \p E.
+bool containsLoad(const ExprPtr &E) {
+  switch (E->kind()) {
+  case ExprKind::Load:
+    return true;
+  case ExprKind::Binary: {
+    const Binary *B = exprAs<Binary>(E);
+    return containsLoad(B->A) || containsLoad(B->B);
+  }
+  case ExprKind::Cast:
+    return containsLoad(exprAs<Cast>(E)->Value);
+  case ExprKind::Select: {
+    const Select *S = exprAs<Select>(E);
+    return containsLoad(S->Cond) || containsLoad(S->TrueValue) ||
+           containsLoad(S->FalseValue);
+  }
+  default:
+    return false;
+  }
+}
 
 //===--- affine index expressions -----------------------------------------===//
 
@@ -283,8 +318,10 @@ std::optional<AffineFn> affineOf(const ExprPtr &E, const CompileCtx &Ctx) {
   return std::nullopt;
 }
 
-//===--- scalar bound / let expressions -----------------------------------===//
+//===--- scalar expressions -----------------------------------------------===//
 
+/// Appends the postfix program of \p E to \p Out; false when \p E is not
+/// a load-free integer expression over bound slots.
 bool emitScalar(const ExprPtr &E, const CompileCtx &Ctx, ScalarFn &Out) {
   if (E->type().isFloat())
     return false;
@@ -384,44 +421,70 @@ bool emitScalar(const ExprPtr &E, const CompileCtx &Ctx, ScalarFn &Out) {
     }
     return false;
   }
+  case ExprKind::Select: {
+    // Jumps keep the walker's lazy select: only the taken arm evaluates
+    // (the other may divide by zero).
+    const Select *S = exprAs<Select>(E);
+    if (!emitScalar(S->Cond, Ctx, Out))
+      return false;
+    size_t ToElse = Out.Insts.size();
+    Out.Insts.push_back({ScalarFn::Op::JumpIfZero, 0});
+    if (!emitScalar(S->TrueValue, Ctx, Out))
+      return false;
+    size_t ToEnd = Out.Insts.size();
+    Out.Insts.push_back({ScalarFn::Op::Jump, 0});
+    Out.Insts[ToElse].Imm = static_cast<int64_t>(Out.Insts.size());
+    if (!emitScalar(S->FalseValue, Ctx, Out))
+      return false;
+    Out.Insts[ToEnd].Imm = static_cast<int64_t>(Out.Insts.size());
+    return true;
+  }
   case ExprKind::FloatImm:
   case ExprKind::Load:
-    return false;
-  case ExprKind::Select:
-    // The interpreter evaluates only the taken arm; an eager stack
-    // machine would evaluate both, which can differ observably (e.g. a
-    // division guarded by the condition). Escape instead.
     return false;
   }
   return false;
 }
 
-std::optional<ScalarFn> scalarOf(const ExprPtr &E, const CompileCtx &Ctx) {
-  ScalarFn F;
-  if (!emitScalar(E, Ctx, F))
-    return std::nullopt;
-  return F;
+/// emitScalar, refusing the program with "\p What ..." on failure.
+bool scalarOf(const ExprPtr &E, CompileCtx &Ctx, const std::string &What,
+              ScalarFn &Out) {
+  if (emitScalar(E, Ctx, Out))
+    return true;
+  return Ctx.refuse(What + (containsLoad(E)
+                                ? " depends on buffer contents"
+                                : " is not an integer expression over "
+                                  "loop variables"));
 }
 
 //===--- per-statement compilation ----------------------------------------===//
 
-/// Byte-address function of a load/store with load-free affine indices.
-std::optional<AffineFn> addressOf(const std::string &BufferName,
-                                  const std::vector<ExprPtr> &Indices,
-                                  const CompileCtx &Ctx) {
+/// Fills in the byte address and width of \p Op, an access to
+/// \p BufferName at \p Indices: affine when every index is, else a
+/// per-element scalar program (the div/mod indices of a fused loop).
+bool addressOf(const std::string &BufferName,
+               const std::vector<ExprPtr> &Indices, CompileCtx &Ctx,
+               AccessOp &Op) {
   auto It = Ctx.Buffers.find(BufferName);
   if (It == Ctx.Buffers.end())
-    return std::nullopt;
+    return Ctx.refuse("'" + BufferName + "' is not bound to a buffer");
   const BufferRef &Buf = It->second;
   if (Indices.size() != Buf.Extents.size())
-    return std::nullopt;
+    return Ctx.refuse(strFormat("'%s' has %zu dimensions but is indexed "
+                                "with %zu",
+                                BufferName.c_str(), Buf.Extents.size(),
+                                Indices.size()));
   int64_t ElemBytes = Buf.ElemType.bytes();
+  int64_t Base = static_cast<int64_t>(reinterpret_cast<uintptr_t>(Buf.Data));
+  Op.SizeBytes = static_cast<uint32_t>(ElemBytes);
   AffineFn Addr;
-  Addr.Const = static_cast<int64_t>(reinterpret_cast<uintptr_t>(Buf.Data));
-  for (size_t D = 0; D != Indices.size(); ++D) {
+  Addr.Const = Base;
+  for (size_t D = 0; D != Indices.size() && Op.Affine; ++D) {
     std::optional<AffineFn> Index = affineOf(Indices[D], Ctx);
-    if (!Index)
-      return std::nullopt;
+    if (!Index) {
+      Op.Affine = false;
+      break;
+    }
     int64_t Scale = Buf.Strides[D] * ElemBytes;
     Addr.Const += Index->Const * Scale;
     for (const AffineFn::Term &T : Index->Terms) {
@@ -436,42 +499,43 @@ std::optional<AffineFn> addressOf(const std::string &BufferName,
         Addr.Terms.push_back({T.Slot, T.Coef * Scale});
     }
   }
-  Addr.Terms.erase(std::remove_if(Addr.Terms.begin(), Addr.Terms.end(),
-                                  [](const AffineFn::Term &T) {
-                                    return T.Coef == 0;
-                                  }),
-                   Addr.Terms.end());
-  return Addr;
-}
-
-/// True when any Load appears in \p E.
-bool containsLoad(const ExprPtr &E) {
-  switch (E->kind()) {
-  case ExprKind::Load:
+  if (Op.Affine) {
+    Addr.Terms.erase(std::remove_if(Addr.Terms.begin(), Addr.Terms.end(),
+                                    [](const AffineFn::Term &T) {
+                                      return T.Coef == 0;
+                                    }),
+                     Addr.Terms.end());
+    Op.AddressBytes = std::move(Addr);
     return true;
-  case ExprKind::Binary: {
-    const Binary *B = exprAs<Binary>(E);
-    return containsLoad(B->A) || containsLoad(B->B);
   }
-  case ExprKind::Cast:
-    return containsLoad(exprAs<Cast>(E)->Value);
-  case ExprKind::Select: {
-    const Select *S = exprAs<Select>(E);
-    return containsLoad(S->Cond) || containsLoad(S->TrueValue) ||
-           containsLoad(S->FalseValue);
+  Op.Address.Insts.push_back({ScalarFn::Op::PushConst, Base});
+  for (size_t D = 0; D != Indices.size(); ++D) {
+    if (!scalarOf(Indices[D], Ctx, "an index of '" + BufferName + "'",
+                  Op.Address))
+      return false;
+    Op.Address.Insts.push_back(
+        {ScalarFn::Op::PushConst, Buf.Strides[D] * ElemBytes});
+    Op.Address.Insts.push_back({ScalarFn::Op::Mul, 0});
+    Op.Address.Insts.push_back({ScalarFn::Op::Add, 0});
   }
-  default:
-    return false;
-  }
+  return true;
 }
 
-/// Appends the loads of \p E to \p Ops in the interpreter's evaluation
-/// order (depth-first, left operand before right). Returns false when
-/// the trace cannot be predicted statically: a Select containing loads
-/// (only the taken arm's loads are traced) or a load with non-affine /
-/// load-bearing indices.
-bool collectValueLoads(const ExprPtr &E, const CompileCtx &Ctx,
-                       std::vector<AccessOp> &Ops) {
+/// Appends \p Op to the trailing Accesses node of \p Seq, opening one
+/// when \p Seq is empty or ends in a guard.
+void append(std::vector<ProgramNode> &Seq, AccessOp Op) {
+  if (Seq.empty() || Seq.back().NodeKind != ProgramNode::Kind::Accesses) {
+    Seq.emplace_back();
+    Seq.back().NodeKind = ProgramNode::Kind::Accesses;
+  }
+  Seq.back().Ops.push_back(std::move(Op));
+}
+
+/// Appends the loads of \p E to \p Seq in the walker's evaluation order:
+/// depth-first, left operand before right, and only the taken arm of a
+/// Select (a guard on its condition when an arm loads).
+bool collectValueLoads(const ExprPtr &E, CompileCtx &Ctx,
+                       std::vector<ProgramNode> &Seq) {
   switch (E->kind()) {
   case ExprKind::IntImm:
   case ExprKind::FloatImm:
@@ -479,331 +543,133 @@ bool collectValueLoads(const ExprPtr &E, const CompileCtx &Ctx,
     return true;
   case ExprKind::Load: {
     const Load *L = exprAs<Load>(E);
-    for (const ExprPtr &Index : L->Indices)
-      if (containsLoad(Index))
-        return false;
-    std::optional<AffineFn> Addr = addressOf(L->BufferName, L->Indices, Ctx);
-    if (!Addr)
+    AccessOp Op;
+    Op.Kind = AccessKind::Load;
+    if (!addressOf(L->BufferName, L->Indices, Ctx, Op))
       return false;
-    auto It = Ctx.Buffers.find(L->BufferName);
-    Ops.push_back({AccessKind::Load, std::move(*Addr),
-                   static_cast<uint32_t>(It->second.ElemType.bytes())});
+    append(Seq, std::move(Op));
     return true;
   }
   case ExprKind::Binary: {
     const Binary *B = exprAs<Binary>(E);
-    return collectValueLoads(B->A, Ctx, Ops) &&
-           collectValueLoads(B->B, Ctx, Ops);
+    return collectValueLoads(B->A, Ctx, Seq) &&
+           collectValueLoads(B->B, Ctx, Seq);
   }
   case ExprKind::Cast:
-    return collectValueLoads(exprAs<Cast>(E)->Value, Ctx, Ops);
-  case ExprKind::Select:
-    return !containsLoad(E);
+    return collectValueLoads(exprAs<Cast>(E)->Value, Ctx, Seq);
+  case ExprKind::Select: {
+    const Select *S = exprAs<Select>(E);
+    if (!containsLoad(S->TrueValue) && !containsLoad(S->FalseValue))
+      return collectValueLoads(S->Cond, Ctx, Seq);
+    ProgramNode Guard;
+    Guard.NodeKind = ProgramNode::Kind::Guard;
+    if (!scalarOf(S->Cond, Ctx, "a select condition choosing between loads",
+                  Guard.Cond) ||
+        !collectValueLoads(S->TrueValue, Ctx, Guard.Body) ||
+        !collectValueLoads(S->FalseValue, Ctx, Guard.Else))
+      return false;
+    Seq.push_back(std::move(Guard));
+    return true;
+  }
   }
   return false;
 }
 
-std::optional<ProgramNode> compileStore(const Store *St, CompileCtx &Ctx) {
-  for (const ExprPtr &Index : St->Indices)
-    if (containsLoad(Index))
-      return std::nullopt;
-  std::optional<AffineFn> Addr = addressOf(St->BufferName, St->Indices, Ctx);
-  if (!Addr)
-    return std::nullopt;
-  ProgramNode Node;
-  Node.NodeKind = ProgramNode::Kind::Accesses;
-  // Interpreter order: index expressions first (load-free by the check
-  // above), then the value's loads, then the store event itself.
-  if (!collectValueLoads(St->Value, Ctx, Node.Ops))
-    return std::nullopt;
-  auto It = Ctx.Buffers.find(St->BufferName);
-  Node.Ops.push_back(
-      {St->NonTemporal ? AccessKind::NonTemporalStore : AccessKind::Store,
-       std::move(*Addr), static_cast<uint32_t>(It->second.ElemType.bytes())});
-  Node.StoreBuffers.push_back(St->BufferName);
-  return Node;
-}
-
-ProgramNode makeEscape(const StmtPtr &S, CompileCtx &Ctx) {
-  ProgramNode Node;
-  Node.NodeKind = ProgramNode::Kind::Escape;
-  Node.EscapeStmt = S;
-  // Innermost-first so shadowed outer bindings are skipped.
-  std::set<std::string> Seen;
-  for (auto It = Ctx.Scope.rbegin(); It != Ctx.Scope.rend(); ++It)
-    if (Seen.insert(It->first).second)
-      Node.EscapeBindings.push_back(*It);
-  return Node;
-}
-
-CompiledSeq compileStmt(const StmtPtr &S, CompileCtx &Ctx);
-
-CompiledSeq escapeSeq(const StmtPtr &S, CompileCtx &Ctx) {
-  CompiledSeq Seq;
-  Seq.Nodes.push_back(makeEscape(S, Ctx));
-  Seq.ContainsEscape = true;
-  return Seq;
-}
-
-CompiledSeq compileStmt(const StmtPtr &S, CompileCtx &Ctx) {
-  switch (S->kind()) {
-  case StmtKind::For: {
-    const For *F = stmtAs<For>(S);
-    std::optional<ScalarFn> Min = scalarOf(F->Min, Ctx);
-    std::optional<ScalarFn> Extent = scalarOf(F->Extent, Ctx);
-    if (!Min || !Extent)
-      return escapeSeq(S, Ctx);
-    ProgramNode Node;
-    Node.NodeKind = ProgramNode::Kind::Loop;
-    Node.Min = std::move(*Min);
-    Node.Extent = std::move(*Extent);
-    Node.Slot = Ctx.push(F->VarName);
-    CompiledSeq Body = compileStmt(F->Body, Ctx);
-    Ctx.pop();
-    // Escalate: an escape inside a compiled loop would re-enter the
-    // interpreter once per iteration, which is slower than interpreting
-    // the loop outright — and it keeps escapes at most-once-per-run,
-    // which the garbage analysis below relies on.
-    if (Body.ContainsEscape)
-      return escapeSeq(S, Ctx);
-    Node.Body = std::move(Body.Nodes);
-    CompiledSeq Seq;
-    Seq.Nodes.push_back(std::move(Node));
-    return Seq;
-  }
-  case StmtKind::LetStmt: {
-    const LetStmt *L = stmtAs<LetStmt>(S);
-    std::optional<ScalarFn> Value = scalarOf(L->Value, Ctx);
-    if (!Value)
-      return escapeSeq(S, Ctx);
-    ProgramNode Node;
-    Node.NodeKind = ProgramNode::Kind::Let;
-    Node.Value = std::move(*Value);
-    Node.Slot = Ctx.push(L->Name);
-    CompiledSeq Body = compileStmt(L->Body, Ctx);
-    Ctx.pop();
-    Node.Body = std::move(Body.Nodes);
-    CompiledSeq Seq;
-    Seq.Nodes.push_back(std::move(Node));
-    Seq.ContainsEscape = Body.ContainsEscape;
-    return Seq;
-  }
-  case StmtKind::Store: {
-    const Store *St = stmtAs<Store>(S);
-    if (std::optional<ProgramNode> Node = compileStore(St, Ctx)) {
-      CompiledSeq Seq;
-      Seq.Nodes.push_back(std::move(*Node));
-      return Seq;
-    }
-    return escapeSeq(S, Ctx);
-  }
-  case StmtKind::IfThenElse:
-    // Predicated statements (rdom.where, boundary conditions) take the
-    // interpreter path.
-    return escapeSeq(S, Ctx);
-  case StmtKind::Block: {
-    CompiledSeq Seq;
-    for (const StmtPtr &Child : stmtAs<Block>(S)->Stmts) {
-      CompiledSeq Sub = compileStmt(Child, Ctx);
-      for (ProgramNode &N : Sub.Nodes)
-        Seq.Nodes.push_back(std::move(N));
-      Seq.ContainsEscape |= Sub.ContainsEscape;
-    }
-    return Seq;
-  }
-  }
-  return escapeSeq(S, Ctx);
-}
-
-//===--- escape safety analysis -------------------------------------------===//
-
-/// Buffer-name sets describing what an escaped subtree can observe.
-struct EscapeSets {
-  /// Buffers whose loaded *values* can steer the trace: loads feeding
-  /// loop bounds, let values, if/select conditions or index expressions.
-  std::set<std::string> TraceLoads;
-  /// Buffers loaded anywhere (value positions included).
-  std::set<std::string> ValueLoads;
-  /// Buffers stored to.
-  std::set<std::string> Stores;
-};
-
-void allLoadsInto(const ExprPtr &E, std::set<std::string> &Out) {
-  switch (E->kind()) {
-  case ExprKind::Load: {
-    const Load *L = exprAs<Load>(E);
-    Out.insert(L->BufferName);
-    for (const ExprPtr &Index : L->Indices)
-      allLoadsInto(Index, Out);
-    return;
-  }
-  case ExprKind::Binary: {
-    const Binary *B = exprAs<Binary>(E);
-    allLoadsInto(B->A, Out);
-    allLoadsInto(B->B, Out);
-    return;
-  }
-  case ExprKind::Cast:
-    allLoadsInto(exprAs<Cast>(E)->Value, Out);
-    return;
-  case ExprKind::Select: {
-    const Select *Sel = exprAs<Select>(E);
-    allLoadsInto(Sel->Cond, Out);
-    allLoadsInto(Sel->TrueValue, Out);
-    allLoadsInto(Sel->FalseValue, Out);
-    return;
-  }
-  default:
-    return;
-  }
-}
-
-void collectEscapeExpr(const ExprPtr &E, EscapeSets &Sets) {
-  switch (E->kind()) {
-  case ExprKind::Load: {
-    const Load *L = exprAs<Load>(E);
-    Sets.ValueLoads.insert(L->BufferName);
-    // Loads inside index expressions determine *addresses*.
-    for (const ExprPtr &Index : L->Indices)
-      allLoadsInto(Index, Sets.TraceLoads);
-    return;
-  }
-  case ExprKind::Binary: {
-    const Binary *B = exprAs<Binary>(E);
-    collectEscapeExpr(B->A, Sets);
-    collectEscapeExpr(B->B, Sets);
-    return;
-  }
-  case ExprKind::Cast:
-    collectEscapeExpr(exprAs<Cast>(E)->Value, Sets);
-    return;
-  case ExprKind::Select: {
-    const Select *Sel = exprAs<Select>(E);
-    // The condition decides which arm's loads are traced.
-    allLoadsInto(Sel->Cond, Sets.TraceLoads);
-    collectEscapeExpr(Sel->TrueValue, Sets);
-    collectEscapeExpr(Sel->FalseValue, Sets);
-    return;
-  }
-  default:
-    return;
-  }
-}
-
-void collectEscapeStmt(const StmtPtr &S, EscapeSets &Sets) {
-  switch (S->kind()) {
-  case StmtKind::For: {
-    const For *F = stmtAs<For>(S);
-    allLoadsInto(F->Min, Sets.TraceLoads);
-    allLoadsInto(F->Extent, Sets.TraceLoads);
-    collectEscapeStmt(F->Body, Sets);
-    return;
-  }
-  case StmtKind::Store: {
-    const Store *St = stmtAs<Store>(S);
-    Sets.Stores.insert(St->BufferName);
-    for (const ExprPtr &Index : St->Indices)
-      allLoadsInto(Index, Sets.TraceLoads);
-    collectEscapeExpr(St->Value, Sets);
-    return;
-  }
-  case StmtKind::LetStmt: {
-    const LetStmt *L = stmtAs<LetStmt>(S);
-    // A let value can flow into indices or bounds downstream.
-    allLoadsInto(L->Value, Sets.TraceLoads);
-    collectEscapeStmt(L->Body, Sets);
-    return;
-  }
-  case StmtKind::IfThenElse: {
-    const IfThenElse *I = stmtAs<IfThenElse>(S);
-    allLoadsInto(I->Cond, Sets.TraceLoads);
-    collectEscapeStmt(I->Then, Sets);
-    if (I->Else)
-      collectEscapeStmt(I->Else, Sets);
-    return;
-  }
-  case StmtKind::Block:
-    for (const StmtPtr &Child : stmtAs<Block>(S)->Stmts)
-      collectEscapeStmt(Child, Sets);
-    return;
-  }
-}
-
-bool intersects(const std::set<std::string> &A,
-                const std::set<std::string> &B) {
-  for (const std::string &X : A)
-    if (B.contains(X))
-      return true;
-  return false;
-}
-
-/// The fast path never writes buffer elements, so every buffer a
-/// compiled store targets holds garbage afterwards; garbage propagates
-/// through escaped stores whose inputs read it. If an escape's *trace*
-/// (bounds, conditions, addresses) could observe garbage, the whole
-/// program must fall back to the interpreter. Walks the nodes in
-/// execution order; escalation guarantees escapes sit outside compiled
-/// loops, so a single sequential pass is exact.
-bool garbageSafe(const std::vector<ProgramNode> &Nodes,
-                 std::set<std::string> &Garbage) {
-  for (const ProgramNode &Node : Nodes) {
-    switch (Node.NodeKind) {
-    case ProgramNode::Kind::Accesses:
-      for (const std::string &B : Node.StoreBuffers)
-        Garbage.insert(B);
-      break;
-    case ProgramNode::Kind::Loop:
-    case ProgramNode::Kind::Let:
-      if (!garbageSafe(Node.Body, Garbage))
-        return false;
-      break;
-    case ProgramNode::Kind::Escape: {
-      EscapeSets Sets;
-      collectEscapeStmt(Node.EscapeStmt, Sets);
-      if (intersects(Sets.TraceLoads, Garbage))
-        return false;
-      if (intersects(Sets.ValueLoads, Garbage))
-        for (const std::string &B : Sets.Stores)
-          Garbage.insert(B);
-      break;
-    }
-    }
-  }
+bool compileStore(const Store *St, CompileCtx &Ctx,
+                  std::vector<ProgramNode> &Out) {
+  AccessOp StoreOp;
+  StoreOp.Kind =
+      St->NonTemporal ? AccessKind::NonTemporalStore : AccessKind::Store;
+  if (!addressOf(St->BufferName, St->Indices, Ctx, StoreOp))
+    return false;
+  // Walker order: the (load-free) indices, then the value's loads, then
+  // the store event itself.
+  std::vector<ProgramNode> Seq;
+  if (!collectValueLoads(St->Value, Ctx, Seq))
+    return false;
+  append(Seq, std::move(StoreOp));
+  for (ProgramNode &N : Seq)
+    Out.push_back(std::move(N));
   return true;
 }
 
-/// Escape nodes surviving in the final tree. Escalation may mint several
-/// intermediate escapes while hoisting one out of a loop nest, so the
-/// compile-time counter overstates what actually executes.
-size_t countEscapes(const std::vector<ProgramNode> &Nodes) {
-  size_t N = 0;
-  for (const ProgramNode &Node : Nodes) {
-    if (Node.NodeKind == ProgramNode::Kind::Escape)
-      ++N;
-    N += countEscapes(Node.Body);
+/// True when \p Nodes is one Accesses node with affine addresses only:
+/// the shape execBatchedLoop retires window by window.
+bool batchable(const std::vector<ProgramNode> &Nodes) {
+  if (Nodes.size() != 1 || Nodes[0].NodeKind != ProgramNode::Kind::Accesses)
+    return false;
+  for (const AccessOp &Op : Nodes[0].Ops)
+    if (!Op.Affine)
+      return false;
+  return true;
+}
+
+bool compileStmt(const StmtPtr &S, CompileCtx &Ctx,
+                 std::vector<ProgramNode> &Out) {
+  ProgramNode Node;
+  switch (S->kind()) {
+  case StmtKind::For: {
+    const For *F = stmtAs<For>(S);
+    Node.NodeKind = ProgramNode::Kind::Loop;
+    if (!scalarOf(F->Min, Ctx, "the start of loop '" + F->VarName + "'",
+                  Node.Min) ||
+        !scalarOf(F->Extent, Ctx, "the extent of loop '" + F->VarName + "'",
+                  Node.Extent))
+      return false;
+    Node.Slot = Ctx.push(F->VarName);
+    bool Ok = compileStmt(F->Body, Ctx, Node.Body);
+    Ctx.pop();
+    Node.Batched = batchable(Node.Body);
+    Out.push_back(std::move(Node));
+    return Ok;
   }
-  return N;
+  case StmtKind::LetStmt: {
+    const LetStmt *L = stmtAs<LetStmt>(S);
+    Node.NodeKind = ProgramNode::Kind::Let;
+    if (!scalarOf(L->Value, Ctx, "the value of '" + L->Name + "'",
+                  Node.Value))
+      return false;
+    Node.Slot = Ctx.push(L->Name);
+    bool Ok = compileStmt(L->Body, Ctx, Node.Body);
+    Ctx.pop();
+    Out.push_back(std::move(Node));
+    return Ok;
+  }
+  case StmtKind::Store:
+    return compileStore(stmtAs<Store>(S), Ctx, Out);
+  case StmtKind::IfThenElse: {
+    // Predicated statements: rdom.where and boundary conditions.
+    const IfThenElse *I = stmtAs<IfThenElse>(S);
+    Node.NodeKind = ProgramNode::Kind::Guard;
+    if (!scalarOf(I->Cond, Ctx, "an if condition", Node.Cond) ||
+        !compileStmt(I->Then, Ctx, Node.Body) ||
+        (I->Else && !compileStmt(I->Else, Ctx, Node.Else)))
+      return false;
+    Out.push_back(std::move(Node));
+    return true;
+  }
+  case StmtKind::Block:
+    for (const StmtPtr &Child : stmtAs<Block>(S)->Stmts)
+      if (!compileStmt(Child, Ctx, Out))
+        return false;
+    return true;
+  }
+  return Ctx.refuse("unknown statement kind");
 }
 
 } // namespace
 
-std::optional<AccessProgram>
+ErrorOr<AccessProgram>
 ltp::compileAccessProgram(const std::vector<ir::StmtPtr> &Stmts,
                           const std::map<std::string, BufferRef> &Buffers) {
-  CompileCtx Ctx{Buffers, {}, 0};
+  CompileCtx Ctx{Buffers, {}, 0, {}};
   AccessProgram Program;
   for (const StmtPtr &S : Stmts) {
-    if (!S)
-      return std::nullopt;
-    CompiledSeq Seq = compileStmt(S, Ctx);
-    for (ProgramNode &N : Seq.Nodes)
-      Program.Roots.push_back(std::move(N));
+    assert(S && "compiling a null statement");
+    if (!compileStmt(S, Ctx, Program.Roots))
+      return ErrorOr<AccessProgram>::makeError(Ctx.Error);
   }
   Program.NumSlots = Ctx.NumSlots;
-  Program.Escapes = countEscapes(Program.Roots);
-  std::set<std::string> Garbage;
-  if (!garbageSafe(Program.Roots, Garbage))
-    return std::nullopt;
   return Program;
 }
 
@@ -815,7 +681,6 @@ namespace {
 
 struct ExecState {
   MemoryHierarchy &Hierarchy;
-  const std::map<std::string, BufferRef> &Buffers;
   std::vector<int64_t> Slots;
   std::vector<int64_t> Scratch;
   std::vector<int64_t> Base;   // per-op window base addresses
@@ -826,17 +691,7 @@ struct ExecState {
 
   void issue(AccessKind Kind, uint64_t Address, uint32_t Size) {
     ++Accesses;
-    switch (Kind) {
-    case AccessKind::Load:
-      Hierarchy.load(Address, Size);
-      return;
-    case AccessKind::Store:
-      Hierarchy.store(Address, Size, /*NonTemporal=*/false);
-      return;
-    case AccessKind::NonTemporalStore:
-      Hierarchy.store(Address, Size, /*NonTemporal=*/true);
-      return;
-    }
+    Hierarchy.access(Kind, Address, Size);
   }
 };
 
@@ -997,8 +852,7 @@ void execNode(const ProgramNode &Node, ExecState &State) {
     int64_t Extent = Node.Extent.eval(State.Slots, State.Scratch);
     if (Extent <= 0)
       return;
-    if (Node.Body.size() == 1 &&
-        Node.Body[0].NodeKind == ProgramNode::Kind::Accesses) {
+    if (Node.Batched) {
       execBatchedLoop(Node.Body[0], Node.Slot, Min, Extent, State);
       return;
     }
@@ -1012,21 +866,19 @@ void execNode(const ProgramNode &Node, ExecState &State) {
     State.Slots[Node.Slot] = Node.Value.eval(State.Slots, State.Scratch);
     execList(Node.Body, State);
     return;
+  case ProgramNode::Kind::Guard:
+    execList(Node.Cond.eval(State.Slots, State.Scratch) != 0 ? Node.Body
+                                                             : Node.Else,
+             State);
+    return;
   case ProgramNode::Kind::Accesses:
-    for (const AccessOp &Op : Node.Ops)
-      State.issue(Op.Kind,
-                  static_cast<uint64_t>(Op.AddressBytes.eval(State.Slots)),
-                  Op.SizeBytes);
+    for (const AccessOp &Op : Node.Ops) {
+      int64_t Address = Op.Affine
+                            ? Op.AddressBytes.eval(State.Slots)
+                            : Op.Address.eval(State.Slots, State.Scratch);
+      State.issue(Op.Kind, static_cast<uint64_t>(Address), Op.SizeBytes);
+    }
     return;
-  case ProgramNode::Kind::Escape: {
-    InterpOptions Options;
-    for (const auto &[Name, Slot] : Node.EscapeBindings)
-      Options.InitialScalars[Name] = State.Slots[Slot];
-    Options.Hook = [&State](AccessKind Kind, uint64_t Address,
-                            uint32_t Size) { State.issue(Kind, Address, Size); };
-    interpret(Node.EscapeStmt, State.Buffers, Options);
-    return;
-  }
   }
 }
 
@@ -1037,13 +889,12 @@ void execList(const std::vector<ProgramNode> &Nodes, ExecState &State) {
 
 } // namespace
 
-uint64_t
-AccessProgram::run(MemoryHierarchy &Hierarchy,
-                   const std::map<std::string, BufferRef> &Buffers) const {
-  ExecState State{Hierarchy, Buffers, std::vector<int64_t>(
-                                          static_cast<size_t>(NumSlots), 0),
-                  {},       {},      {},
-                  {},       Hierarchy.lineBytes()};
+uint64_t AccessProgram::run(MemoryHierarchy &Hierarchy) const {
+  ExecState State{Hierarchy, std::vector<int64_t>(
+                                 static_cast<size_t>(NumSlots), 0),
+                  {},        {},
+                  {},        {},
+                  Hierarchy.lineBytes()};
   execList(Roots, State);
   return State.Accesses;
 }

@@ -1,41 +1,41 @@
-//===- AccessProgram.h - compiled affine access streams ---------*- C++ -*-===//
+//===- AccessProgram.h - compiled access streams ----------------*- C++ -*-===//
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The simulator fast path. Instead of tree-walking the lowered IR and
-/// paying a `std::function` hook per memory access, `compileAccessProgram`
-/// lowers an affine loop nest once into a compact *access program*:
+/// The simulator's trace engine. `compileAccessProgram` lowers a loop
+/// nest once into a compact *access program* whose replay feeds a
+/// `MemoryHierarchy` the exact address trace an execution of the nest
+/// would produce, without executing it:
 ///
 ///   * `Loop` / `Let` nodes bind integer slots evaluated by a tiny
 ///     stack machine (`ScalarFn`) — enough for the `min(factor, n - o*f)`
 ///     tail extents and triangular bounds the scheduler produces;
+///   * `Guard` nodes pick a branch with a `ScalarFn` condition: the
+///     `IfThenElse` of an `rdom.where` predicate, or a `Select` whose arms
+///     load;
 ///   * `Accesses` nodes carry the per-iteration trace of one Store
-///     statement as affine byte-address functions (base + Σ coef·slot),
-///     in exactly the interpreter's evaluation order: value loads
-///     depth-first and left-to-right, then the store itself;
-///   * `Escape` nodes hold subtrees the compiler cannot prove affine
-///     (predicated statements, `fuse` div/mod indices, loads in index
-///     expressions); the executor runs them through `interpret()` (its
-///     default engine, the bytecode VM) with the surrounding loop
-///     variables seeded, so the trace is byte-for-byte the one the
-///     interpreter would produce.
+///     statement in evaluation order — value loads depth-first and
+///     left-to-right, then the store itself. An address is an affine
+///     byte-address function (base + Σ coef·slot) when every index is
+///     affine, else a per-element `ScalarFn` (the div/mod indices of
+///     `fuse`).
 ///
-/// The affine-only contract: a statement is compiled iff its store and
-/// load indices, loop bounds and let values are integer expressions over
-/// loop variables, lets and constants — no buffer loads feeding
-/// addresses or bounds. Escapes are escalated to the enclosing loop so
-/// an escape is entered at most once per program run, never once per
-/// iteration. If any escaped subtree's *trace* could observe values the
-/// fast path did not materialize (the fast path never writes buffer
-/// elements), compilation fails as a whole and the caller falls back to
-/// the interpreter; `simulate()` stays bit-identical either way.
+/// The load-free contract: every loop bound, let value, guard, Select
+/// condition choosing between loading arms, and index is an integer
+/// expression over loop variables, lets and constants. Such a trace never
+/// depends on buffer contents, so the program never reads or writes a
+/// buffer; only the buffers' base addresses are baked in. A program that
+/// breaks the contract (an index or bound read from a buffer) is refused
+/// with an error naming the offending expression. Lowering never puts a
+/// load in an index, bound or guard, so no built-in kernel and no
+/// schedule text is refused.
 ///
 /// Unit-stride batching: for an innermost loop whose body is a single
-/// `Accesses` node, iterations whose accesses all stay within their
-/// current cache lines are *pure repeats* — each is an L1 hit on a
+/// affine `Accesses` node, iterations whose accesses all stay within
+/// their current cache lines are *pure repeats* — each is an L1 hit on a
 /// resident line whose successor is also resident (so the next-line
 /// prefetcher's probe is a no-op), and the L2 streamer is not consulted
 /// (it only trains on L1 misses). A repeat's only state effect is the
@@ -50,7 +50,8 @@
 /// the element-wise run; skipping the touches is NOT sound, a stale
 /// LastUse flips later victim choices) / `retireRepeatNonTemporal` —
 /// giving O(accesses / line-elements) simulation for streaming kernels
-/// with stats identical to the element-wise run.
+/// with stats identical to the element-wise run. A loop with a
+/// per-element address runs element-wise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,15 +59,13 @@
 #define LTP_CACHESIM_ACCESSPROGRAM_H
 
 #include "cachesim/Hierarchy.h"
-#include "interp/Interpreter.h"
 #include "ir/Stmt.h"
 #include "runtime/Buffer.h"
+#include "support/ErrorOr.h"
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace ltp {
@@ -98,8 +97,9 @@ struct AffineFn {
 };
 
 /// Integer scalar function of the slots as a postfix program; evaluates
-/// loop bounds and let values with the interpreter's semantics
-/// (truncating division, eager And/Or, value-truncating casts).
+/// bounds, lets, guards and non-affine addresses with the walker's
+/// semantics (truncating division, eager And/Or, value-truncating casts,
+/// a Select that evaluates only its taken arm).
 struct ScalarFn {
   enum class Op : uint8_t {
     PushConst,
@@ -126,10 +126,12 @@ struct ScalarFn {
     CastUInt32,
     CastUInt8,
     CastBool,
+    JumpIfZero, ///< pops a value; jumps to instruction Imm when it is 0
+    Jump,       ///< jumps to instruction Imm
   };
   struct Inst {
     Op Code;
-    int64_t Imm = 0; // constant or slot index
+    int64_t Imm = 0; // constant, slot index or jump target
   };
   std::vector<Inst> Insts;
 
@@ -139,10 +141,13 @@ struct ScalarFn {
                std::vector<int64_t> &Scratch) const;
 };
 
-/// One traced access: kind, absolute byte-address function and width.
+/// One traced access: kind, absolute byte address and width. The address
+/// is `AddressBytes` when `Affine`, else the per-element `Address`.
 struct AccessOp {
   AccessKind Kind;
+  bool Affine = true;
   AffineFn AddressBytes;
+  ScalarFn Address;
   uint32_t SizeBytes;
 };
 
@@ -151,63 +156,51 @@ struct ProgramNode {
   enum class Kind {
     Loop,     ///< counted loop binding Slot over [Min, Min+Extent)
     Let,      ///< scalar binding of Slot
+    Guard,    ///< Body when Cond is non-zero, else Else
     Accesses, ///< straight-line access sequence of one Store statement
-    Escape,   ///< interpreter fallback for a non-affine subtree
   };
 
   Kind NodeKind;
 
-  // Loop / Let.
+  // Loop / Let / Guard.
   int Slot = -1;
   ScalarFn Min;
   ScalarFn Extent; // Loop only
   ScalarFn Value;  // Let only
+  ScalarFn Cond;   // Guard only
   std::vector<ProgramNode> Body;
+  std::vector<ProgramNode> Else; // Guard only
+  /// Loop only: the body is one Accesses node with affine addresses, so
+  /// the executor retires same-line windows in O(1).
+  bool Batched = false;
 
   // Accesses.
   std::vector<AccessOp> Ops;
-  std::vector<std::string> StoreBuffers; ///< analysis only
-
-  // Escape.
-  ir::StmtPtr EscapeStmt;
-  /// Loop/let bindings visible at the escape site, innermost-first.
-  std::vector<std::pair<std::string, int>> EscapeBindings;
 };
 
 /// A compiled access program; executable any number of times against
 /// fresh hierarchies.
 class AccessProgram {
 public:
-  /// Replays the program's trace into \p Hierarchy. \p Buffers is only
-  /// consulted by escape nodes (the affine trace was resolved to
-  /// absolute addresses at compile time, so it must be the same binding
-  /// set the program was compiled against). Returns the number of
-  /// element accesses issued — the same count the interpreter hook
-  /// would have seen.
-  uint64_t run(MemoryHierarchy &Hierarchy,
-               const std::map<std::string, BufferRef> &Buffers) const;
-
-  /// Number of subtrees that fall back to the interpreter (0 == fully
-  /// compiled).
-  size_t escapeCount() const { return Escapes; }
+  /// Replays the program's trace into \p Hierarchy. Returns the number
+  /// of element accesses issued.
+  uint64_t run(MemoryHierarchy &Hierarchy) const;
 
 private:
-  friend std::optional<AccessProgram>
+  friend ErrorOr<AccessProgram>
   compileAccessProgram(const std::vector<ir::StmtPtr> &Stmts,
                        const std::map<std::string, BufferRef> &Buffers);
 
   std::vector<ProgramNode> Roots;
   int NumSlots = 0;
-  size_t Escapes = 0;
 };
 
 /// Compiles the statement sequence \p Stmts (e.g. the lowered stages of
-/// one pipeline, in execution order) against \p Buffers. Returns nullopt
-/// when no program with a bit-identical trace can be built — most
-/// importantly when an escaped subtree's control flow or addressing
-/// could read values that only compiled stores would have written (the
-/// fast path does not materialize buffer contents).
-std::optional<AccessProgram>
+/// one pipeline, in execution order) against the base addresses of
+/// \p Buffers. Fails when the trace would depend on buffer contents (see
+/// the load-free contract above) or a statement references an unbound
+/// buffer.
+ErrorOr<AccessProgram>
 compileAccessProgram(const std::vector<ir::StmtPtr> &Stmts,
                      const std::map<std::string, BufferRef> &Buffers);
 

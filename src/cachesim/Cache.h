@@ -32,6 +32,8 @@ struct CacheLevelStats {
   uint64_t PrefetchHits = 0;
   uint64_t Evictions = 0;
 
+  bool operator==(const CacheLevelStats &) const = default;
+
   uint64_t demandAccesses() const { return DemandHits + DemandMisses; }
   double missRate() const {
     uint64_t Total = demandAccesses();

@@ -40,6 +40,13 @@
 
 namespace ltp {
 
+/// Kind of one traced memory access.
+enum class AccessKind {
+  Load,
+  Store,
+  NonTemporalStore,
+};
+
 /// Aggregate statistics of one simulation run.
 struct HierarchyStats {
   CacheLevelStats L1;
@@ -52,6 +59,8 @@ struct HierarchyStats {
   uint64_t NonTemporalLines = 0;   // DRAM line transfers those amount to
   uint64_t PrefetchIssuedL1 = 0;
   uint64_t PrefetchIssuedL2 = 0;
+
+  bool operator==(const HierarchyStats &) const = default;
 
   /// Total DRAM line transfers (demand + prefetch + write-back + NT).
   uint64_t memoryTraffic() const {
@@ -86,6 +95,14 @@ public:
   /// invalidates.
   void store(uint64_t Address, uint32_t SizeBytes, bool NonTemporal);
 
+  /// load() or store() by \p Kind: one event of a memory trace.
+  void access(AccessKind Kind, uint64_t Address, uint32_t SizeBytes) {
+    if (Kind == AccessKind::Load)
+      load(Address, SizeBytes);
+    else
+      store(Address, SizeBytes, Kind == AccessKind::NonTemporalStore);
+  }
+
   /// Statistics accumulated so far.
   HierarchyStats stats() const;
 
@@ -103,7 +120,7 @@ public:
   /// L1 hit with no observable side effect beyond the hit counter: the
   /// line is resident in L1 and, when the next-line prefetcher is on, so
   /// is its successor (making the prefetch probe a no-op). Used by the
-  /// access-program fast path to retire same-line runs in O(1); see
+  /// access program to retire same-line runs in O(1); see
   /// AccessProgram.h for the equivalence argument.
   bool repeatHitReady(uint64_t LineAddr) const;
 

@@ -5,19 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a lowered loop nest against a simulated cache hierarchy,
-/// yielding the miss profile of a schedule on an arbitrary Table-3
-/// platform configuration. This is how the repo evaluates the ARM
+/// Replays a lowered loop nest's address trace into a simulated cache
+/// hierarchy, yielding the miss profile of a schedule on an arbitrary
+/// Table-3 platform configuration. This is how the repo evaluates the ARM
 /// Cortex-A15 configuration (hardware we do not have) and how it
 /// validates the analytical model's miss estimates.
 ///
-/// Two engines produce bit-identical statistics:
-///
-///  * the *compiled* fast path (AccessProgram.h) replays a precompiled
-///    affine access stream with no interpreter and no per-access
-///    indirect call — the default whenever the lowered IR compiles;
-///  * the *interpreter* path feeds a memory hook from the bytecode VM —
-///    the automatic fallback for non-affine programs.
+/// The trace comes from one engine, the compiled access program
+/// (AccessProgram.h): nothing is executed, so simulation never reads or
+/// writes buffer contents. A nest whose trace would depend on them is
+/// refused with an error.
 ///
 /// `simulateMany` fans independent simulations across the global thread
 /// pool for schedule x platform sweeps.
@@ -28,9 +25,9 @@
 #define LTP_CACHESIM_TRACERUNNER_H
 
 #include "cachesim/Hierarchy.h"
-#include "interp/Interpreter.h"
 #include "ir/Stmt.h"
 #include "runtime/Buffer.h"
+#include "support/ErrorOr.h"
 
 #include <map>
 #include <string>
@@ -38,51 +35,22 @@
 
 namespace ltp {
 
-/// Which trace engine to use.
-enum class SimEngine {
-  Auto,        ///< compiled fast path when possible, interpreter otherwise
-  Interpreter, ///< force the interpreter-hook path (bytecode VM)
-};
-
-/// Which engine actually produced the address trace of a simulation.
-enum class TraceEngine {
-  /// Compiled fast path (AccessProgram.h); escaped subtrees may still have
-  /// used the interpreter for their share.
-  AccessProgram,
-  VM, ///< interpreter-hook path on the bytecode VM
-};
-
-/// Printable spelling of a TraceEngine ("access-program", "vm").
-const char *traceEngineName(TraceEngine Engine);
-
 /// Result of one simulated execution.
 struct SimResult {
   HierarchyStats Stats;
   double EstimatedCycles = 0.0;
   uint64_t Accesses = 0;
-  /// The engine that actually ran (the fallback taken under Auto).
-  TraceEngine Engine = TraceEngine::AccessProgram;
 };
 
-/// Runs \p S over \p Buffers on a fresh hierarchy configured from
-/// \p Arch and returns the miss profile. Addresses are the buffers' real
-/// virtual addresses, so buffer alignment and relative placement behave
-/// like a native run.
-SimResult simulate(const ir::StmtPtr &S,
-                   const std::map<std::string, BufferRef> &Buffers,
-                   const ArchParams &Arch,
-                   const LatencyModel &Latency = LatencyModel(),
-                   SimEngine Engine = SimEngine::Auto);
-
-/// Same, for an ordered statement sequence (e.g. the lowered stages of a
-/// pipeline) sharing one hierarchy. Compiling the sequence as a whole
-/// lets the fast path prove that escaped statements never observe
-/// buffer values it did not materialize.
-SimResult simulate(const std::vector<ir::StmtPtr> &Stmts,
-                   const std::map<std::string, BufferRef> &Buffers,
-                   const ArchParams &Arch,
-                   const LatencyModel &Latency = LatencyModel(),
-                   SimEngine Engine = SimEngine::Auto);
+/// Replays the ordered statement sequence \p Stmts (e.g. the lowered
+/// stages of a pipeline) into one fresh hierarchy configured from
+/// \p Arch and returns the miss profile, or the access program's refusal.
+/// Addresses are the buffers' real virtual addresses, so buffer alignment
+/// and relative placement behave like a native run.
+ErrorOr<SimResult> simulate(const std::vector<ir::StmtPtr> &Stmts,
+                            const std::map<std::string, BufferRef> &Buffers,
+                            const ArchParams &Arch,
+                            const LatencyModel &Latency = LatencyModel());
 
 /// One independent simulation of a (schedule, platform) pair.
 struct SimJob {
@@ -93,10 +61,8 @@ struct SimJob {
 };
 
 /// Runs every job on the global thread pool and returns results in job
-/// order. Jobs must not share writable buffers: a job whose program
-/// falls back to (or escapes into) the interpreter writes its output
-/// buffers while running.
-std::vector<SimResult> simulateMany(const std::vector<SimJob> &Jobs);
+/// order.
+std::vector<ErrorOr<SimResult>> simulateMany(const std::vector<SimJob> &Jobs);
 
 } // namespace ltp
 

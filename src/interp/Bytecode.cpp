@@ -48,7 +48,6 @@ public:
     compileStmt(S);
     emit(Op::Halt);
     P.NumRegs = NextReg;
-    P.Traced = Options.Trace;
     return std::move(P);
   }
 
@@ -64,7 +63,6 @@ private:
   uint32_t NextReg = 0;
   /// Innermost binding last; shadowed bindings stay underneath.
   std::map<std::string, std::vector<uint16_t>> Scope;
-  std::map<std::string, uint16_t> FreeVarRegs;
   std::map<std::string, uint16_t> BufferIndex;
 
   uint16_t newReg() {
@@ -73,8 +71,8 @@ private:
   }
 
   size_t emit(Op Code, uint16_t A = 0, uint16_t B = 0, uint16_t C = 0,
-              int64_t Imm = 0, uint8_t Flags = 0) {
-    P.Insts.push_back(Inst{Code, Flags, A, B, C, Imm});
+              int64_t Imm = 0) {
+    P.Insts.push_back(Inst{Code, A, B, C, Imm});
     return P.Insts.size() - 1;
   }
 
@@ -93,8 +91,6 @@ private:
            "statement references an unbound buffer");
     BufferDesc D;
     D.Data = Buf->second.Data;
-    D.BaseAddr = reinterpret_cast<uint64_t>(Buf->second.Data);
-    D.ElemBytes = static_cast<uint32_t>(Buf->second.ElemType.bytes());
     D.NumElements = Buf->second.numElements();
     uint16_t Index = static_cast<uint16_t>(P.Buffers.size());
     P.Buffers.push_back(D);
@@ -104,16 +100,9 @@ private:
 
   uint16_t varReg(const std::string &Name) {
     auto It = Scope.find(Name);
-    if (It != Scope.end() && !It->second.empty())
-      return It->second.back();
-    // Unbound: a pre-bound scalar supplied through InitialScalars.
-    auto Free = FreeVarRegs.find(Name);
-    if (Free != FreeVarRegs.end())
-      return Free->second;
-    uint16_t Reg = newReg();
-    FreeVarRegs.emplace(Name, Reg);
-    P.FreeVars.push_back(FreeVar{Name, Reg});
-    return Reg;
+    assert(It != Scope.end() && !It->second.empty() &&
+           "reference to an unbound variable");
+    return It->second.back();
   }
 
   /// Structural value class of \p E, with no code emitted; must agree with
@@ -334,44 +323,42 @@ private:
     return {0, VC::I64};
   }
 
-  /// Typed load opcode; traced programs use the hook-emitting variants.
-  Op loadOp(TypeKind Kind) const {
-    bool T = Options.Trace;
+  /// Typed load opcode.
+  static Op loadOp(TypeKind Kind) {
     switch (Kind) {
     case TypeKind::Float32:
-      return T ? Op::LdF32T : Op::LdF32;
+      return Op::LdF32;
     case TypeKind::Float64:
-      return T ? Op::LdF64T : Op::LdF64;
+      return Op::LdF64;
     case TypeKind::Int32:
-      return T ? Op::LdI32T : Op::LdI32;
+      return Op::LdI32;
     case TypeKind::Int64:
-      return T ? Op::LdI64T : Op::LdI64;
+      return Op::LdI64;
     case TypeKind::UInt32:
-      return T ? Op::LdU32T : Op::LdU32;
+      return Op::LdU32;
     case TypeKind::UInt8:
     case TypeKind::Bool:
-      return T ? Op::LdU8T : Op::LdU8;
+      return Op::LdU8;
     }
     assert(false && "unknown element type");
     return Op::LdF32;
   }
 
-  Op storeOp(TypeKind Kind) const {
-    bool T = Options.Trace;
+  static Op storeOp(TypeKind Kind) {
     switch (Kind) {
     case TypeKind::Float32:
-      return T ? Op::StF32T : Op::StF32;
+      return Op::StF32;
     case TypeKind::Float64:
-      return T ? Op::StF64T : Op::StF64;
+      return Op::StF64;
     case TypeKind::Int32:
-      return T ? Op::StI32T : Op::StI32;
+      return Op::StI32;
     case TypeKind::Int64:
-      return T ? Op::StI64T : Op::StI64;
+      return Op::StI64;
     case TypeKind::UInt32:
-      return T ? Op::StU32T : Op::StU32;
+      return Op::StU32;
     case TypeKind::UInt8:
     case TypeKind::Bool:
-      return T ? Op::StU8T : Op::StU8;
+      return Op::StU8;
     }
     assert(false && "unknown element type");
     return Op::StF32;
@@ -449,9 +436,7 @@ private:
     uint16_t Min = toI64(compileExpr(F->Min));
     uint16_t Ext = toI64(compileExpr(F->Extent));
     uint16_t Var = newReg();
-    // Traced programs stay serial so the trace is deterministic, exactly
-    // like the tree-walker's UseThreads condition.
-    if (F->Kind == ForKind::Parallel && Options.Parallel && !Options.Trace) {
+    if (F->Kind == ForKind::Parallel && Options.Parallel) {
       size_t Par = emit(Op::ParFor, Var, Min, Ext);
       pushBinding(F->VarName, Var);
       compileStmt(F->Body);
@@ -491,8 +476,7 @@ private:
       Val = toI64(V);
       break;
     }
-    emit(storeOp(Elem.kind()), Val, Off, Buf, 0,
-         St->NonTemporal ? InstFlagNonTemporal : 0);
+    emit(storeOp(Elem.kind()), Val, Off, Buf);
   }
 
   void compileStmt(const StmtPtr &S) {

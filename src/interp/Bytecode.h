@@ -9,11 +9,11 @@
 /// and executed by the VM (VM.h) at near-native speed. The compiler removes
 /// every per-iteration cost the tree-walking interpreter pays:
 ///
-///  * scalar variables (loop vars, lets, pre-bound scalars) are resolved to
+///  * scalar variables (loop vars and lets) are resolved to
 ///    register slots at compile time — no `std::map<std::string,...>` lookup
 ///    at runtime;
 ///  * buffer operands are resolved to a compact descriptor table carrying
-///    the base pointer, base byte address and element size; multi-dim
+///    the base pointer and element count; multi-dim
 ///    indices fold their compile-time-constant strides into `MulImm` /
 ///    `MAddImm` addressing ops;
 ///  * arithmetic carries its type in the opcode (`AddI` / `AddF32` /
@@ -21,19 +21,13 @@
 ///    the C back end (the tree-walker evaluates them in `double` and only
 ///    rounds at stores — the one deliberate semantic difference, bounded
 ///    by the test tolerances);
-///  * memory ops come in untraced and traced variants, selected when the
-///    program is compiled: traced loads/stores/NT-stores emit the same
-///    `AccessHook` events, in the same order, as the tree-walker, so the
-///    cache simulator's interpreter fallback produces bit-identical
-///    address traces on the VM;
+///  * `Select` compiles to branches, so only the taken arm's loads
+///    execute (the untaken arm may be out of bounds);
 ///  * `ParFor` distributes a parallel loop's iterations over
 ///    `ThreadPool::global()`, each iteration on a private register frame.
 ///
-/// Trace-order contract (what makes the VM a drop-in trace engine): for
-/// every statement the compiler emits loads depth-first and left-to-right
-/// exactly as `evalExpr` recurses, store indices before the store's value,
-/// and the store event after its value's loads; `Select` compiles to
-/// branches so only the taken arm's loads execute.
+/// The VM computes values only; it emits no memory trace (the cache
+/// simulator replays access programs, cachesim/AccessProgram.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,24 +67,14 @@ namespace vm {
   X(MulImm) X(MAddImm)                                                       \
   /* control flow */                                                         \
   X(Jmp) X(BrZ) X(BrGE) X(IncI) X(ParFor) X(EndPar) X(Halt)                  \
-  /* untraced memory ops (offset register + buffer descriptor index) */      \
+  /* memory ops (offset register + buffer descriptor index) */              \
   X(LdF32) X(LdF64) X(LdI32) X(LdI64) X(LdU32) X(LdU8)                       \
-  X(StF32) X(StF64) X(StI32) X(StI64) X(StU32) X(StU8)                       \
-  /* traced variants: emit AccessHook events (Flags bit 0 = non-temporal    \
-     store, reported as AccessKind::NonTemporalStore) */                     \
-  X(LdF32T) X(LdF64T) X(LdI32T) X(LdI64T) X(LdU32T) X(LdU8T)                 \
-  X(StF32T) X(StF64T) X(StI32T) X(StI64T) X(StU32T) X(StU8T)
+  X(StF32) X(StF64) X(StI32) X(StI64) X(StU32) X(StU8)
 
 enum class Op : uint8_t {
 #define LTP_VM_ENUM(Name) Name,
   LTP_VM_OPCODES(LTP_VM_ENUM)
 #undef LTP_VM_ENUM
-};
-
-/// Instruction flag bits.
-enum : uint8_t {
-  /// Store is non-temporal (traced stores report NonTemporalStore).
-  InstFlagNonTemporal = 1,
 };
 
 /// One fixed-width instruction. Field use by opcode family:
@@ -106,7 +90,6 @@ enum : uint8_t {
 ///              (body occupies [pc+1, Imm), terminated by EndPar)
 struct Inst {
   Op Code;
-  uint8_t Flags = 0;
   uint16_t A = 0;
   uint16_t B = 0;
   uint16_t C = 0;
@@ -116,26 +99,13 @@ struct Inst {
 /// Pre-resolved buffer operand: everything a memory op needs at runtime.
 struct BufferDesc {
   void *Data = nullptr;
-  uint64_t BaseAddr = 0;    ///< byte address for trace events
-  uint32_t ElemBytes = 0;   ///< access size for trace events
   int64_t NumElements = 0;  ///< flat bounds backstop (asserted)
 };
 
-/// A scalar the statement reads but never binds; initialized from
-/// `InterpOptions::InitialScalars` before execution (the access-program
-/// escape path interprets subtrees in their surrounding loop context).
-struct FreeVar {
-  std::string Name;
-  uint16_t Reg = 0;
-};
-
 /// Compilation options; fixed per program (the `interpret()` wrapper knows
-/// both at the single call site, so no opcode ever branches on them).
+/// them at the single call site, so no opcode ever branches on them).
 struct CompileOptions {
-  /// Emit traced memory opcodes. Traced programs require a Hook at run
-  /// time and compile parallel loops serially (traces are deterministic).
-  bool Trace = false;
-  /// Compile Parallel loops to ParFor (ignored when Trace is set).
+  /// Compile Parallel loops to ParFor.
   bool Parallel = false;
 };
 
@@ -145,9 +115,7 @@ struct CompileOptions {
 struct Program {
   std::vector<Inst> Insts;
   std::vector<BufferDesc> Buffers;
-  std::vector<FreeVar> FreeVars;
   uint32_t NumRegs = 0;
-  bool Traced = false;
 };
 
 /// Compiles lowered statement \p S against \p Buffers. Every statement the

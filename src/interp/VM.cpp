@@ -2,6 +2,7 @@
 
 #include "interp/VM.h"
 
+#include "interp/Interpreter.h"
 #include "runtime/ThreadPool.h"
 
 #include <algorithm>
@@ -30,7 +31,7 @@ union VMValue {
 
 /// Executes instructions from \p Pc until Halt (program end) or EndPar
 /// (end of a ParFor body frame). \p R must hold `P.NumRegs` registers.
-void exec(const Program &P, VMValue *R, size_t Pc, const AccessHook *Hook) {
+void exec(const Program &P, VMValue *R, size_t Pc) {
   const Inst *Insts = P.Insts.data();
   const BufferDesc *Bufs = P.Buffers.data();
   const Inst *In;
@@ -214,10 +215,10 @@ void exec(const Program &P, VMValue *R, size_t Pc, const AccessHook *Hook) {
       // scalars written inside never race. Nested ParFor bodies degrade
       // to inline serial execution inside the pool.
       ThreadPool::global().parallelFor(
-          Min, Extent, [&P, R, BodyPc, Var, Hook](int64_t I) {
+          Min, Extent, [&P, R, BodyPc, Var](int64_t I) {
             std::vector<VMValue> Frame(R, R + P.NumRegs);
             Frame[Var].I = I;
-            exec(P, Frame.data(), BodyPc, Hook);
+            exec(P, Frame.data(), BodyPc);
           });
     }
     Pc = Continue;
@@ -246,33 +247,6 @@ void exec(const Program &P, VMValue *R, size_t Pc, const AccessHook *Hook) {
   }                                                                          \
   NEXT
 
-#define LTP_VM_LDT(Name, CT, Field)                                          \
-  CASE(Name) {                                                               \
-    const BufferDesc &Bd = Bufs[In->C];                                      \
-    const int64_t Off = R[In->B].I;                                          \
-    assert(Off >= 0 && Off < Bd.NumElements &&                               \
-           "buffer offset out of bounds");                                   \
-    (*Hook)(AccessKind::Load,                                                \
-            Bd.BaseAddr + static_cast<uint64_t>(Off) * Bd.ElemBytes,         \
-            Bd.ElemBytes);                                                   \
-    R[In->A].Field = static_cast<const CT *>(Bd.Data)[Off];                  \
-  }                                                                          \
-  NEXT
-
-#define LTP_VM_STT(Name, CT, Value)                                          \
-  CASE(Name) {                                                               \
-    const BufferDesc &Bd = Bufs[In->C];                                      \
-    const int64_t Off = R[In->B].I;                                          \
-    assert(Off >= 0 && Off < Bd.NumElements &&                               \
-           "buffer offset out of bounds");                                   \
-    (*Hook)((In->Flags & InstFlagNonTemporal) ? AccessKind::NonTemporalStore \
-                                              : AccessKind::Store,           \
-            Bd.BaseAddr + static_cast<uint64_t>(Off) * Bd.ElemBytes,         \
-            Bd.ElemBytes);                                                   \
-    static_cast<CT *>(Bd.Data)[Off] = (Value);                               \
-  }                                                                          \
-  NEXT
-
   LTP_VM_LD(LdF32, float, F);
   LTP_VM_LD(LdF64, double, D);
   LTP_VM_LD(LdI32, int32_t, I);
@@ -285,23 +259,9 @@ void exec(const Program &P, VMValue *R, size_t Pc, const AccessHook *Hook) {
   LTP_VM_ST(StI64, int64_t, R[In->A].I);
   LTP_VM_ST(StU32, uint32_t, static_cast<uint32_t>(R[In->A].I));
   LTP_VM_ST(StU8, uint8_t, static_cast<uint8_t>(R[In->A].I));
-  LTP_VM_LDT(LdF32T, float, F);
-  LTP_VM_LDT(LdF64T, double, D);
-  LTP_VM_LDT(LdI32T, int32_t, I);
-  LTP_VM_LDT(LdI64T, int64_t, I);
-  LTP_VM_LDT(LdU32T, uint32_t, I);
-  LTP_VM_LDT(LdU8T, uint8_t, I);
-  LTP_VM_STT(StF32T, float, R[In->A].F);
-  LTP_VM_STT(StF64T, double, R[In->A].D);
-  LTP_VM_STT(StI32T, int32_t, static_cast<int32_t>(R[In->A].I));
-  LTP_VM_STT(StI64T, int64_t, R[In->A].I);
-  LTP_VM_STT(StU32T, uint32_t, static_cast<uint32_t>(R[In->A].I));
-  LTP_VM_STT(StU8T, uint8_t, static_cast<uint8_t>(R[In->A].I));
 
 #undef LTP_VM_LD
 #undef LTP_VM_ST
-#undef LTP_VM_LDT
-#undef LTP_VM_STT
 
 #if !LTP_VM_THREADED
     }
@@ -313,28 +273,17 @@ void exec(const Program &P, VMValue *R, size_t Pc, const AccessHook *Hook) {
 
 } // namespace
 
-void ltp::vm::run(const Program &P, const InterpOptions &Options) {
+void ltp::vm::run(const Program &P) {
   assert(!P.Insts.empty() && "running an empty program");
-  assert((!P.Traced || Options.Hook) && "traced program requires a hook");
   std::vector<VMValue> Frame(P.NumRegs);
-  for (const FreeVar &FV : P.FreeVars) {
-    auto It = Options.InitialScalars.find(FV.Name);
-    assert(It != Options.InitialScalars.end() &&
-           "reference to an unbound variable");
-    if (It != Options.InitialScalars.end())
-      Frame[FV.Reg].I = It->second;
-  }
-  exec(P, Frame.data(), 0, Options.Hook ? &Options.Hook : nullptr);
+  exec(P, Frame.data(), 0);
 }
 
 void ltp::interpret(const ir::StmtPtr &S,
                     const std::map<std::string, BufferRef> &Buffers,
                     const InterpOptions &Options) {
   assert(S && "interpreting a null statement");
-  assert(!(Options.RunParallel && Options.Hook) &&
-         "traced interpretation must be deterministic (serial)");
   CompileOptions CO;
-  CO.Trace = static_cast<bool>(Options.Hook);
   CO.Parallel = Options.RunParallel;
-  run(compile(S, Buffers, CO), Options);
+  run(compile(S, Buffers, CO));
 }

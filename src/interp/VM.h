@@ -18,17 +18,13 @@
 #define LTP_INTERP_VM_H
 
 #include "interp/Bytecode.h"
-#include "interp/Interpreter.h"
 
 namespace ltp {
 namespace vm {
 
-/// Runs \p P to completion. Free-variable registers are initialized from
-/// `Options.InitialScalars` (a missing entry is a programmatic error, like
-/// the tree-walker's unbound-variable assert). Traced programs require
-/// `Options.Hook`; untraced programs ignore it. A program may be run any
-/// number of times against the buffers it was compiled for.
-void run(const Program &P, const InterpOptions &Options = InterpOptions());
+/// Runs \p P to completion. A program may be run any number of times
+/// against the buffers it was compiled for.
+void run(const Program &P);
 
 } // namespace vm
 } // namespace ltp

@@ -169,6 +169,9 @@ ErrorOr<bool> ltp::applyScheduleText(Func &F, int StageIndex,
         return ErrorOr<bool>::makeError("split factor must be a positive "
                                         "integer, got '" +
                                         Args[3] + "'");
+      if (Args[1] == Args[2])
+        return ErrorOr<bool>::makeError("split names must differ, got '" +
+                                        Args[1] + "' twice");
       S.split(Args[0], Args[1], Args[2], Factor);
     } else if (Name == "fuse") {
       if (Args.size() != 3)

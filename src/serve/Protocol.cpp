@@ -88,17 +88,7 @@ std::string ltp::serve::mintRequestId() {
 ErrorOr<ArchParams> ltp::serve::resolveArch(const Request &Req) {
   if (!Req.ArchText.empty())
     return parseArchParams(Req.ArchText);
-  const std::string &Name = Req.ArchName;
-  if (Name == "5930k")
-    return intelI7_5930K();
-  if (Name == "6700")
-    return intelI7_6700();
-  if (Name == "a15" || Name == "arm")
-    return armCortexA15();
-  if (Name == "host" || Name.empty())
-    return detectHost();
-  return ErrorOr<ArchParams>::makeError(
-      "unknown arch '" + Name + "' (want 5930k|6700|a15|host)");
+  return archByName(Req.ArchName);
 }
 
 std::string ltp::serve::canonicalKey(const Request &Req,

@@ -1,23 +1,27 @@
-//===- AccessProgramTest.cpp - compiled fast path vs interpreter -----------===//
+//===- AccessProgramTest.cpp - access program vs tree-walker trace ---------===//
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
-// The compiled access-program engine (cachesim/AccessProgram.h) must be
-// invisible: for every kernel and every platform configuration it has to
-// produce bit-identical HierarchyStats to the interpreter-hook path on the
-// VM, and both to a hierarchy driven by the tree-walking oracle
-// (tests/oracles). These tests sweep representative kernels — dense
+// The access program (cachesim/AccessProgram.h) is the simulator's only
+// trace engine, so it must be exact: for every kernel and every platform
+// configuration it has to produce bit-identical HierarchyStats and
+// access counts to a hierarchy driven by the tree-walking oracle
+// (tests/oracles), which executes the nest. These tests sweep dense
 // affine nests, min-tail splits, non-unit strides, RDom reductions,
-// non-temporal stores, predicated updates (escape path) and
-// data-dependent indexing (full fallback) — across all three
-// platforms/*.conf files.
+// non-temporal stores, predicated updates (guards), fused div/mod
+// indices, every Table-4 kernel under its default and proposed
+// schedules, and the data-dependent programs the engine must refuse —
+// across all three platforms/*.conf files.
 //
 //===----------------------------------------------------------------------===//
 
 #include "arch/ArchFile.h"
+#include "baselines/Baselines.h"
 #include "benchmarks/PipelineRunner.h"
 #include "cachesim/AccessProgram.h"
 #include "cachesim/TraceRunner.h"
+#include "core/Optimizer.h"
+#include "core/TemporalOptimizer.h"
 #include "lang/Func.h"
 #include "lang/Lower.h"
 #include "tests/oracles/TreeWalker.h"
@@ -69,39 +73,39 @@ void expectIdenticalStats(const HierarchyStats &Fast,
   EXPECT_EQ(Fast.PrefetchIssuedL2, Ref.PrefetchIssuedL2) << Context;
 }
 
-/// Simulates \p Stmts with both engines and on the tree walker on every
-/// platform and asserts bit-identical statistics and access counts.
-/// \p ExpectFastPath asserts whether the compiled engine actually took the
-/// fast path: the recorded `SimResult::Engine` must name the engine that
-/// actually ran (access-program, or the VM when compilation falls back).
-void expectEnginesAgree(const std::vector<ir::StmtPtr> &Stmts,
-                        const std::map<std::string, BufferRef> &Buffers,
-                        const std::string &Kernel, bool ExpectFastPath) {
-  for (const auto &[Platform, Arch] : allPlatforms()) {
-    SimResult Fast =
-        simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Auto);
-    SimResult VM =
-        simulate(Stmts, Buffers, Arch, LatencyModel(), SimEngine::Interpreter);
-    WalkerSim Ref = simulateOnWalker(Stmts, Buffers, Arch);
-    std::string Context = Kernel + " on " + Platform;
-    EXPECT_EQ(Fast.Engine, ExpectFastPath ? TraceEngine::AccessProgram
-                                          : TraceEngine::VM)
-        << Context;
-    EXPECT_EQ(VM.Engine, TraceEngine::VM) << Context;
-    EXPECT_EQ(Fast.Accesses, VM.Accesses) << Context;
-    EXPECT_EQ(VM.Accesses, Ref.Accesses) << Context;
-    expectIdenticalStats(Fast.Stats, VM.Stats, Context + " (fast vs vm)");
-    expectIdenticalStats(VM.Stats, Ref.Stats, Context + " (vm vs reference)");
+/// Simulates \p Stmts with the access program on each of \p Platforms
+/// and on the tree walker, and asserts bit-identical statistics and
+/// access counts.
+void expectMatchesWalker(
+    const std::vector<ir::StmtPtr> &Stmts,
+    const std::map<std::string, BufferRef> &Buffers,
+    const std::vector<std::pair<std::string, ArchParams>> &Platforms,
+    const std::string &Kernel) {
+  std::vector<ArchParams> Archs;
+  for (const auto &Platform : Platforms)
+    Archs.push_back(Platform.second);
+  std::vector<WalkerSim> Ref = simulateOnWalker(Stmts, Buffers, Archs);
+  for (size_t P = 0; P != Platforms.size(); ++P) {
+    std::string Context = Kernel + " on " + Platforms[P].first;
+    ErrorOr<SimResult> Sim = simulate(Stmts, Buffers, Archs[P]);
+    ASSERT_TRUE(static_cast<bool>(Sim)) << Context << ": " << Sim.getError();
+    EXPECT_EQ(Sim->Accesses, Ref[P].Accesses) << Context;
+    expectIdenticalStats(Sim->Stats, Ref[P].Stats, Context);
   }
 }
 
-void expectBenchmarkAgrees(const char *Name, int64_t Size,
-                           bool ExpectFastPath = true) {
+/// expectMatchesWalker on every platform.
+void expectEnginesAgree(const std::vector<ir::StmtPtr> &Stmts,
+                        const std::map<std::string, BufferRef> &Buffers,
+                        const std::string &Kernel) {
+  expectMatchesWalker(Stmts, Buffers, allPlatforms(), Kernel);
+}
+
+void expectBenchmarkAgrees(const char *Name, int64_t Size) {
   const BenchmarkDef *Def = findBenchmark(Name);
   ASSERT_NE(Def, nullptr) << Name;
   BenchmarkInstance Instance = Def->Create(Size);
-  expectEnginesAgree(lowerPipeline(Instance), Instance.Buffers, Name,
-                     ExpectFastPath);
+  expectEnginesAgree(lowerPipeline(Instance), Instance.Buffers, Name);
 }
 
 TEST(AccessProgramTest, MatmulMatchesInterpreter) {
@@ -138,7 +142,7 @@ TEST(AccessProgramTest, BlurMatchesInterpreter) {
 
   std::map<std::string, BufferRef> Buffers = {{"In", In.ref()},
                                               {"Out", Out.ref()}};
-  expectEnginesAgree({lowerFunc(O, {W, H})}, Buffers, "blur", true);
+  expectEnginesAgree({lowerFunc(O, {W, H})}, Buffers, "blur");
 }
 
 TEST(AccessProgramTest, NonDivisibleSplitMatchesInterpreter) {
@@ -158,7 +162,7 @@ TEST(AccessProgramTest, NonDivisibleSplitMatchesInterpreter) {
 
   std::map<std::string, BufferRef> Buffers = {{"In", In.ref()},
                                               {"Out", Out.ref()}};
-  expectEnginesAgree({lowerFunc(O, {N, N})}, Buffers, "split-tail", true);
+  expectEnginesAgree({lowerFunc(O, {N, N})}, Buffers, "split-tail");
 }
 
 TEST(AccessProgramTest, NonTemporalStoreMatchesInterpreter) {
@@ -178,22 +182,85 @@ TEST(AccessProgramTest, NonTemporalStoreMatchesInterpreter) {
 
   std::map<std::string, BufferRef> Buffers = {{"In", In.ref()},
                                               {"Out", Out.ref()}};
-  expectEnginesAgree({lowerFunc(O, {N, N})}, Buffers, "copy-nti", true);
+  expectEnginesAgree({lowerFunc(O, {N, N})}, Buffers, "copy-nti");
 }
 
-TEST(AccessProgramTest, PredicatedUpdateEscapesButMatches) {
+TEST(AccessProgramTest, PredicatedUpdateCompilesToAGuard) {
   // trmm's RDom carries a `where` predicate, lowered to an IfThenElse:
-  // the update nest escapes to the interpreter while the init stage
-  // stays compiled. Statistics must still be exact, and the program as
-  // a whole still counts as fast-path.
-  expectBenchmarkAgrees("trmm", 48, /*ExpectFastPath=*/true);
+  // the update nest compiles to a guard on the predicate.
+  expectBenchmarkAgrees("trmm", 48);
 }
 
-TEST(AccessProgramTest, GarbageObservingTraceFallsBack) {
-  // Stage 1 (compiled) writes Idx; stage 2 indexes A with Idx's values.
-  // The fast path never materializes Idx, so a compiled run of stage 2's
-  // escape would trace addresses computed from garbage. The compiler
-  // must refuse the whole program and fall back to the interpreter.
+TEST(AccessProgramTest, FusedDivModIndicesMatchWalker) {
+  // fuse() rewrites both loop variables as fused / extent and
+  // fused % extent: indices the access program evaluates per element.
+  // A non-dividing split of the fused loop adds a tail guard on top.
+  constexpr int64_t W = 40, H = 24;
+  Buffer<float> In({W, H}), Out({W, H});
+  In.fillRandom(6);
+
+  Var X("x"), Y("y");
+  InputBuffer InB("In", ir::Type::float32(), 2);
+  Func O("Out");
+  O(X, Y) = InB(X, Y) + 1.0f;
+  O.pureStage().fuse("y", "x", "f").split("f", "fo", "fi", 7);
+
+  std::map<std::string, BufferRef> Buffers = {{"In", In.ref()},
+                                              {"Out", Out.ref()}};
+  expectEnginesAgree({lowerFunc(O, {W, H})}, Buffers, "fused");
+}
+
+TEST(AccessProgramTest, SelectIndexAndLoadingArmsMatchWalker) {
+  // A select inside an index evaluates lazily in the scalar program; a
+  // select whose arms load becomes a guard that traces only the taken
+  // arm.
+  constexpr int64_t N = 200;
+  Buffer<float> In({N}), Out({N});
+  In.fillRandom(2);
+  Var X("x");
+  InputBuffer InB("In", ir::Type::float32(), 1);
+  Expr Last(static_cast<int>(N - 1));
+  Func O("Out");
+  O(X) = InB(select(Expr(X) < 50, Expr(X), Last - Expr(X))) +
+         select(Expr(X) % 3 == 0, InB(X), InB(Last - Expr(X)) * 2.0f);
+  std::map<std::string, BufferRef> Buffers = {{"In", In.ref()},
+                                              {"Out", Out.ref()}};
+  expectEnginesAgree({lowerFunc(O, {N})}, Buffers, "select");
+}
+
+TEST(AccessProgramTest, TreePLRUReplayMatchesWalker) {
+  // bench/ablation_model replays the proposed matmul into tree-PLRU
+  // hierarchies; batched windows must leave PLRU state exact too.
+  const BenchmarkDef *Def = findBenchmark("matmul");
+  ASSERT_NE(Def, nullptr);
+  BenchmarkInstance Instance = Def->Create(96);
+  ArchParams Arch = intelI7_5930K();
+  for (size_t I = 0; I != Instance.Stages.size(); ++I)
+    optimize(Instance.Stages[I], Instance.StageExtents[I], Arch);
+  std::vector<ir::StmtPtr> Stmts = lowerPipeline(Instance);
+  ErrorOr<AccessProgram> Program =
+      compileAccessProgram(Stmts, Instance.Buffers);
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError();
+  MemoryHierarchy Replayed(Arch, ReplacementPolicy::TreePLRU);
+  uint64_t Accesses = Program->run(Replayed);
+
+  MemoryHierarchy Walked(Arch, ReplacementPolicy::TreePLRU);
+  uint64_t Walks = 0;
+  for (const ir::StmtPtr &S : Stmts)
+    walkStmt(S, Instance.Buffers,
+             [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
+               ++Walks;
+               Walked.access(Kind, Address, Size);
+             });
+  EXPECT_EQ(Accesses, Walks);
+  expectIdenticalStats(Replayed.stats(), Walked.stats(), "matmul tree-PLRU");
+}
+
+TEST(AccessProgramTest, IndirectProgramIsAnError) {
+  // Stage 1 writes Idx; stage 2 indexes A with Idx's values, so its
+  // addresses depend on buffer contents. Simulation executes nothing, so
+  // it refuses the program with an error instead of tracing addresses
+  // computed from whatever Idx holds.
   constexpr int64_t N = 64;
   Buffer<int32_t> Idx({N});
   Buffer<float> A({N}), Out({N});
@@ -211,12 +278,23 @@ TEST(AccessProgramTest, GarbageObservingTraceFallsBack) {
   std::map<std::string, BufferRef> Buffers = {
       {"Idx", Idx.ref()}, {"A", A.ref()}, {"Out", Out.ref()}};
   std::vector<ir::StmtPtr> Stmts = {lowerFunc(I, {N}), lowerFunc(O, {N})};
-  expectEnginesAgree(Stmts, Buffers, "indirect", /*ExpectFastPath=*/false);
+  for (const auto &[Platform, Arch] : allPlatforms()) {
+    ErrorOr<SimResult> Sim = simulate(Stmts, Buffers, Arch);
+    ASSERT_FALSE(static_cast<bool>(Sim)) << Platform;
+    EXPECT_NE(Sim.getError().find("an index of 'A' depends on buffer "
+                                  "contents"),
+              std::string::npos)
+        << Sim.getError();
+  }
+  // Simulation read no buffer: Idx was never written.
+  for (int64_t E = 0; E != N; ++E)
+    EXPECT_EQ(Idx(E), 0) << "element " << E;
 }
 
 TEST(AccessProgramTest, SimulateManyMatchesSerialSimulate) {
   // The parallel fan-out must return, in job order, exactly what the
-  // serial calls return. Jobs deliberately mix platforms and kernels.
+  // serial calls return, refusals included. Jobs deliberately mix
+  // platforms, kernels and one refused program.
   const BenchmarkDef *Matmul = findBenchmark("matmul");
   const BenchmarkDef *Copy = findBenchmark("copy");
   ASSERT_NE(Matmul, nullptr);
@@ -232,44 +310,182 @@ TEST(AccessProgramTest, SimulateManyMatchesSerialSimulate) {
       Jobs.push_back(
           {lowerPipeline(Instance), &Instance.Buffers, Arch, LatencyModel()});
 
-  std::vector<SimResult> Many = simulateMany(Jobs);
+  constexpr int64_t N = 16;
+  Buffer<int32_t> Idx({N});
+  Buffer<float> Out({N});
+  std::map<std::string, BufferRef> Indirect = {{"Idx", Idx.ref()},
+                                               {"Out", Out.ref()}};
+  ir::ExprPtr X = ir::VarRef::make("x");
+  ir::StmtPtr Refused = ir::For::make(
+      "x", ir::IntImm::make(0), ir::IntImm::make(N), ir::ForKind::Serial,
+      ir::Store::make("Out", {ir::Load::make("Idx", {X}, ir::Type::int32())},
+                      ir::FloatImm::make(1.0f)));
+  Jobs.insert(Jobs.begin() + 2,
+              {{Refused}, &Indirect, intelI7_6700(), LatencyModel()});
+
+  std::vector<ErrorOr<SimResult>> Many = simulateMany(Jobs);
   ASSERT_EQ(Many.size(), Jobs.size());
   for (size_t J = 0; J != Jobs.size(); ++J) {
-    SimResult Serial = simulate(Jobs[J].Stmts, *Jobs[J].Buffers, Jobs[J].Arch,
-                                Jobs[J].Latency);
+    ErrorOr<SimResult> Serial = simulate(Jobs[J].Stmts, *Jobs[J].Buffers,
+                                         Jobs[J].Arch, Jobs[J].Latency);
     std::string Context = "job " + std::to_string(J);
-    EXPECT_EQ(Many[J].Accesses, Serial.Accesses) << Context;
-    EXPECT_EQ(Many[J].Engine, Serial.Engine) << Context;
-    expectIdenticalStats(Many[J].Stats, Serial.Stats, Context);
+    ASSERT_EQ(static_cast<bool>(Many[J]), static_cast<bool>(Serial))
+        << Context;
+    EXPECT_EQ(static_cast<bool>(Serial), J != 2) << Context;
+    if (!Serial) {
+      EXPECT_EQ(Many[J].getError(), Serial.getError()) << Context;
+      continue;
+    }
+    EXPECT_EQ(Many[J]->Accesses, Serial->Accesses) << Context;
+    expectIdenticalStats(Many[J]->Stats, Serial->Stats, Context);
   }
 }
 
 TEST(AccessProgramTest, CompileRejectsOnlyWhatItMust) {
-  // Direct compileAccessProgram probes: a pure affine nest compiles with
-  // no escapes; a predicated store compiles with exactly one escape.
+  // Direct compileAccessProgram probes: affine nests, guards, lazy
+  // selects and loads steering nothing compile; a trace steered by
+  // buffer contents is refused with a message naming what steers it.
   constexpr int64_t N = 16;
   Buffer<float> In({N}), Out({N});
+  Buffer<int32_t> Idx({N});
+  std::map<std::string, BufferRef> Buffers = {
+      {"In", In.ref()}, {"Out", Out.ref()}, {"Idx", Idx.ref()}};
   Var X("x");
   InputBuffer InB("In", ir::Type::float32(), 1);
+  InputBuffer IdxB("Idx", ir::Type::int32(), 1);
+  auto Compile = [&](const Func &F) {
+    return compileAccessProgram({lowerFunc(F, {N})}, Buffers);
+  };
 
   Func Pure("Out");
   Pure(X) = InB(X) + 1.0f;
-  std::map<std::string, BufferRef> Buffers = {{"In", In.ref()},
-                                              {"Out", Out.ref()}};
-  std::optional<AccessProgram> P =
-      compileAccessProgram({lowerFunc(Pure, {N})}, Buffers);
-  ASSERT_TRUE(P.has_value());
-  EXPECT_EQ(P->escapeCount(), 0u);
+  EXPECT_TRUE(static_cast<bool>(Compile(Pure)));
 
   RDom K(0, static_cast<int>(N), "k");
   K.where(Expr(K) <= Expr(X));
   Func Pred("Out");
   Pred(X) = 0.0f;
   Pred(X) += InB(K);
-  std::optional<AccessProgram> Q =
-      compileAccessProgram({lowerFunc(Pred, {N})}, Buffers);
-  ASSERT_TRUE(Q.has_value());
-  EXPECT_EQ(Q->escapeCount(), 1u);
+  EXPECT_TRUE(static_cast<bool>(Compile(Pred)));
+
+  // A load in a select condition only picks a value: no arm loads.
+  Func Mask("Out");
+  Mask(X) = select(InB(X) > 0.5f, Expr(1.0f), Expr(0.0f));
+  EXPECT_TRUE(static_cast<bool>(Compile(Mask)));
+
+  // A load-free select condition picks which loads run: a guard.
+  Func Lazy("Out");
+  Lazy(X) = select(Expr(X) < 4, InB(X), InB(Expr(static_cast<int>(N - 1)) - Expr(X)));
+  EXPECT_TRUE(static_cast<bool>(Compile(Lazy)));
+
+  // A loaded select condition picking between loading arms is refused.
+  Func Steered("Out");
+  Steered(X) = select(InB(X) > 0.5f, InB(X), InB(Expr(static_cast<int>(N - 1)) - Expr(X)));
+  ErrorOr<AccessProgram> S = Compile(Steered);
+  ASSERT_FALSE(static_cast<bool>(S));
+  EXPECT_NE(S.getError().find("select condition"), std::string::npos)
+      << S.getError();
+
+  Func Indirect("Out");
+  Indirect(X) = InB(IdxB(X));
+  ErrorOr<AccessProgram> I = Compile(Indirect);
+  ASSERT_FALSE(static_cast<bool>(I));
+  EXPECT_NE(I.getError().find("an index of 'In' depends on buffer contents"),
+            std::string::npos)
+      << I.getError();
+
+  // A loop bound read from a buffer.
+  ir::StmtPtr Bounded = ir::For::make(
+      "x", ir::IntImm::make(0), ir::Load::make("Idx", {ir::IntImm::make(0)},
+                                               ir::Type::int32()),
+      ir::ForKind::Serial,
+      ir::Store::make("Out", {ir::VarRef::make("x")},
+                      ir::FloatImm::make(0.0f)));
+  ErrorOr<AccessProgram> B = compileAccessProgram({Bounded}, Buffers);
+  ASSERT_FALSE(static_cast<bool>(B));
+  EXPECT_NE(B.getError().find("the extent of loop 'x' depends on buffer "
+                              "contents"),
+            std::string::npos)
+      << B.getError();
+}
+
+/// The Table-4 kernels, by name, for the per-kernel sweeps.
+std::vector<std::string> table4Names() {
+  std::vector<std::string> Names;
+  for (const BenchmarkDef &Def : allBenchmarks())
+    Names.push_back(Def.Name);
+  return Names;
+}
+
+class Table4Traces : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Table4Traces, DefaultAndProposedMatchWalker) {
+  // Each kernel at size 48: its default schedule on every platform, and
+  // the optimizer's schedule for each platform (non-temporal stores
+  // enabled, as in the proposed configuration) simulated on it.
+  const BenchmarkDef *Def = findBenchmark(GetParam());
+  ASSERT_NE(Def, nullptr);
+  BenchmarkInstance Default = Def->Create(48);
+  expectEnginesAgree(lowerPipeline(Default), Default.Buffers,
+                     GetParam() + " default");
+  for (const auto &[Platform, Arch] : allPlatforms()) {
+    BenchmarkInstance Proposed = Def->Create(48);
+    for (size_t I = 0; I != Proposed.Stages.size(); ++I)
+      optimize(Proposed.Stages[I], Proposed.StageExtents[I], Arch);
+    expectMatchesWalker(lowerPipeline(Proposed), Proposed.Buffers,
+                        {{Platform, Arch}}, GetParam() + " proposed");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Table4Traces, ::testing::ValuesIn(table4Names()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      std::string Name = Info.param;
+      for (char &C : Name)
+        if (!std::isalnum(static_cast<unsigned char>(C)))
+          C = '_';
+      return Name;
+    });
+
+TEST(AccessProgramTest, EveryKernelCompilesUnderEveryScheduler) {
+  // No built-in kernel is refused at its default size: unscheduled, and
+  // under the proposed, TSS and TTS schedules for each platform.
+  // Compiling needs only the buffers' shapes and addresses.
+  std::vector<const BenchmarkDef *> Defs;
+  for (const BenchmarkDef &Def : allBenchmarks())
+    Defs.push_back(&Def);
+  for (const BenchmarkDef &Def : extendedBenchmarks())
+    Defs.push_back(&Def);
+  for (const BenchmarkDef *Def : Defs) {
+    auto ExpectCompiles = [&](const BenchmarkInstance &Instance,
+                              const std::string &How) {
+      ErrorOr<AccessProgram> P =
+          compileAccessProgram(lowerPipeline(Instance), Instance.Buffers);
+      EXPECT_TRUE(static_cast<bool>(P))
+          << Def->Name << " " << How << ": " << P.getError();
+    };
+    ExpectCompiles(Def->Shape(Def->DefaultSize), "default");
+    for (const auto &[Platform, Arch] : allPlatforms()) {
+      BenchmarkInstance Proposed = Def->Shape(Def->DefaultSize);
+      for (size_t I = 0; I != Proposed.Stages.size(); ++I)
+        optimize(Proposed.Stages[I], Proposed.StageExtents[I], Arch);
+      ExpectCompiles(Proposed, "proposed on " + Platform);
+      for (bool TSS : {true, false}) {
+        BenchmarkInstance Tiled = Def->Shape(Def->DefaultSize);
+        for (size_t I = 0; I != Tiled.Stages.size(); ++I) {
+          Func &F = Tiled.Stages[I];
+          int ComputeStage = F.computeStageIndex();
+          StageAccessInfo Info =
+              analyzeStage(F, ComputeStage, Tiled.StageExtents[I]);
+          applyTemporalSchedule(F, ComputeStage,
+                                TSS ? optimizeTSS(Info, Arch)
+                                    : optimizeTTS(Info, Arch),
+                                Info);
+        }
+        ExpectCompiles(Tiled, (TSS ? "TSS on " : "TTS on ") + Platform);
+      }
+    }
+  }
 }
 
 } // namespace

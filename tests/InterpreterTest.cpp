@@ -3,8 +3,9 @@
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 // Direct tests of interpreter semantics: expression evaluation, casts,
-// lazy select, let bindings, predicates, the memory-trace hook, and
-// serial/parallel equivalence.
+// lazy select, let bindings, predicates and serial/parallel equivalence,
+// plus the tree-walking oracle's memory-trace hook (the reference trace
+// of the cache simulator).
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,8 +92,7 @@ TEST(InterpreterTest, HookSeesEveryAccessWithKind) {
   O.storeNonTemporal();
 
   int Loads = 0, Stores = 0, NTStores = 0;
-  InterpOptions Options;
-  Options.Hook = [&](AccessKind Kind, uint64_t, uint32_t Size) {
+  WalkHook Hook = [&](AccessKind Kind, uint64_t, uint32_t Size) {
     EXPECT_EQ(Size, 4u);
     if (Kind == AccessKind::Load)
       ++Loads;
@@ -101,8 +101,7 @@ TEST(InterpreterTest, HookSeesEveryAccessWithKind) {
     else
       ++NTStores;
   };
-  interpret(lowerFunc(O, {8}), {{"A", A.ref()}, {"Out", Out.ref()}},
-            Options);
+  walkStmt(lowerFunc(O, {8}), {{"A", A.ref()}, {"Out", Out.ref()}}, Hook);
   EXPECT_EQ(Loads, 8);
   EXPECT_EQ(Stores, 0);
   EXPECT_EQ(NTStores, 8);
@@ -115,11 +114,10 @@ TEST(InterpreterTest, HookAddressesMatchBufferLayout) {
   O(X, Y) = 1.0f;
 
   std::vector<uint64_t> Addresses;
-  InterpOptions Options;
-  Options.Hook = [&](AccessKind, uint64_t Address, uint32_t) {
+  WalkHook Hook = [&](AccessKind, uint64_t Address, uint32_t) {
     Addresses.push_back(Address);
   };
-  interpret(lowerFunc(O, {4, 2}), {{"Out", Out.ref()}}, Options);
+  walkStmt(lowerFunc(O, {4, 2}), {{"Out", Out.ref()}}, Hook);
   ASSERT_EQ(Addresses.size(), 8u);
   uint64_t Base = reinterpret_cast<uint64_t>(Out.data());
   // Default nest: y outer, x inner; contiguous addresses in x.
@@ -202,15 +200,15 @@ TEST(InterpreterTest, VMFloat32ArithmeticRunsInFloat) {
   }
 }
 
-TEST(InterpreterTest, VMTraceMatchesReferenceWalkerExactly) {
-  // The VM's traced opcodes must reproduce the walker's event stream
-  // event-for-event: index loads before the access they address, value
-  // loads before the store event, only the taken select arm. Uses a
-  // data-dependent index (Idx feeds A's subscript) so index-expression
-  // loads appear in the trace.
+TEST(InterpreterTest, WalkerTraceFollowsEvaluationOrder) {
+  // The walker's event stream is the reference trace: index loads before
+  // the access they address, value loads left to right before the store
+  // event, and only the taken select arm. Uses a data-dependent index
+  // (Idx feeds A's subscript) so index-expression loads appear in the
+  // trace; the VM must compute the values that trace implies.
   constexpr int64_t N = 32;
   Buffer<int32_t> Idx({N});
-  Buffer<float> A({N}), B({N}), Out({N});
+  Buffer<float> A({N}), B({N}), Out({N}), OutRef({N});
   A.fillRandom(4);
   B.fillRandom(5);
   for (int64_t I = 0; I != N; ++I)
@@ -228,38 +226,51 @@ TEST(InterpreterTest, VMTraceMatchesReferenceWalkerExactly) {
   StmtPtr S = For::make(
       "i", IntImm::make(0), IntImm::make(N), ForKind::Serial,
       Store::make("Out", {I}, Select::make(Cond, Indirect, Direct)));
-  std::map<std::string, BufferRef> Buffers = {{"Idx", Idx.ref()},
-                                              {"A", A.ref()},
-                                              {"B", B.ref()},
-                                              {"Out", Out.ref()}};
 
   struct Event {
     AccessKind Kind;
     uint64_t Address;
-    uint32_t Size;
     bool operator==(const Event &O) const {
-      return Kind == O.Kind && Address == O.Address && Size == O.Size;
+      return Kind == O.Kind && Address == O.Address;
     }
   };
-  auto traceWith = [&](auto Run) {
-    std::vector<Event> Events;
-    InterpOptions Options;
-    Options.Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
-      Events.push_back({Kind, Address, Size});
-    };
-    Run(S, Buffers, Options);
-    return Events;
+  std::vector<Event> Events;
+  walkStmt(S,
+           {{"Idx", Idx.ref()},
+            {"A", A.ref()},
+            {"B", B.ref()},
+            {"Out", OutRef.ref()}},
+           [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
+             EXPECT_EQ(Size, 4u);
+             Events.push_back({Kind, Address});
+           });
+  auto At = [](const void *Base, int64_t Element) {
+    return reinterpret_cast<uint64_t>(Base) +
+           static_cast<uint64_t>(Element) * 4;
   };
+  std::vector<Event> Want;
+  for (int64_t E = 0; E != N; ++E) {
+    if (E % 2 == 0) {
+      Want.push_back({AccessKind::Load, At(Idx.data(), E)});
+      Want.push_back({AccessKind::Load, At(A.data(), Idx(E))});
+    } else {
+      Want.push_back({AccessKind::Load, At(B.data(), E)});
+      Want.push_back({AccessKind::Load, At(A.data(), E)});
+    }
+    Want.push_back({AccessKind::Store, At(OutRef.data(), E)});
+  }
+  ASSERT_EQ(Events.size(), Want.size());
+  for (size_t E = 0; E != Want.size(); ++E)
+    ASSERT_TRUE(Events[E] == Want[E]) << "event " << E;
 
-  std::vector<Event> VM = traceWith(interpret);
-  std::vector<Event> Ref = traceWith(walkStmt);
-  ASSERT_EQ(VM.size(), Ref.size());
-  for (size_t E = 0; E != VM.size(); ++E)
-    ASSERT_TRUE(VM[E] == Ref[E]) << "event " << E;
-  // Both outputs must also be the values the trace implies.
-  for (int64_t Idx2 = 0; Idx2 != N; ++Idx2)
-    ASSERT_EQ(Out(Idx2), Idx2 % 2 == 0 ? A(Idx2 * 7 % N)
-                                       : B(Idx2) + A(Idx2));
+  interpret(S, {{"Idx", Idx.ref()},
+                {"A", A.ref()},
+                {"B", B.ref()},
+                {"Out", Out.ref()}});
+  for (int64_t E = 0; E != N; ++E) {
+    ASSERT_EQ(Out(E), OutRef(E)) << "element " << E;
+    ASSERT_EQ(Out(E), E % 2 == 0 ? A(E * 7 % N) : B(E) + A(E));
+  }
 }
 
 TEST(InterpreterTest, VMAndReferenceAgreeOnCastChains) {
@@ -284,22 +295,6 @@ TEST(InterpreterTest, VMAndReferenceAgreeOnCastChains) {
   walkStmt(S, {{"Out", OutRef.ref()}});
   for (int64_t Idx = 0; Idx != N; ++Idx)
     ASSERT_EQ(OutVM(Idx), OutRef(Idx)) << "element " << Idx;
-}
-
-TEST(InterpreterTest, VMInitialScalarsBindFreeVariables) {
-  // The access-program escape path interprets subtrees whose loop
-  // variables are pre-bound through InitialScalars; the VM resolves them
-  // to free-variable registers.
-  Buffer<float> A({16}), Out({16});
-  A.fillRandom(8);
-  ExprPtr I = VarRef::make("i"); // never bound by the statement itself
-  StmtPtr S = Store::make("Out", {I}, Load::make("A", {I}, Type::float32()));
-  for (int64_t Bound : {0, 5, 15}) {
-    InterpOptions Options;
-    Options.InitialScalars["i"] = Bound;
-    interpret(S, {{"A", A.ref()}, {"Out", Out.ref()}}, Options);
-    EXPECT_EQ(Out(Bound), A(Bound));
-  }
 }
 
 } // namespace

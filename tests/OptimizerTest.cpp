@@ -14,6 +14,7 @@
 #include "benchmarks/PipelineRunner.h"
 #include "model/CacheEmu.h"
 #include "core/Optimizer.h"
+#include "interp/Interpreter.h"
 #include "lang/Lower.h"
 
 #include <gtest/gtest.h>

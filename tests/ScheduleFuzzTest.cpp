@@ -17,14 +17,16 @@
 // per-seed tests pick it up when the binary is (re)discovered or run
 // directly, and the DifferentialVMvsReference sweep honours it at run
 // time, so `LTP_FUZZ_SEEDS=200 ctest -L fuzz` deepens coverage without a
-// rebuild. The sweep runs every seed through both the bytecode VM and the
-// tree-walking oracle (tests/oracles) and asserts they agree
-// element-wise.
+// rebuild. The sweep runs every seed, plus a fused draw per seed, through
+// both the bytecode VM and the tree-walking oracle (tests/oracles) and
+// asserts they agree element-wise, and that the simulator's access
+// program replays the walker's trace exactly on every platform.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Legality.h"
 #include "benchmarks/PipelineRunner.h"
+#include "cachesim/TraceRunner.h"
 #include "core/AccessInfo.h"
 #include "model/MissModel.h"
 #include "tests/oracles/TreeWalker.h"
@@ -128,6 +130,25 @@ void applyRandomSchedule(Func &F, const std::vector<int64_t> &Extents,
         Rand(0, static_cast<int>(Leaves.size()) - 1))]);
 }
 
+/// Fuses two adjacent loops of the compute stage's default nest and
+/// maybe splits the fused loop by a random, often non-dividing, factor:
+/// the fused variables become div/mod index expressions.
+void applyRandomFusedSchedule(Func &F, const std::vector<int64_t> &Extents,
+                              std::mt19937 &Rng) {
+  F.clearSchedules();
+  int ComputeStage = F.computeStageIndex();
+  StageAccessInfo Info = analyzeStage(F, ComputeStage, Extents);
+  Stage S = ComputeStage < 0 ? F.pureStage() : F.update(ComputeStage);
+  auto Rand = [&](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  size_t Inner =
+      static_cast<size_t>(Rand(0, static_cast<int>(Info.Loops.size()) - 2));
+  S.fuse(Info.Loops[Inner + 1].Name, Info.Loops[Inner].Name, "fused");
+  if (Rand(0, 1))
+    S.split("fused", "fused_o", "fused_i", 2 + Rand(0, 12));
+}
+
 /// The static verifier's verdict on the compute stage's current schedule.
 bool verifierAccepts(const Func &F, const std::vector<int64_t> &Extents) {
   int ComputeStage = F.computeStageIndex();
@@ -175,13 +196,37 @@ void expectEnginesMatch(const BufferRef &VM, const BufferRef &Ref,
       << Context;
 }
 
+/// The access program's miss profile of \p Instance's schedule must be
+/// the one the walker's trace produces, on every built-in platform.
+void expectTraceMatchesWalker(const BenchmarkInstance &Instance,
+                              const std::string &Context) {
+  std::vector<ir::StmtPtr> Lowered = lowerPipeline(Instance);
+  std::vector<ArchParams> Archs = {intelI7_5930K(), intelI7_6700(),
+                                   armCortexA15()};
+  std::vector<WalkerSim> Ref =
+      simulateOnWalker(Lowered, Instance.Buffers, Archs);
+  for (size_t P = 0; P != Archs.size(); ++P) {
+    std::string Where = Context + " on " + Archs[P].Name;
+    ErrorOr<SimResult> Sim = simulate(Lowered, Instance.Buffers, Archs[P]);
+    ASSERT_TRUE(static_cast<bool>(Sim)) << Where << ": " << Sim.getError();
+    EXPECT_EQ(Sim->Accesses, Ref[P].Accesses) << Where;
+    EXPECT_TRUE(Sim->Stats == Ref[P].Stats) << Where;
+  }
+}
+
+/// A schedule draw: applyRandomSchedule or applyRandomFusedSchedule.
+using ScheduleDraw = void (*)(Func &, const std::vector<int64_t> &,
+                              std::mt19937 &);
+
 /// Applies the same random schedule to two fresh instances of \p Kernel,
 /// asks the verifier for a verdict and — when accepted — runs one
 /// instance on the VM (threaded, exercising verified-race-free parallel
 /// marks) and one on the tree-walking oracle; both must verify against the
-/// oracle and agree with each other. Returns true when the seed executed,
-/// false when the verifier rejected the draw.
-bool runDifferential(const FuzzKernel &Kernel, int Seed) {
+/// oracle and agree with each other, and the access program must replay
+/// the walker's trace. Returns true when the seed executed, false when
+/// the verifier rejected the draw.
+bool runDifferential(const FuzzKernel &Kernel, int Seed, ScheduleDraw Draw,
+                     const char *DrawName) {
   const BenchmarkDef *Def = findBenchmark(Kernel.Name);
   EXPECT_NE(Def, nullptr) << Kernel.Name;
   if (!Def)
@@ -191,18 +236,19 @@ bool runDifferential(const FuzzKernel &Kernel, int Seed) {
   uint32_t Mix =
       static_cast<uint32_t>(Seed) * Kernel.SeedScale + Kernel.SeedBias;
   std::mt19937 RngA(Mix), RngB(Mix);
-  applyRandomSchedule(OnVM.Stages[0], OnVM.StageExtents[0], RngA);
-  applyRandomSchedule(OnRef.Stages[0], OnRef.StageExtents[0], RngB);
+  Draw(OnVM.Stages[0], OnVM.StageExtents[0], RngA);
+  Draw(OnRef.Stages[0], OnRef.StageExtents[0], RngB);
   if (!verifierAccepts(OnVM.Stages[0], OnVM.StageExtents[0]))
     return false;
   EXPECT_EQ(runInterpreted(OnVM, /*RunParallel=*/true), "");
   EXPECT_EQ(walkPipeline(OnRef), "");
-  std::string Context =
-      std::string(Kernel.Name) + " seed " + std::to_string(Seed);
+  std::string Context = std::string(Kernel.Name) + " " + DrawName +
+                        " seed " + std::to_string(Seed);
   EXPECT_TRUE(verifyOutput(OnVM)) << Context << " (vm)";
   EXPECT_TRUE(verifyOutput(OnRef)) << Context << " (reference)";
   expectEnginesMatch(OnVM.Buffers.at(OnVM.OutputName),
                      OnRef.Buffers.at(OnRef.OutputName), Context);
+  expectTraceMatchesWalker(OnRef, Context);
   return true;
 }
 
@@ -390,31 +436,39 @@ TEST(ModelSweep, AnalyticVsSimDifferential) {
       << "the closed form declined every drawn schedule";
 }
 
-// The differential oracle: every seed, every kernel, both engines. A
-// plain TEST (not TEST_P) so the LTP_FUZZ_SEEDS override takes effect at
-// run time under ctest, whose test list is fixed at discovery time. The
+// The differential oracle: every seed, every kernel, a free and a fused
+// draw, both interpreters and the simulator's trace. A plain TEST (not
+// TEST_P) so the LTP_FUZZ_SEEDS override takes effect at run time under
+// ctest, whose test list is fixed at discovery time. The
 // sweep also tallies the verifier's verdicts and fails if every draw was
 // rejected — the one-sided agreement check (verifier-accepted implies
 // correct execution) is vacuous without executed seeds.
 TEST(FuzzSweep, DifferentialVMvsReference) {
   const int Seeds = fuzzSeedCount();
   int Executed = 0;
+  int ExecutedFused = 0;
   int Rejected = 0;
   for (int Seed = 0; Seed != Seeds; ++Seed)
-    for (const FuzzKernel &Kernel : FuzzKernels) {
-      if (runDifferential(Kernel, Seed))
-        ++Executed;
-      else
-        ++Rejected;
-      if (::testing::Test::HasFatalFailure())
-        return;
-    }
-  std::printf("[fuzz] %d schedules executed, %d rejected by the "
-              "verifier\n",
-              Executed, Rejected);
+    for (const FuzzKernel &Kernel : FuzzKernels)
+      for (auto [Draw, DrawName] :
+           {std::pair{&applyRandomSchedule, "free"},
+            std::pair{&applyRandomFusedSchedule, "fused"}}) {
+        if (runDifferential(Kernel, Seed, Draw, DrawName)) {
+          ++Executed;
+          ExecutedFused += Draw == &applyRandomFusedSchedule;
+        } else {
+          ++Rejected;
+        }
+        if (::testing::Test::HasFatalFailure())
+          return;
+      }
+  std::printf("[fuzz] %d schedules executed (%d fused), %d rejected by "
+              "the verifier\n",
+              Executed, ExecutedFused, Rejected);
   EXPECT_GT(Executed, 0)
       << "the verifier rejected every drawn schedule; it is either "
          "over-conservative or the draw space collapsed";
+  EXPECT_GT(ExecutedFused, 0) << "the verifier rejected every fused draw";
 }
 
 } // namespace

@@ -138,6 +138,22 @@ TEST(ScheduleTextTest, ErrorsAreReported) {
   EXPECT_FALSE(static_cast<bool>(R3));
 }
 
+TEST(ScheduleTextTest, SplitWithOneNameTwiceIsAnError) {
+  // split(i, io, io, 4) used to reach Stage::split's "split names must
+  // differ" assert; it is an ordinary schedule error, and nothing is
+  // applied.
+  const BenchmarkDef *Def = findBenchmark("matmul");
+  BenchmarkInstance I = Def->Create(64);
+  Func &F = I.Stages[0];
+  F.clearSchedules();
+  int Stage = F.computeStageIndex();
+  auto R = applyScheduleText(F, Stage, "split(i, io, io, 4);");
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_NE(R.getError().find("split names must differ"), std::string::npos)
+      << R.getError();
+  EXPECT_EQ(printSchedule(F, Stage), "");
+}
+
 TEST(ScheduleTextTest, EmptyAndWhitespaceOnly) {
   const BenchmarkDef *Def = findBenchmark("copy");
   BenchmarkInstance I = Def->Create(64);

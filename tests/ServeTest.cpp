@@ -751,6 +751,33 @@ TEST(ServeServer, UnemulatableArchTextIsABadRequest) {
   Waiter.join();
 }
 
+TEST(ServeServer, SplitWithOneNameTwiceIsAnIllegalSchedule) {
+  // split(i, io, io, 4) used to abort the daemon on an assert; it is an
+  // illegal_schedule response, and the daemon keeps answering.
+  std::string Path = "/tmp/ltp-serve-split-test-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  {
+    ClientConn Conn(Path);
+    ASSERT_TRUE(Conn.ok());
+    std::string R = Conn.roundTrip(
+        "{\"op\": \"optimize\", \"kernel\": \"matmul\", \"size\": 64, "
+        "\"schedule\": \"split(i, io, io, 4);\", \"compile\": false}");
+    EXPECT_NE(R.find("\"kind\": \"illegal_schedule\""), std::string::npos)
+        << R;
+    EXPECT_NE(R.find("split names must differ"), std::string::npos) << R;
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"ping\"}").find("\"pong\": true"),
+              std::string::npos);
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
+}
+
 // Platforms that differ below a KiB of cache get distinct dedup keys:
 // the second is optimized for its own geometry, with the schedule the
 // optimizer (and so `ltp-opt --arch-file`) picks for it.

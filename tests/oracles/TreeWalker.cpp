@@ -4,7 +4,6 @@
 
 #include "benchmarks/PipelineRunner.h"
 #include "lang/Bounds.h"
-#include "runtime/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -37,11 +36,11 @@ struct Value {
   double asFloat() const { return IsFloat ? F : static_cast<double>(I); }
 };
 
-/// Execution environment: buffers, loop-variable bindings and options.
+/// Execution environment: buffers, loop-variable bindings and the hook.
 struct Env {
   const std::map<std::string, BufferRef> &Buffers;
   std::map<std::string, int64_t> Scalars;
-  const InterpOptions &Options;
+  const WalkHook &Hook;
 
   const BufferRef &buffer(const std::string &Name) const {
     auto It = Buffers.find(Name);
@@ -193,12 +192,12 @@ Value evalExpr(const ExprPtr &E, Env &Environment) {
     const Load *L = exprAs<Load>(E);
     const BufferRef &Buf = Environment.buffer(L->BufferName);
     int64_t Offset = Buf.offsetOf(evalIndices(L->Indices, Environment));
-    if (Environment.Options.Hook) {
+    if (Environment.Hook) {
       uint64_t Address = reinterpret_cast<uint64_t>(Buf.Data) +
                          static_cast<uint64_t>(Offset) *
                              Buf.ElemType.bytes();
-      Environment.Options.Hook(AccessKind::Load, Address,
-                               static_cast<uint32_t>(Buf.ElemType.bytes()));
+      Environment.Hook(AccessKind::Load, Address,
+                       static_cast<uint32_t>(Buf.ElemType.bytes()));
     }
     return readElement(Buf, Offset);
   }
@@ -248,19 +247,6 @@ void execStmt(const StmtPtr &S, Env &Environment) {
     int64_t Extent = evalExpr(F->Extent, Environment).asInt();
     if (Extent <= 0)
       return;
-    bool UseThreads = F->Kind == ForKind::Parallel &&
-                      Environment.Options.RunParallel &&
-                      !Environment.Options.Hook;
-    if (UseThreads) {
-      ThreadPool::global().parallelFor(Min, Extent, [&](int64_t I) {
-        // Each iteration gets its own scalar scope.
-        Env Local{Environment.Buffers, Environment.Scalars,
-                  Environment.Options};
-        Local.Scalars[F->VarName] = I;
-        execStmt(F->Body, Local);
-      });
-      return;
-    }
     auto Saved = Environment.Scalars.find(F->VarName);
     bool HadBinding = Saved != Environment.Scalars.end();
     int64_t SavedValue = HadBinding ? Saved->second : 0;
@@ -279,11 +265,11 @@ void execStmt(const StmtPtr &S, Env &Environment) {
     const BufferRef &Buf = Environment.buffer(St->BufferName);
     int64_t Offset = Buf.offsetOf(evalIndices(St->Indices, Environment));
     Value V = evalExpr(St->Value, Environment);
-    if (Environment.Options.Hook) {
+    if (Environment.Hook) {
       uint64_t Address = reinterpret_cast<uint64_t>(Buf.Data) +
                          static_cast<uint64_t>(Offset) *
                              Buf.ElemType.bytes();
-      Environment.Options.Hook(
+      Environment.Hook(
           St->NonTemporal ? AccessKind::NonTemporalStore : AccessKind::Store,
           Address, static_cast<uint32_t>(Buf.ElemType.bytes()));
     }
@@ -325,11 +311,9 @@ void execStmt(const StmtPtr &S, Env &Environment) {
 
 void ltp::walkStmt(const StmtPtr &S,
                    const std::map<std::string, BufferRef> &Buffers,
-                   const InterpOptions &Options) {
+                   const WalkHook &Hook) {
   assert(S && "interpreting a null statement");
-  assert(!(Options.RunParallel && Options.Hook) &&
-         "traced interpretation must be deterministic (serial)");
-  Env Environment{Buffers, Options.InitialScalars, Options};
+  Env Environment{Buffers, {}, Hook};
   execStmt(S, Environment);
 }
 
@@ -345,22 +329,21 @@ std::string ltp::walkPipeline(const BenchmarkInstance &Instance) {
   return "";
 }
 
-WalkerSim
+std::vector<WalkerSim>
 ltp::simulateOnWalker(const std::vector<StmtPtr> &Stmts,
                       const std::map<std::string, BufferRef> &Buffers,
-                      const ArchParams &Arch) {
-  MemoryHierarchy Hierarchy(Arch);
-  WalkerSim Result;
-  InterpOptions Options;
-  Options.Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
-    ++Result.Accesses;
-    if (Kind == AccessKind::Load)
-      Hierarchy.load(Address, Size);
-    else
-      Hierarchy.store(Address, Size, Kind == AccessKind::NonTemporalStore);
+                      const std::vector<ArchParams> &Archs) {
+  std::vector<MemoryHierarchy> Hierarchies(Archs.begin(), Archs.end());
+  uint64_t Accesses = 0;
+  WalkHook Hook = [&](AccessKind Kind, uint64_t Address, uint32_t Size) {
+    ++Accesses;
+    for (MemoryHierarchy &H : Hierarchies)
+      H.access(Kind, Address, Size);
   };
   for (const StmtPtr &S : Stmts)
-    walkStmt(S, Buffers, Options);
-  Result.Stats = Hierarchy.stats();
-  return Result;
+    walkStmt(S, Buffers, Hook);
+  std::vector<WalkerSim> Results;
+  for (const MemoryHierarchy &H : Hierarchies)
+    Results.push_back({H.stats(), Accesses});
+  return Results;
 }

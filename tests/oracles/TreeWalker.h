@@ -9,10 +9,10 @@
 /// statement tree with a map of scalar bindings and every value held as
 /// int64 or double (Float32 arithmetic computes in double and rounds only
 /// at stores and casts). It is the differential oracle for the bytecode
-/// VM, which every production path runs: InterpreterTest and the fuzz
-/// sweep compare values and access traces, and AccessProgramTest drives
-/// the cache simulator from it to check the VM and the compiled access
-/// program against a third engine. Linked only into tests.
+/// VM, which every production path runs (InterpreterTest and the fuzz
+/// sweep compare values), and its access hook is the reference trace the
+/// cache simulator's access program is checked against (AccessProgramTest
+/// and the fuzz sweep compare miss profiles). Linked only into tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,20 +21,30 @@
 
 #include "benchmarks/Benchmarks.h"
 #include "cachesim/Hierarchy.h"
-#include "interp/Interpreter.h"
+#include "ir/Stmt.h"
+#include "runtime/Buffer.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace ltp {
 
-/// interpret() on the tree walker: the same buffers, trace-hook order,
-/// initial scalars and parallel-loop contract as the VM.
+/// Called for every buffer element access: kind, byte address (base
+/// pointer plus element offset times element size) and size in bytes.
+/// Loads are reported depth-first and left to right as expressions
+/// evaluate, a Select reports only its taken arm, and a store is
+/// reported after its value's loads.
+using WalkHook =
+    std::function<void(AccessKind, uint64_t Address, uint32_t SizeBytes)>;
+
+/// interpret() on the tree walker, serially, reporting every access to
+/// \p Hook when one is given.
 void walkStmt(const ir::StmtPtr &S,
               const std::map<std::string, BufferRef> &Buffers,
-              const InterpOptions &Options = InterpOptions());
+              const WalkHook &Hook = WalkHook());
 
 /// runInterpreted() on the tree walker, serially: the bounds error of the
 /// lowered pipeline without running anything, else empty.
@@ -46,11 +56,12 @@ struct WalkerSim {
   uint64_t Accesses = 0;
 };
 
-/// simulate() on the tree walker: \p Stmts in order over one hierarchy
-/// configured from \p Arch.
-WalkerSim simulateOnWalker(const std::vector<ir::StmtPtr> &Stmts,
-                           const std::map<std::string, BufferRef> &Buffers,
-                           const ArchParams &Arch);
+/// simulate() on the tree walker: one walk of \p Stmts in order feeds
+/// one fresh hierarchy per entry of \p Archs.
+std::vector<WalkerSim>
+simulateOnWalker(const std::vector<ir::StmtPtr> &Stmts,
+                 const std::map<std::string, BufferRef> &Buffers,
+                 const std::vector<ArchParams> &Archs);
 
 } // namespace ltp
 

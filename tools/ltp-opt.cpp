@@ -104,16 +104,6 @@ void printUsage() {
       "     internal failure)\n");
 }
 
-ArchParams pickArch(const std::string &Name) {
-  if (Name == "5930k")
-    return intelI7_5930K();
-  if (Name == "6700")
-    return intelI7_6700();
-  if (Name == "a15" || Name == "arm")
-    return armCortexA15();
-  return detectHost();
-}
-
 /// Prints the optimizer decision log collected since the last call (the
 /// --explain flow). One block per optimized stage: classification, every
 /// candidate with its predicted misses and accept/prune reason, and the
@@ -407,7 +397,12 @@ int main(int Argc, char **Argv) {
   if (Args.has("explain"))
     obs::setExplainEnabled(true);
 
-  ArchParams Arch = pickArch(Args.getString("arch", "host"));
+  ErrorOr<ArchParams> Named = archByName(Args.getString("arch", "host"));
+  if (!Named) {
+    std::fprintf(stderr, "error: %s\n", Named.getError().c_str());
+    return 1;
+  }
+  ArchParams Arch = *Named;
   if (Args.has("arch-file")) {
     auto Loaded = loadArchParams(Args.getString("arch-file", ""));
     if (!Loaded) {
