@@ -299,6 +299,15 @@ int ltp::bench::timedRuns(const ArgParse &Args, int Default) {
   return static_cast<int>(Args.getInt("runs", Default));
 }
 
+ArchParams ltp::bench::archFromArgs(const ArgParse &Args) {
+  ErrorOr<ArchParams> Named = archByName(Args.getString("arch", "5930k"));
+  if (!Named) {
+    std::fprintf(stderr, "error: %s\n", Named.getError().c_str());
+    std::exit(1);
+  }
+  return *Named;
+}
+
 void ltp::bench::printHeader(const char *Title, const ArchParams &Arch) {
   // Line-buffer stdout so long-running benches stream their rows even
   // when piped to a file.

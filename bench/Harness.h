@@ -130,6 +130,10 @@ int64_t problemSize(const BenchmarkDef &Def, const ArgParse &Args);
 /// Number of timed runs (--runs, default \p Default).
 int timedRuns(const ArgParse &Args, int Default);
 
+/// The platform named by --arch (default 5930k) through archByName;
+/// prints the error and exits 1 on an unknown name.
+ArchParams archFromArgs(const ArgParse &Args);
+
 /// Prints the standard bench header (platform modeled, host detected,
 /// JIT availability).
 void printHeader(const char *Title, const ArchParams &Arch);

@@ -55,9 +55,7 @@ std::vector<Variant> variants() {
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   setupTelemetry(Args, "ablation_model");
-  ArchParams Arch = Args.getString("arch", "5930k") == "6700"
-                        ? intelI7_6700()
-                        : intelI7_5930K();
+  ArchParams Arch = archFromArgs(Args);
   printHeader("Ablation: model components on matmul and doitgen", Arch);
 
   const int Runs = timedRuns(Args, 2);

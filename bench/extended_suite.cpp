@@ -22,9 +22,7 @@ using namespace ltp::bench;
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   setupTelemetry(Args, "extended_suite");
-  ArchParams Arch = Args.getString("arch", "5930k") == "6700"
-                        ? intelI7_6700()
-                        : intelI7_5930K();
+  ArchParams Arch = archFromArgs(Args);
   printHeader("Extended suite: kernels beyond Table 4", Arch);
 
   const int Runs = timedRuns(Args, 3);

@@ -4,8 +4,9 @@
 //
 // Regenerates Figure 4 of the paper: relative throughput (1/s, normalized
 // to the fastest implementation) of Proposed / Proposed+NTI /
-// Auto-Scheduler / Baseline / Autotuner over the 12 benchmarks, for an
-// Intel Table-3 platform configuration (--arch=5930k|6700).
+// Auto-Scheduler / Baseline / Autotuner over the 12 benchmarks, for a
+// Table-3 platform configuration (--arch=5930k|6700|a15|host; an unknown
+// name exits 1).
 //
 // Wall-clock runs execute on the host through the JIT; pass --sim to also
 // evaluate each schedule on the cache simulator configured with the
@@ -38,9 +39,7 @@ int64_t simSize(const std::string &Name) {
 
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
-  ArchParams Arch = Args.getString("arch", "5930k") == "6700"
-                        ? intelI7_6700()
-                        : intelI7_5930K();
+  ArchParams Arch = archFromArgs(Args);
   setupTelemetry(Args, "fig4");
   setAutotunerLintPrune(!Args.has("no-lint-prune"));
   printHeader("Figure 4: relative throughput vs fastest", Arch);

@@ -25,9 +25,7 @@ using namespace ltp::bench;
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   setupTelemetry(Args, "fig6");
-  ArchParams Arch = Args.getString("arch", "5930k") == "6700"
-                        ? intelI7_6700()
-                        : intelI7_5930K();
+  ArchParams Arch = archFromArgs(Args);
   printHeader("Figure 6: non-temporal store effect (relative to "
               "Proposed without NTI)",
               Arch);

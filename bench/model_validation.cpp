@@ -61,11 +61,10 @@ bool predictAnalytic(BenchmarkInstance &Instance, const ArchParams &Arch,
     bool NT = F.isStoreNonTemporal();
     for (int S = -1; S < F.numUpdates(); ++S) {
       StageAccessInfo Info = analyzeStage(F, S, Instance.StageExtents[I]);
-      std::vector<model::LoopDim> Nest;
-      if (!model::scheduledNest(F, S, Info, Nest, &WhyNot))
-        return false;
+      analysis::LegalityReport Legality =
+          analysis::verifyStageSchedule(F, S, Instance.StageExtents[I]);
       model::MissPrediction P =
-          model::predictMisses(Info, Nest, Arch, Strides, NT);
+          model::predictMisses(Info, Legality.Nest, Arch, Strides, NT);
       if (!P.Analytic) {
         WhyNot = P.WhyNot;
         return false;

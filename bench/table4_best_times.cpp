@@ -45,8 +45,11 @@ const std::map<std::string, PaperTimes> &paperTimes() {
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   setupTelemetry(Args, "table4");
-  bool Is6700 = Args.getString("arch", "5930k") == "6700";
-  ArchParams Arch = Is6700 ? intelI7_6700() : intelI7_5930K();
+  ArchParams Arch = archFromArgs(Args);
+  // The paper reports Table 4 for the two Intel platforms only.
+  const std::string ArchName = Args.getString("arch", "5930k");
+  const bool Is6700 = ArchName == "6700";
+  const bool HasPaperColumn = Is6700 || ArchName == "5930k";
   printHeader("Table 4: best execution time per benchmark", Arch);
 
   const int Runs = timedRuns(Args, 3);
@@ -67,7 +70,9 @@ int main(int Argc, char **Argv) {
     printRow({Def.Name, Def.Description,
               strFormat("%lld", static_cast<long long>(Size)),
               Seconds > 0.0 ? strFormat("%.2f", Seconds * 1e3) : "n/a",
-              strFormat("%.2f", Is6700 ? Paper.I6700 : Paper.I5930K),
+              HasPaperColumn
+                  ? strFormat("%.2f", Is6700 ? Paper.I6700 : Paper.I5930K)
+                  : "n/a",
               Description.substr(0, 10)},
              Widths);
   }

@@ -84,9 +84,7 @@ OptRun runOptimizer(const BenchmarkDef &Def, int64_t Size,
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   setupTelemetry(Args, "table5_opt_runtime");
-  ArchParams Arch = Args.getString("arch", "5930k") == "6700"
-                        ? intelI7_6700()
-                        : intelI7_5930K();
+  ArchParams Arch = archFromArgs(Args);
   const int Runs = timedRuns(Args, 3);
   printHeader("Table 5: optimizer runtime per benchmark", Arch);
 

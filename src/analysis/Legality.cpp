@@ -19,6 +19,17 @@ using namespace ltp::ir;
 // LegalityReport
 //===----------------------------------------------------------------------===//
 
+int ScheduledNest::find(const std::string &Name) const {
+  for (size_t I = 0; I != Loops.size(); ++I)
+    if (Loops[I].Name == Name)
+      return static_cast<int>(I);
+  return -1;
+}
+
+const DirectiveVerdict *LegalityReport::structuralError() const {
+  return Nest.Complete || Verdicts.empty() ? nullptr : &Verdicts.back();
+}
+
 bool LegalityReport::hasErrors() const {
   for (const DirectiveVerdict &V : Verdicts)
     if (!V.Legal && V.Sev == Severity::Error)
@@ -148,9 +159,8 @@ DistanceSet fuseDistance(const DistanceSet &Do, const DistanceSet &Di,
   return Out;
 }
 
-struct ShadowLoop {
-  std::string Name;
-  std::optional<int64_t> ConstExtent;
+/// A loop of the replayed nest plus what only the verdicts need.
+struct ShadowLoop : NestLoop {
   /// Loop variables the loop's bounds reference; such loops must stay
   /// nested inside them (tail splits, triangular reduction domains).
   std::set<std::string> BoundDeps;
@@ -158,13 +168,6 @@ struct ShadowLoop {
   /// True when some pure loop contributes to this one: the stored element
   /// then moves along it (every pure loop indexes the store).
   bool PureOrigin = false;
-};
-
-struct PendingMark {
-  int DirIndex;
-  enum class Kind { Parallel, Vectorize, Unroll, UnrollJam } MarkKind;
-  std::string Name;
-  int64_t Factor = 0;
 };
 
 /// One dependence's distance vector tracked through the replay, keyed by
@@ -275,7 +278,9 @@ public:
           S.NegGuard = To;
   }
 
-  std::string split(const SplitDirective &S) {
+  /// Splits a loop in place into (inner, outer); \p Jam marks the pair
+  /// as an unroll_jam's copies and the loop stepping over them.
+  std::string split(const SplitDirective &S, int DirIndex, bool Jam) {
     int Pos = find(S.Old);
     if (Pos < 0)
       return strFormat("unknown loop '%s'", S.Old.c_str());
@@ -290,22 +295,25 @@ public:
     ShadowLoop Old = Dims[Pos];
     bool Divisible = Old.ConstExtent && *Old.ConstExtent % S.Factor == 0;
 
-    ShadowLoop Inner;
+    ShadowLoop Inner = Old;
     Inner.Name = S.Inner;
-    Inner.IsRVar = Old.IsRVar;
-    Inner.PureOrigin = Old.PureOrigin;
+    Inner.Trip = std::min(S.Factor, Old.Trip);
+    Inner.JamInner = Jam;
+    Inner.CreatedBy = DirIndex;
     if (Divisible) {
       Inner.ConstExtent = S.Factor;
+      Inner.BoundDeps.clear();
     } else {
-      Inner.BoundDeps = Old.BoundDeps;
+      Inner.ConstExtent.reset();
       Inner.BoundDeps.insert(S.Outer);
     }
 
-    ShadowLoop Outer;
+    ShadowLoop Outer = Old;
     Outer.Name = S.Outer;
-    Outer.IsRVar = Old.IsRVar;
-    Outer.PureOrigin = Old.PureOrigin;
-    Outer.BoundDeps = Old.BoundDeps;
+    Outer.Trip = (Old.Trip + S.Factor - 1) / S.Factor;
+    Outer.Stride = Old.Stride * S.Factor;
+    Outer.JamOuter = Jam;
+    Outer.CreatedBy = DirIndex;
     if (Old.ConstExtent)
       Outer.ConstExtent = (*Old.ConstExtent + S.Factor - 1) / S.Factor;
 
@@ -332,7 +340,7 @@ public:
     return "";
   }
 
-  std::string fuse(const FuseDirective &F) {
+  std::string fuse(const FuseDirective &F, int DirIndex) {
     int PosOuter = find(F.Outer);
     int PosInner = find(F.Inner);
     if (PosOuter < 0)
@@ -351,9 +359,16 @@ public:
       return "fuse requires constant loop extents";
     int64_t InnerExtent = *InnerDim.ConstExtent;
 
+    // The fused loop keeps its inner loop's step and jam flags.
     ShadowLoop Fused;
     Fused.Name = F.Fused;
     Fused.ConstExtent = *OuterDim.ConstExtent * InnerExtent;
+    Fused.Trip = OuterDim.Trip * InnerDim.Trip;
+    Fused.Stride = InnerDim.Stride;
+    Fused.JamInner = InnerDim.JamInner;
+    Fused.JamOuter = InnerDim.JamOuter;
+    Fused.Fused = true;
+    Fused.CreatedBy = DirIndex;
     Fused.IsRVar = OuterDim.IsRVar || InnerDim.IsRVar;
     Fused.PureOrigin = OuterDim.PureOrigin || InnerDim.PureOrigin;
 
@@ -393,7 +408,9 @@ public:
     return "";
   }
 
-  std::string reorder(const ReorderDirective &R) {
+  /// Permutes the named loops across the positions they occupy; \p Noop
+  /// tells whether the order was already the requested one.
+  std::string reorder(const ReorderDirective &R, bool &Noop) {
     std::vector<size_t> Positions;
     for (const std::string &Name : R.InnermostFirst) {
       int Pos = find(Name);
@@ -405,6 +422,7 @@ public:
     std::sort(Sorted.begin(), Sorted.end());
     if (std::adjacent_find(Sorted.begin(), Sorted.end()) != Sorted.end())
       return "reorder mentions a loop twice";
+    Noop = Positions == Sorted;
     std::vector<ShadowLoop> Reordered = Dims;
     for (size_t I = 0; I != Positions.size(); ++I)
       Reordered[Sorted[I]] = Dims[Positions[I]];
@@ -519,7 +537,9 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
        ++It) {
     ShadowLoop L;
     L.Name = It->Name;
+    L.Origin = It->Name;
     L.ConstExtent = It->Extent;
+    L.Trip = It->Extent.value_or(1);
     L.IsRVar = It->IsReduction;
     L.PureOrigin = !It->IsReduction;
     Nest.Dims.push_back(L);
@@ -549,56 +569,45 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
 
   // Replay the directives, collecting structural verdicts as we go and
   // deferring mark checks until the final loop structure is known.
-  std::vector<PendingMark> Marks;
+  ScheduledNest &Out = Report.Nest;
   int LastOrderDirective = -1;
   const std::vector<ScheduleDirective> &Directives = Def.Schedule.Directives;
   for (size_t I = 0; I != Directives.size(); ++I) {
+    const int DirIndex = static_cast<int>(I);
     DirectiveVerdict V;
-    V.Index = static_cast<int>(I);
+    V.Index = DirIndex;
     V.Directive = describeDirective(Directives[I]);
     std::string Err;
     if (const auto *S = std::get_if<SplitDirective>(&Directives[I])) {
-      Err = Nest.split(*S);
+      Err = Nest.split(*S, DirIndex, /*Jam=*/false);
     } else if (const auto *Fu = std::get_if<FuseDirective>(&Directives[I])) {
-      Err = Nest.fuse(*Fu);
-      LastOrderDirective = static_cast<int>(I);
+      Err = Nest.fuse(*Fu, DirIndex);
+      LastOrderDirective = DirIndex;
     } else if (const auto *R = std::get_if<ReorderDirective>(&Directives[I])) {
-      Err = Nest.reorder(*R);
-      LastOrderDirective = static_cast<int>(I);
+      bool Noop = false;
+      Err = Nest.reorder(*R, Noop);
+      if (Err.empty() && Noop)
+        Out.NoopReorders.push_back(DirIndex);
+      LastOrderDirective = DirIndex;
     } else if (const auto *M = std::get_if<MarkDirective>(&Directives[I])) {
-      if (Nest.find(M->Name) < 0) {
+      if (Nest.find(M->Name) < 0)
         Err = strFormat("unknown loop '%s'", M->Name.c_str());
-      } else {
-        PendingMark Mark;
-        Mark.DirIndex = static_cast<int>(I);
-        Mark.Name = M->Name;
-        switch (M->Mark) {
-        case MarkDirective::Kind::Parallel:
-          Mark.MarkKind = PendingMark::Kind::Parallel;
-          break;
-        case MarkDirective::Kind::Vectorize:
-          Mark.MarkKind = PendingMark::Kind::Vectorize;
-          break;
-        case MarkDirective::Kind::Unroll:
-          Mark.MarkKind = PendingMark::Kind::Unroll;
-          break;
-        }
-        Marks.push_back(Mark);
-      }
+      else
+        Out.Marks.push_back({DirIndex, M->Mark, M->Name});
     } else if (const auto *U =
                    std::get_if<UnrollJamDirective>(&Directives[I])) {
       if (U->Factor < 2) {
         Err = "unroll_jam factor must exceed 1";
       } else {
         Err = Nest.split(SplitDirective{U->Name, U->Name + "_ujo",
-                                        U->Name + "_uji", U->Factor});
+                                        U->Name + "_uji", U->Factor},
+                         DirIndex, /*Jam=*/true);
         if (Err.empty()) {
-          PendingMark Mark;
-          Mark.DirIndex = static_cast<int>(I);
-          Mark.MarkKind = PendingMark::Kind::UnrollJam;
-          Mark.Name = U->Name + "_uji";
-          Mark.Factor = U->Factor;
-          Marks.push_back(Mark);
+          // The copies' loop keeps the jammed loop's origin; its trip is
+          // the factor clamped to the loop's trip bound.
+          const ShadowLoop &Copies = Nest.Dims[Nest.find(U->Name + "_uji")];
+          Out.Jams.push_back(
+              {DirIndex, U->Name, Copies.Origin, U->Factor, Copies.Trip});
         }
       }
     }
@@ -606,10 +615,12 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
       V.Legal = false;
       V.Message = Err;
       Report.Verdicts.push_back(V);
+      Out.Complete = false;
       return Report; // nest state unknown past a structural error
     }
     Report.Verdicts.push_back(V);
   }
+  Out.Loops.assign(Nest.Dims.begin(), Nest.Dims.end());
 
   auto FailVerdict = [&](int Index, Severity Sev, const std::string &Msg) {
     for (DirectiveVerdict &V : Report.Verdicts)
@@ -661,43 +672,44 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
       break;
     }
 
-  // Mark checks against the final nest.
-  for (const PendingMark &Mark : Marks) {
-    int Pos = Nest.find(Mark.Name);
+  // Mark checks against the final nest. A parallel mark must not carry a
+  // dependence; vectorize and unroll_jam must not carry one shorter than
+  // the vector width / jam factor. Plain unroll preserves execution order.
+  enum class Check { Parallel, Vectorize, UnrollJam };
+  auto CheckMark = [&](int DirIndex, Check Kind, const std::string &Name,
+                       int64_t JamFactor) {
+    int Pos = Nest.find(Name);
     if (Pos < 0)
-      continue; // the loop was split after the mark; lowering drops it
-    if (Mark.MarkKind == PendingMark::Kind::Unroll)
-      continue; // plain unroll preserves execution order
+      return; // the loop was split after the mark; lowering drops it
     const std::optional<int64_t> &Extent = Nest.Dims[Pos].ConstExtent;
-    if (Mark.MarkKind == PendingMark::Kind::Vectorize && Extent &&
+    if (Kind == Check::Vectorize && Extent &&
         *Extent > IRVerifyOptions::MaxVectorExtent) {
-      FailVerdict(Mark.DirIndex, Severity::Error,
+      FailVerdict(DirIndex, Severity::Error,
                   strFormat("vectorized loop '%s' extent %lld exceeds the "
                             "backend limit %lld",
-                            Mark.Name.c_str(), static_cast<long long>(*Extent),
+                            Name.c_str(), static_cast<long long>(*Extent),
                             static_cast<long long>(
                                 IRVerifyOptions::MaxVectorExtent)));
-      continue;
+      return;
     }
     // Jamming an accumulator chain only reassociates it; so does
     // vectorizing a loop the accumulated element stays fixed along (one
     // partial sum per lane, added into the element when the loop exits).
     const bool Reassociates =
-        Mark.MarkKind == PendingMark::Kind::UnrollJam ||
-        (Mark.MarkKind == PendingMark::Kind::Vectorize &&
-         !Nest.Dims[Pos].PureOrigin);
+        Kind == Check::UnrollJam ||
+        (Kind == Check::Vectorize && !Nest.Dims[Pos].PureOrigin);
     for (const ShadowDep &Dep : Nest.Deps) {
       if (Dep.Reduction && Reassociates)
         continue;
-      const DistanceSet &S = Dep.D.at(Mark.Name);
+      const DistanceSet &S = Dep.D.at(Name);
       int64_t Width = 0;
-      if (Mark.MarkKind == PendingMark::Kind::Vectorize)
-        Width = Nest.Dims[Pos].ConstExtent.value_or(Options.VectorWidth);
-      else if (Mark.MarkKind == PendingMark::Kind::UnrollJam)
-        Width = Mark.Factor;
+      if (Kind == Check::Vectorize)
+        Width = Extent.value_or(Options.VectorWidth);
+      else if (Kind == Check::UnrollJam)
+        Width = JamFactor;
       if (Width > 0 && S.Exact && std::llabs(*S.Exact) >= Width)
         continue; // distance spans whole chunks, which stay in order
-      if (!Nest.carriedBy(Dep, Mark.Name))
+      if (!Nest.carriedBy(Dep, Name))
         continue;
       Dependence Desc;
       Desc.Kind = Dep.Kind;
@@ -705,33 +717,39 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
       Desc.Approximate = Dep.Approximate;
       Desc.Distance = Dep.D;
       std::string Msg;
-      switch (Mark.MarkKind) {
-      case PendingMark::Kind::Parallel:
+      switch (Kind) {
+      case Check::Parallel:
         Msg = strFormat("loop carries a %s dependence and parallel "
                         "iterations would race: %s",
                         depKindName(Dep.Kind),
                         Desc.describe(FinalOrder).c_str());
         break;
-      case PendingMark::Kind::Vectorize:
+      case Check::Vectorize:
         Msg = strFormat("loop carries a %s dependence shorter than the "
                         "vector width %lld: %s",
                         depKindName(Dep.Kind),
                         static_cast<long long>(Width),
                         Desc.describe(FinalOrder).c_str());
         break;
-      case PendingMark::Kind::UnrollJam:
+      case Check::UnrollJam:
         Msg = strFormat("loop carries a %s dependence that would be "
                         "reordered across jammed copies: %s",
                         depKindName(Dep.Kind),
                         Desc.describe(FinalOrder).c_str());
         break;
-      case PendingMark::Kind::Unroll:
-        break;
       }
-      FailVerdict(Mark.DirIndex, Severity::Error, Msg);
+      FailVerdict(DirIndex, Severity::Error, Msg);
       break;
     }
-  }
+  };
+  for (const NestMark &M : Out.Marks)
+    if (M.Kind != MarkDirective::Kind::Unroll)
+      CheckMark(M.DirIndex,
+                M.Kind == MarkDirective::Kind::Parallel ? Check::Parallel
+                                                        : Check::Vectorize,
+                M.Name, 0);
+  for (const NestJam &J : Out.Jams)
+    CheckMark(J.DirIndex, Check::UnrollJam, J.Loop + "_uji", J.Factor);
 
   // Non-temporal stores bypass the cache; re-reading the buffer in the
   // same nest then misses to memory. Semantics are preserved, so this is

@@ -18,181 +18,9 @@ using namespace ltp::lint;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Nest replay
-//===----------------------------------------------------------------------===//
-
-/// One loop of the final (lowered) nest, innermost first. The replay
-/// mirrors the shadow-nest semantics of the legality verifier: split
-/// replaces the loop with (inner, outer) in place, fuse collapses two
-/// adjacent loops, reorder permutes occupied positions, unroll_jam is a
-/// split whose inner copies the code generator unrolls into registers.
-struct Dim {
-  std::string Name;
-  /// The original loop variable this dim iterates; empty after a fuse.
-  std::string Origin;
-  int64_t Trip = 1;
-  /// Step in iterations of the origin variable per increment.
-  int64_t Stride = 1;
-  bool JamInner = false;
-  bool JamOuter = false;
-  bool Fused = false;
-  /// Directive index of the split that created this dim (-1: original).
-  int CreatedByDir = -1;
-};
-
-struct PendingMark {
-  int DirIndex;
-  MarkDirective::Kind Kind;
-  std::string Name;
-};
-
-struct JamInfo {
-  int DirIndex;
-  std::string Origin;
-  std::string InnerName;
-  int64_t Factor;
-};
-
-/// Replay result: the final nest plus the structural facts the rules
-/// consume (marks, jams, degenerate reorders).
-struct Replay {
-  std::vector<Dim> Dims; // innermost first
-  bool HasFuse = false;
-  std::vector<PendingMark> Marks;
-  std::vector<JamInfo> Jams;
-  std::vector<int> NoopReorders;
-  std::vector<int> ShadowedReorders;
-  std::vector<int> DuplicateMarks;
-};
-
-int64_t ceilDiv(int64_t A, int64_t B) { return (A + B - 1) / B; }
-
-int findDim(const std::vector<Dim> &Dims, const std::string &Name) {
-  for (size_t I = 0; I != Dims.size(); ++I)
-    if (Dims[I].Name == Name)
-      return static_cast<int>(I);
-  return -1;
-}
-
-void replaySplit(std::vector<Dim> &Dims, const std::string &Old,
-                 const std::string &Outer, const std::string &Inner,
-                 int64_t Factor, int DirIndex, bool Jam) {
-  int Pos = findDim(Dims, Old);
-  if (Pos < 0)
-    return; // names were validated; a miss means an earlier replay bailed
-  Dim Parent = Dims[static_cast<size_t>(Pos)];
-  Dim In = Parent;
-  In.Name = Inner;
-  In.Trip = std::min(Factor, Parent.Trip);
-  In.JamInner = Jam;
-  In.CreatedByDir = DirIndex;
-  Dim Out = Parent;
-  Out.Name = Outer;
-  Out.Trip = ceilDiv(Parent.Trip, Factor);
-  Out.Stride = Parent.Stride * Factor;
-  Out.JamOuter = Jam;
-  Out.CreatedByDir = DirIndex;
-  Dims[static_cast<size_t>(Pos)] = In;
-  Dims.insert(Dims.begin() + Pos + 1, Out);
-}
-
-Replay replaySchedule(const StageSchedule &Sched,
-                      const StageAccessInfo &Info) {
-  Replay R;
-  for (const LoopInfo &Loop : Info.Loops) {
-    Dim D;
-    D.Name = Loop.Name;
-    D.Origin = Loop.Name;
-    D.Trip = Loop.Extent;
-    R.Dims.push_back(D);
-  }
-
-  const std::vector<ScheduleDirective> &Dirs = Sched.Directives;
-  for (size_t DI = 0; DI != Dirs.size(); ++DI) {
-    int DirIndex = static_cast<int>(DI);
-    if (const auto *S = std::get_if<SplitDirective>(&Dirs[DI])) {
-      replaySplit(R.Dims, S->Old, S->Outer, S->Inner, S->Factor, DirIndex,
-                  /*Jam=*/false);
-    } else if (const auto *Fu = std::get_if<FuseDirective>(&Dirs[DI])) {
-      int PInner = findDim(R.Dims, Fu->Inner);
-      int POuter = findDim(R.Dims, Fu->Outer);
-      if (PInner < 0 || POuter != PInner + 1)
-        continue; // non-adjacent fuse; legality rejects it
-      Dim Fused = R.Dims[static_cast<size_t>(PInner)];
-      Fused.Name = Fu->Fused;
-      Fused.Origin.clear();
-      Fused.Trip *= R.Dims[static_cast<size_t>(POuter)].Trip;
-      Fused.Fused = true;
-      R.Dims[static_cast<size_t>(PInner)] = Fused;
-      R.Dims.erase(R.Dims.begin() + POuter);
-      R.HasFuse = true;
-    } else if (const auto *Re = std::get_if<ReorderDirective>(&Dirs[DI])) {
-      std::vector<int> Positions;
-      bool AllFound = true;
-      for (const std::string &Name : Re->InnermostFirst) {
-        int Pos = findDim(R.Dims, Name);
-        if (Pos < 0) {
-          AllFound = false;
-          break;
-        }
-        Positions.push_back(Pos);
-      }
-      if (!AllFound)
-        continue;
-      std::vector<int> Sorted = Positions;
-      std::sort(Sorted.begin(), Sorted.end());
-      bool Noop = true;
-      std::vector<Dim> Picked;
-      for (const std::string &Name : Re->InnermostFirst)
-        Picked.push_back(
-            R.Dims[static_cast<size_t>(findDim(R.Dims, Name))]);
-      for (size_t I = 0; I != Sorted.size(); ++I) {
-        if (R.Dims[static_cast<size_t>(Sorted[I])].Name != Picked[I].Name)
-          Noop = false;
-      }
-      if (Noop) {
-        R.NoopReorders.push_back(DirIndex);
-      } else {
-        // Shadowing: the directive immediately before is also a reorder
-        // and every loop it names is re-ordered again here.
-        if (DI > 0) {
-          if (const auto *Prev =
-                  std::get_if<ReorderDirective>(&Dirs[DI - 1])) {
-            std::set<std::string> Cur(Re->InnermostFirst.begin(),
-                                      Re->InnermostFirst.end());
-            bool Covered = true;
-            for (const std::string &Name : Prev->InnermostFirst)
-              if (!Cur.contains(Name))
-                Covered = false;
-            if (Covered)
-              R.ShadowedReorders.push_back(static_cast<int>(DI) - 1);
-          }
-        }
-        for (size_t I = 0; I != Sorted.size(); ++I)
-          R.Dims[static_cast<size_t>(Sorted[I])] = Picked[I];
-      }
-    } else if (const auto *M = std::get_if<MarkDirective>(&Dirs[DI])) {
-      for (const PendingMark &Prev : R.Marks)
-        if (Prev.Kind == M->Mark && Prev.Name == M->Name) {
-          R.DuplicateMarks.push_back(DirIndex);
-          break;
-        }
-      R.Marks.push_back({DirIndex, M->Mark, M->Name});
-    } else if (const auto *J = std::get_if<UnrollJamDirective>(&Dirs[DI])) {
-      int Pos = findDim(R.Dims, J->Name);
-      if (Pos < 0)
-        continue;
-      const Dim &Parent = R.Dims[static_cast<size_t>(Pos)];
-      int64_t Factor = std::min(J->Factor, Parent.Trip);
-      R.Jams.push_back(
-          {DirIndex, Parent.Origin, J->Name + "_uji", Factor});
-      replaySplit(R.Dims, J->Name, J->Name + "_ujo", J->Name + "_uji",
-                  J->Factor, DirIndex, /*Jam=*/true);
-    }
-  }
-  return R;
-}
+using analysis::NestJam;
+using analysis::NestLoop;
+using analysis::NestMark;
 
 //===----------------------------------------------------------------------===//
 // Access strides
@@ -252,8 +80,9 @@ struct LintContext {
   const StageAccessInfo &Info;
   const ArchParams &Arch;
   const LintOptions &Options;
-  const Replay &Nest;
   const analysis::LegalityReport &Legality;
+  /// The legality verifier's replay of the schedule.
+  const analysis::ScheduledNest &Nest;
   const Classification &Class;
 
   /// Span of the unit that produced directive \p DirIndex; whole-text
@@ -290,9 +119,15 @@ struct LintContext {
     return 0;
   }
 
+  /// True when a fuse merged two loops (some loop is fused).
+  bool hasFuse() const {
+    return std::any_of(Nest.Loops.begin(), Nest.Loops.end(),
+                       [](const NestLoop &L) { return L.Fused; });
+  }
+
   /// The outermost surviving dim of \p Origin (nullptr when none).
-  const Dim *outermostOf(const std::string &Origin) const {
-    for (auto It = Nest.Dims.rbegin(); It != Nest.Dims.rend(); ++It)
+  const NestLoop *outermostOf(const std::string &Origin) const {
+    for (auto It = Nest.Loops.rbegin(); It != Nest.Loops.rend(); ++It)
       if (It->Origin == Origin)
         return &*It;
     return nullptr;
@@ -300,8 +135,8 @@ struct LintContext {
 
   /// The inter-tile dim of \p Origin: its outermost dim when that dim was
   /// produced by a real (non-jam) split and actually iterates.
-  const Dim *interDimOf(const std::string &Origin) const {
-    const Dim *D = outermostOf(Origin);
+  const NestLoop *interDimOf(const std::string &Origin) const {
+    const NestLoop *D = outermostOf(Origin);
     if (!D || D->Fused || D->JamInner || D->JamOuter || D->Stride <= 1 ||
         D->Trip <= 1)
       return nullptr;
@@ -311,7 +146,7 @@ struct LintContext {
   /// The intra-tile width of \p Origin: the inter-tile stride when tiled,
   /// the full extent otherwise.
   int64_t tileOf(const std::string &Origin) const {
-    const Dim *D = interDimOf(Origin);
+    const NestLoop *D = interDimOf(Origin);
     return D ? D->Stride : extentOf(Origin);
   }
 };
@@ -324,8 +159,8 @@ struct LintContext {
 /// the innermost iterating loop, so the L1 next-line prefetcher (and the
 /// L2 streamer's line-sequential trains) never engage.
 void checkStridedInnermost(LintContext &C) {
-  const Dim *Inner = nullptr;
-  for (const Dim &D : C.Nest.Dims)
+  const NestLoop *Inner = nullptr;
+  for (const NestLoop &D : C.Nest.Loops)
     if (D.Trip > 1 && !D.JamInner) {
       Inner = &D;
       break;
@@ -381,9 +216,9 @@ void checkStridedInnermost(LintContext &C) {
 
   // Fix-it: bring the loop that makes the most accesses unit-stride
   // innermost via an appended full-order reorder.
-  const Dim *Best = nullptr;
+  const NestLoop *Best = nullptr;
   int BestScore = 0;
-  for (const Dim &Cand : C.Nest.Dims) {
+  for (const NestLoop &Cand : C.Nest.Loops) {
     if (Cand.Trip <= 1 || Cand.JamInner || Cand.Fused)
       continue;
     int Score = 0;
@@ -401,7 +236,7 @@ void checkStridedInnermost(LintContext &C) {
     return;
   std::vector<std::string> Order;
   Order.push_back(Best->Name);
-  for (const Dim &Dm : C.Nest.Dims)
+  for (const NestLoop &Dm : C.Nest.Loops)
     if (&Dm != Best)
       Order.push_back(Dm.Name);
   D.HasFixIt = true;
@@ -426,21 +261,21 @@ void checkVectorizeNoncontiguous(LintContext &C) {
                      C.Class.TransposedInputs.end(),
                      A.Buffer) == C.Class.TransposedInputs.end();
   };
-  auto Contiguous = [&](const ArrayAccess &A, const Dim &D) {
+  auto Contiguous = [&](const ArrayAccess &A, const NestLoop &D) {
     return !Checked(A) || A.contiguousAlong(D.Origin, D.Stride);
   };
-  auto AllContiguous = [&](const Dim &D) {
+  auto AllContiguous = [&](const NestLoop &D) {
     return std::all_of(
         C.Info.Accesses.begin(), C.Info.Accesses.end(),
         [&](const ArrayAccess &A) { return Contiguous(A, D); });
   };
-  for (const PendingMark &M : C.Nest.Marks) {
+  for (const NestMark &M : C.Nest.Marks) {
     if (M.Kind != MarkDirective::Kind::Vectorize)
       continue;
-    int Pos = findDim(C.Nest.Dims, M.Name);
+    int Pos = C.Nest.find(M.Name);
     if (Pos < 0)
       continue; // dead mark; the dead-directive rule reports it
-    const Dim &D = C.Nest.Dims[static_cast<size_t>(Pos)];
+    const NestLoop &D = C.Nest.Loops[static_cast<size_t>(Pos)];
     if (D.Fused)
       continue;
     auto Bad = std::find_if(
@@ -466,8 +301,8 @@ void checkVectorizeNoncontiguous(LintContext &C) {
     // Fix-it: retarget the mark at a loop every access is contiguous along
     // and wide enough for the vector width: one the store streams along
     // first, else a reduction loop the store stays put on.
-    const Dim *Target = nullptr;
-    for (const Dim &Cand : C.Nest.Dims) {
+    const NestLoop *Target = nullptr;
+    for (const NestLoop &Cand : C.Nest.Loops) {
       if (Cand.JamInner || Cand.Fused || Cand.Trip < C.Arch.VectorWidth ||
           !AllContiguous(Cand))
         continue;
@@ -491,10 +326,11 @@ void checkVectorizeNoncontiguous(LintContext &C) {
 /// tile-exceeds-bound: a reuse-pivot tile larger than the Algorithm-1
 /// bound makes successive tile rows interfere in the cache the tiling is
 /// supposed to exploit, re-introducing the conflict misses the model
-/// priced out. Mirrors exactly how the temporal and spatial optimizers
-/// bound their searches, so optimizer-chosen schedules are always clean.
+/// priced out. The bound is algorithm1Bound, the same call the temporal
+/// and spatial optimizers bound their searches with, so optimizer-chosen
+/// schedules are always clean.
 void checkTileBounds(LintContext &C) {
-  if (C.Nest.HasFuse || C.Info.Loops.size() < 2)
+  if (C.hasFuse() || C.Info.Loops.size() < 2)
     return;
 
   // The column loop each optimizer bounds its rows by: the temporal
@@ -511,33 +347,18 @@ void checkTileBounds(LintContext &C) {
       MaxExtent = std::max(MaxExtent, Loop.Extent);
     const int64_t Tc = std::min(C.tileOf(Column), Bc);
 
-    CacheEmuParams EmuL1;
-    EmuL1.Cache = C.Arch.L1;
-    EmuL1.L1LineBytes = C.Arch.L1.LineBytes;
-    EmuL1.DTS = C.Info.DTS;
-    EmuL1.PrevTileElems = Tc;
-    EmuL1.RowStrideElems = Bc;
-    EmuL1.EffectiveWaysDivisor = std::max(1, C.Arch.NThreadsPerCore);
-    EmuL1.MaxRows = MaxExtent;
-    const int64_t MaxT1 = emulateMaxTileDim(EmuL1);
-
-    CacheEmuParams EmuL2 = EmuL1;
-    EmuL2.Cache = C.Arch.L2;
-    EmuL2.EffectiveWaysDivisor =
-        C.Arch.SharedL2 ? std::max(1, C.Arch.NCores)
-                        : std::max(1, C.Arch.NThreadsPerCore);
-    EmuL2.L2Pref = C.Arch.L2PrefetchDegree;
-    EmuL2.L2MaxPref = C.Arch.L2MaxPrefetchDistance;
-    EmuL2.ForL2 = true;
-    const int64_t MaxT2 = emulateMaxTileDim(EmuL2);
+    const int64_t MaxT1 =
+        algorithm1Bound(C.Arch, EmuLevel::L1, C.Info.DTS, Tc, Bc, MaxExtent);
+    const int64_t MaxT2 =
+        algorithm1Bound(C.Arch, EmuLevel::L2, C.Info.DTS, Tc, Bc, MaxExtent);
 
     // u: outermost intra-tile loop (L1 reuse pivot); v: innermost
     // inter-tile loop (L2 reuse pivot) — identified from the final nest
     // the way the optimizer's search treats them. Small loops are
     // ignored, matching TemporalOptions::SmallLoopExtent.
     std::string U;
-    for (auto It = C.Nest.Dims.rbegin(); It != C.Nest.Dims.rend(); ++It) {
-      const Dim &D = *It;
+    for (auto It = C.Nest.Loops.rbegin(); It != C.Nest.Loops.rend(); ++It) {
+      const NestLoop &D = *It;
       if (D.Fused || D.JamInner || D.Trip <= 1 || D.Origin == Column)
         continue;
       if (C.interDimOf(D.Origin) == &D)
@@ -548,7 +369,7 @@ void checkTileBounds(LintContext &C) {
       break;
     }
     std::string V;
-    for (const Dim &D : C.Nest.Dims)
+    for (const NestLoop &D : C.Nest.Loops)
       if (C.interDimOf(D.Origin) == &D) {
         V = D.Origin;
         break;
@@ -556,10 +377,10 @@ void checkTileBounds(LintContext &C) {
 
     auto FireClamp = [&](const std::string &Origin, int64_t Tile,
                          int64_t Bound, const char *Level) {
-      const Dim *Inter = C.interDimOf(Origin);
-      if (!Inter || Inter->CreatedByDir < 0)
+      const NestLoop *Inter = C.interDimOf(Origin);
+      if (!Inter || Inter->CreatedBy < 0)
         return;
-      ScheduleSpan Span = C.unitOf(Inter->CreatedByDir);
+      ScheduleSpan Span = C.unitOf(Inter->CreatedBy);
       Diagnostic &D = C.add(
           "tile-exceeds-bound", analysis::Severity::Error, Span.Offset,
           Span.Length,
@@ -571,7 +392,7 @@ void checkTileBounds(LintContext &C) {
                     static_cast<long long>(Bc),
                     static_cast<long long>(Tc)));
       const auto *Split = std::get_if<SplitDirective>(
-          &C.Dirs[static_cast<size_t>(Inter->CreatedByDir)]);
+          &C.Dirs[static_cast<size_t>(Inter->CreatedBy)]);
       if (!Split || Bound < 1)
         return;
       D.HasFixIt = true;
@@ -603,31 +424,20 @@ void checkTileBounds(LintContext &C) {
     for (const LoopInfo &Loop : C.Info.Loops)
       if (Loop.Name != Column)
         RowVar = Loop.Name;
-    const Dim *Inter = C.interDimOf(RowVar);
-    if (!Inter || Inter->CreatedByDir < 0)
+    const NestLoop *Inter = C.interDimOf(RowVar);
+    if (!Inter || Inter->CreatedBy < 0)
       return; // untiled spatial nest: nothing to clamp
     const int64_t By = C.extentOf(RowVar);
     const int64_t Tx = std::min(C.tileOf(Column), C.extentOf(Column));
     const int64_t Ty = Inter->Stride;
 
-    CacheEmuParams Emu;
-    Emu.Cache = C.Arch.L2;
-    Emu.L1LineBytes = C.Arch.L1.LineBytes;
-    Emu.DTS = C.Info.DTS;
-    Emu.PrevTileElems = Tx;
-    Emu.RowStrideElems = By; // the transposed array's contiguous dim
-    Emu.EffectiveWaysDivisor =
-        C.Arch.SharedL2 ? std::max(1, C.Arch.NCores)
-                        : std::max(1, C.Arch.NThreadsPerCore);
-    Emu.L2Pref = C.Arch.L2PrefetchDegree;
-    Emu.L2MaxPref = C.Arch.L2MaxPrefetchDistance;
-    Emu.ForL2 = true;
-    Emu.MaxRows = By;
-    const int64_t MaxTy = emulateMaxTileDim(Emu);
+    // The transposed array's contiguous dim is the row loop.
+    const int64_t MaxTy =
+        algorithm1Bound(C.Arch, EmuLevel::L2, C.Info.DTS, Tx, By, By);
     if (Ty <= MaxTy)
       return;
 
-    ScheduleSpan Span = C.unitOf(Inter->CreatedByDir);
+    ScheduleSpan Span = C.unitOf(Inter->CreatedBy);
     Diagnostic &D = C.add(
         "tile-exceeds-bound", analysis::Severity::Error, Span.Offset,
         Span.Length,
@@ -639,7 +449,7 @@ void checkTileBounds(LintContext &C) {
                   static_cast<long long>(MaxTy),
                   static_cast<long long>(Tx)));
     const auto *Split = std::get_if<SplitDirective>(
-        &C.Dirs[static_cast<size_t>(Inter->CreatedByDir)]);
+        &C.Dirs[static_cast<size_t>(Inter->CreatedBy)]);
     if (!Split || MaxTy < 1)
       return;
     D.HasFixIt = true;
@@ -656,29 +466,29 @@ void checkTileBounds(LintContext &C) {
 /// one constant-stride train per unroll_jam copy; past the tracker's
 /// capacity the streamer thrashes its own table and stops prefetching.
 void checkStreamerOversubscription(LintContext &C) {
-  if (C.Nest.HasFuse)
+  if (C.hasFuse())
     return;
-  size_t IntraEnd = C.Nest.Dims.size();
-  for (size_t I = 0; I != C.Nest.Dims.size(); ++I)
-    if (C.interDimOf(C.Nest.Dims[I].Origin) == &C.Nest.Dims[I]) {
+  size_t IntraEnd = C.Nest.Loops.size();
+  for (size_t I = 0; I != C.Nest.Loops.size(); ++I)
+    if (C.interDimOf(C.Nest.Loops[I].Origin) == &C.Nest.Loops[I]) {
       IntraEnd = I;
       break;
     }
   std::set<std::string> MovingOrigins;
   for (size_t I = 0; I != IntraEnd; ++I)
-    if (C.Nest.Dims[I].Trip > 1 && !C.Nest.Dims[I].Fused)
-      MovingOrigins.insert(C.Nest.Dims[I].Origin);
+    if (C.Nest.Loops[I].Trip > 1 && !C.Nest.Loops[I].Fused)
+      MovingOrigins.insert(C.Nest.Loops[I].Origin);
   if (MovingOrigins.empty())
     return;
 
   std::map<std::string, int64_t> JamCopies;
-  for (const JamInfo &J : C.Nest.Jams)
+  for (const NestJam &J : C.Nest.Jams)
     JamCopies[J.Origin] =
-        (JamCopies.contains(J.Origin) ? JamCopies[J.Origin] : 1) * J.Factor;
+        (JamCopies.contains(J.Origin) ? JamCopies[J.Origin] : 1) * J.Copies;
 
   int64_t Trains = 0;
   int64_t LastJamContribution = 0; // trains multiplied by the last jam
-  const JamInfo *LastJam =
+  const NestJam *LastJam =
       C.Nest.Jams.empty() ? nullptr : &C.Nest.Jams.back();
   for (const ArrayAccess &A : C.Info.Accesses) {
     std::set<std::string> Vars = A.indexVars();
@@ -714,11 +524,11 @@ void checkStreamerOversubscription(LintContext &C) {
   // Shrinking the last jam scales its streams linearly; pick the largest
   // power-of-two factor that fits the tracker.
   int64_t Fixed = Trains - LastJamContribution;
-  int64_t PerFactor = LastJamContribution / LastJam->Factor;
+  int64_t PerFactor = LastJamContribution / LastJam->Copies;
   int64_t MaxFactor =
       PerFactor > 0 ? (C.Arch.L2StreamerTrains - Fixed) / PerFactor : 0;
   int64_t NewF = 0;
-  for (int64_t F = 2; F <= MaxFactor && F < LastJam->Factor; F *= 2)
+  for (int64_t F = 2; F <= MaxFactor && F < LastJam->Copies; F *= 2)
     NewF = F;
   ScheduleSpan JamSpan = C.unitOf(LastJam->DirIndex);
   if (!LintContext::soleDirective(JamSpan))
@@ -726,17 +536,14 @@ void checkStreamerOversubscription(LintContext &C) {
   D.HasFixIt = true;
   D.Fix.Offset = JamSpan.Offset;
   D.Fix.Length = JamSpan.Length;
-  if (NewF >= 2) {
-    // Rebuild the directive text from the replayed jam.
-    std::string Name =
-        LastJam->InnerName.substr(0, LastJam->InnerName.size() - 4);
-    D.Fix.Replacement = strFormat("unroll_jam(%s, %lld)", Name.c_str(),
+  if (NewF >= 2)
+    D.Fix.Replacement = strFormat("unroll_jam(%s, %lld)",
+                                  LastJam->Loop.c_str(),
                                   static_cast<long long>(NewF));
-  } else if (Fixed + PerFactor <= C.Arch.L2StreamerTrains) {
+  else if (Fixed + PerFactor <= C.Arch.L2StreamerTrains)
     D.Fix.Replacement.clear(); // drop the jam entirely
-  } else {
+  else
     D.HasFixIt = false;
-  }
 }
 
 /// unrolljam-spill: the jammed copies each pin a (vector) accumulator
@@ -747,15 +554,15 @@ void checkUnrollJamSpill(LintContext &C) {
   if (C.Nest.Jams.empty())
     return;
   int64_t Copies = 1;
-  for (const JamInfo &J : C.Nest.Jams)
-    Copies *= J.Factor;
+  for (const NestJam &J : C.Nest.Jams)
+    Copies *= J.Copies;
   const int64_t Inputs =
       static_cast<int64_t>(C.Info.Accesses.size()) - 1;
   const int64_t Regs = Copies + Inputs + 1;
   if (Regs <= C.Arch.VectorRegisters)
     return;
 
-  const JamInfo &Last = C.Nest.Jams.back();
+  const NestJam &Last = C.Nest.Jams.back();
   ScheduleSpan Span = C.unitOf(Last.DirIndex);
   Diagnostic &D = C.add(
       "unrolljam-spill", analysis::Severity::Warning, Span.Offset,
@@ -768,18 +575,17 @@ void checkUnrollJamSpill(LintContext &C) {
                 static_cast<long long>(Regs), C.Arch.VectorRegisters));
   if (!LintContext::soleDirective(Span))
     return;
-  const int64_t Others = Copies / Last.Factor;
+  const int64_t Others = Copies / Last.Copies;
   const int64_t Budget = C.Arch.VectorRegisters - Inputs - 1;
   const int64_t MaxFactor = Others > 0 ? Budget / Others : 0;
   int64_t NewF = 0;
-  for (int64_t F = 2; F <= MaxFactor && F < Last.Factor; F *= 2)
+  for (int64_t F = 2; F <= MaxFactor && F < Last.Copies; F *= 2)
     NewF = F;
   D.HasFixIt = true;
   D.Fix.Offset = Span.Offset;
   D.Fix.Length = Span.Length;
-  std::string Name = Last.InnerName.substr(0, Last.InnerName.size() - 4);
   if (NewF >= 2)
-    D.Fix.Replacement = strFormat("unroll_jam(%s, %lld)", Name.c_str(),
+    D.Fix.Replacement = strFormat("unroll_jam(%s, %lld)", Last.Loop.c_str(),
                                   static_cast<long long>(NewF));
   else if (Others + Inputs + 1 <= C.Arch.VectorRegisters)
     D.Fix.Replacement.clear();
@@ -813,8 +619,8 @@ void checkNtStoreReuse(LintContext &C) {
 
 /// dead-directive: marks whose loop no longer exists when lowering runs.
 void checkDeadDirectives(LintContext &C) {
-  for (const PendingMark &M : C.Nest.Marks) {
-    if (findDim(C.Nest.Dims, M.Name) >= 0)
+  for (const NestMark &M : C.Nest.Marks) {
+    if (C.Nest.find(M.Name) >= 0)
       continue;
     ScheduleSpan Span = C.unitOf(M.DirIndex);
     const char *Kind = M.Kind == MarkDirective::Kind::Parallel ? "parallel"
@@ -850,16 +656,33 @@ void checkRedundant(LintContext &C) {
     D.Fix.Length = Span.Length;
     D.Fix.Replacement.clear();
   };
-  for (int DirIndex : C.Nest.ShadowedReorders)
-    Delete("shadowed-reorder", DirIndex,
-           "this reorder is immediately overridden by the next reorder, "
-           "which covers every loop it names");
-  for (int DirIndex : C.Nest.NoopReorders)
+  // Shadowing: a reorder that changes the order overrides the reorder
+  // immediately before it when it names every loop that one names.
+  const std::vector<int> &Noops = C.Nest.NoopReorders;
+  for (size_t DI = 1; DI < C.Dirs.size(); ++DI) {
+    const auto *Cur = std::get_if<ReorderDirective>(&C.Dirs[DI]);
+    const auto *Prev = std::get_if<ReorderDirective>(&C.Dirs[DI - 1]);
+    if (!Cur || !Prev ||
+        std::find(Noops.begin(), Noops.end(), static_cast<int>(DI)) !=
+            Noops.end())
+      continue;
+    std::set<std::string> Names(Cur->InnermostFirst.begin(),
+                                Cur->InnermostFirst.end());
+    if (std::all_of(Prev->InnermostFirst.begin(), Prev->InnermostFirst.end(),
+                    [&](const std::string &N) { return Names.contains(N); }))
+      Delete("shadowed-reorder", static_cast<int>(DI) - 1,
+             "this reorder is immediately overridden by the next reorder, "
+             "which covers every loop it names");
+  }
+  for (int DirIndex : Noops)
     Delete("redundant-directive", DirIndex,
            "this reorder restates the order the loops already have");
-  for (int DirIndex : C.Nest.DuplicateMarks)
-    Delete("redundant-directive", DirIndex,
-           "this mark repeats an identical earlier mark on the same loop");
+  for (auto M = C.Nest.Marks.begin(); M != C.Nest.Marks.end(); ++M)
+    if (std::any_of(C.Nest.Marks.begin(), M, [&](const NestMark &Prev) {
+          return Prev.Kind == M->Kind && Prev.Name == M->Name;
+        }))
+      Delete("redundant-directive", M->DirIndex,
+             "this mark repeats an identical earlier mark on the same loop");
 }
 
 /// Directive list of the linted stage (the text has been applied).
@@ -918,13 +741,18 @@ LintReport ltp::lint::lintScheduleText(Func &F, int StageIndex,
     Report.Diagnostics.push_back(std::move(D));
     return Report;
   }
-  std::string NameDiag = validateScheduleNames(F, StageIndex);
-  if (!NameDiag.empty()) {
+  analysis::LegalityReport OwnLegality;
+  const analysis::LegalityReport *Legality = Options.PrecomputedLegality;
+  if (!Legality) {
+    OwnLegality = analysis::verifyStageSchedule(F, StageIndex, OutputExtents);
+    Legality = &OwnLegality;
+  }
+  if (const analysis::DirectiveVerdict *V = Legality->structuralError()) {
     Diagnostic D;
     D.RuleId = "invalid-schedule";
     D.Sev = analysis::Severity::Error;
     D.Length = Text.size();
-    D.Message = NameDiag;
+    D.Message = V->Directive + ": " + V->Message;
     Report.Diagnostics.push_back(std::move(D));
     return Report;
   }
@@ -934,18 +762,9 @@ LintReport ltp::lint::lintScheduleText(Func &F, int StageIndex,
     return Report;
   Classification Class = classify(Info);
 
-  analysis::LegalityReport OwnLegality;
-  const analysis::LegalityReport *Legality = Options.PrecomputedLegality;
-  if (!Legality) {
-    OwnLegality = analysis::verifyStageSchedule(F, StageIndex, OutputExtents);
-    Legality = &OwnLegality;
-  }
-
   const std::vector<ScheduleDirective> &Dirs = directivesOf(F, StageIndex);
-  Replay Nest = replaySchedule(StageSchedule{Dirs}, Info);
-
-  LintContext C{Report,  Text, Spans,     Dirs,  Info, Arch,
-                Options, Nest, *Legality, Class};
+  LintContext C{Report,  Text,      Spans,          Dirs, Info, Arch,
+                Options, *Legality, Legality->Nest, Class};
   checkStridedInnermost(C);
   checkVectorizeNoncontiguous(C);
   checkTileBounds(C);

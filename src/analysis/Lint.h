@@ -45,6 +45,12 @@
 ///   redundant-directive (warn)       a no-op reorder or duplicate mark.
 ///                                    Fix-it: delete it.
 ///
+/// The rules read the nest the legality verifier's replay records
+/// (LegalityReport::Nest); the pass keeps no replay of its own. Text the
+/// verifier cannot replay (unknown loop, name clash, non-adjacent fuse)
+/// yields one invalid-schedule Error with the verifier's message, and
+/// unparseable text one parse-error.
+///
 /// Spans index into the exact text handed to lintScheduleText, so fix-its
 /// are plain text edits; applyLintFixes() performs them back-to-front and
 /// the result round-trips through applyVerifiedScheduleText.
@@ -103,15 +109,16 @@ struct LintOptions {
   int64_t SmallLoopExtent = 8;
   /// Reuse a legality report the caller already computed for this exact
   /// schedule (the autotuner verifies before linting); nullptr reruns the
-  /// verifier for the nt-store-reuse rule.
+  /// verifier, whose nest every rule reads.
   const analysis::LegalityReport *PrecomputedLegality = nullptr;
 };
 
 /// Lints \p Text applied to stage \p StageIndex (-1 = pure) of \p F
 /// realized over \p OutputExtents. Clears the stage's schedule and
 /// applies \p Text (so spans map to it); on return the stage carries
-/// exactly the directives of \p Text. Unparseable text or unknown loop
-/// names produce a single Error diagnostic instead of asserting.
+/// exactly the directives of \p Text. Unparseable text, or text the
+/// legality verifier cannot replay, produces a single Error diagnostic
+/// instead of asserting.
 LintReport lintScheduleText(Func &F, int StageIndex, const std::string &Text,
                             const std::vector<int64_t> &OutputExtents,
                             const ArchParams &Arch,

@@ -194,21 +194,19 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
     Strides[Name] = Buf.Strides;
 
   // Predicted weighted misses (Eq. 11 weights) for the candidate whose
-  // schedules are currently applied to the instance, or nothing when the
-  // closed form declines a stage. Nothing is simulated: a candidate
-  // without a score is never model-pruned.
-  auto ScoreCandidate = [&]() -> std::optional<double> {
+  // schedules are currently applied to the instance, over the nests its
+  // legality reports replayed, or nothing when the closed form declines a
+  // stage. Nothing is simulated: a candidate without a score is never
+  // model-pruned.
+  auto ScoreCandidate = [&](const std::vector<analysis::LegalityReport>
+                                &StageLegality) -> std::optional<double> {
     double Score = 0.0;
     for (size_t I = 0; I != Instance.Stages.size(); ++I) {
       const Func &F = Instance.Stages[I];
-      int ComputeStage = F.computeStageIndex();
-      StageAccessInfo Info =
-          analyzeStage(F, ComputeStage, Instance.StageExtents[I]);
-      std::vector<model::LoopDim> Nest;
-      if (!model::scheduledNest(F, ComputeStage, Info, Nest))
-        return std::nullopt;
-      model::MissPrediction P =
-          model::predictMisses(Info, Nest, Arch, Strides);
+      StageAccessInfo Info = analyzeStage(F, F.computeStageIndex(),
+                                          Instance.StageExtents[I]);
+      model::MissPrediction P = model::predictMisses(
+          Info, StageLegality[I].Nest, Arch, Strides);
       if (!P.Analytic)
         return std::nullopt;
       Score += Arch.A2 * P.L1Misses + Arch.A3 * P.L2Misses;
@@ -295,7 +293,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
       }
       Ranked R;
       if (ModelPruning)
-        R.Score = ScoreCandidate();
+        R.Score = ScoreCandidate(StageLegality);
       R.Decision = std::move(Decision);
       Legal.push_back(std::move(R));
     }

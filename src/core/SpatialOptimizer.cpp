@@ -44,9 +44,6 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
   const int64_t Lc = std::max<int64_t>(1, Arch.L1.LineBytes / Info.DTS);
   const int64_t L1Elems = Arch.L1.SizeBytes / Info.DTS;
   const int64_t L2Elems = Arch.L2.SizeBytes / Info.DTS;
-  const int64_t EffDivL2 =
-      Arch.SharedL2 ? std::max(1, Arch.NCores)
-                    : std::max(1, Arch.NThreadsPerCore);
 
   // Which inputs are transposed (pay the Ty-amortized cost) vs aligned
   // with the output (pay the Tx-amortized cost).
@@ -70,20 +67,11 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
   // Sweep tile widths (vector-width multiples) and heights bounded by the
   // cache-emulation algorithm against the transposed array's row stride.
   for (int64_t Tx = Lc; Tx <= Bx; Tx *= 2) {
-    // Algorithm 1: how many stride-By rows of the transposed array fit the
-    // L2 cache together with the constant-stride prefetches.
-    CacheEmuParams Emu;
-    Emu.Cache = Arch.L2;
-    Emu.L1LineBytes = Arch.L1.LineBytes;
-    Emu.DTS = Info.DTS;
-    Emu.PrevTileElems = Tx;
-    Emu.RowStrideElems = By; // the transposed array's contiguous dim is y
-    Emu.EffectiveWaysDivisor = EffDivL2;
-    Emu.L2Pref = Arch.L2PrefetchDegree;
-    Emu.L2MaxPref = Arch.L2MaxPrefetchDistance;
-    Emu.ForL2 = true;
-    Emu.MaxRows = By;
-    const int64_t MaxTy = emulateMaxTileDim(Emu);
+    // Algorithm 1: how many stride-By rows of the transposed array (its
+    // contiguous dim is y) fit the L2 together with the constant-stride
+    // prefetches.
+    const int64_t MaxTy =
+        algorithm1Bound(Arch, EmuLevel::L2, Info.DTS, Tx, By, By);
 
     for (int64_t Ty = MaxTy; Ty >= 1; Ty = Ty / 2) {
       CandidateCounter.add();

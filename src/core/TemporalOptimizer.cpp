@@ -99,10 +99,6 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
       SmallLoops.push_back(&Loop);
   }
 
-  const int64_t EffDivL1 = std::max(1, Arch.NThreadsPerCore);
-  const int64_t EffDivL2 =
-      Arch.SharedL2 ? std::max(1, Arch.NCores)
-                    : std::max(1, Arch.NThreadsPerCore);
   const int64_t L1Elems = Arch.L1.SizeBytes / Info.DTS;
   const int64_t L2Elems = Arch.L2.SizeBytes / Info.DTS;
   const int64_t L2Budget = Options.NoL2SetHalving ? L2Elems : L2Elems / 2;
@@ -174,23 +170,10 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
       obs::ScopedSpan EmuSpan("opt.cacheemu", [&] {
         return strFormat("tc=%lld", static_cast<long long>(Tc));
       });
-      CacheEmuParams EmuL1;
-      EmuL1.Cache = Arch.L1;
-      EmuL1.L1LineBytes = Arch.L1.LineBytes;
-      EmuL1.DTS = Info.DTS;
-      EmuL1.PrevTileElems = Tc;
-      EmuL1.RowStrideElems = Bc;
-      EmuL1.EffectiveWaysDivisor = EffDivL1;
-      EmuL1.MaxRows = MaxExtent;
-
-      CacheEmuParams EmuL2 = EmuL1;
-      EmuL2.Cache = Arch.L2;
-      EmuL2.EffectiveWaysDivisor = EffDivL2;
-      EmuL2.L2Pref = Arch.L2PrefetchDegree;
-      EmuL2.L2MaxPref = Arch.L2MaxPrefetchDistance;
-      EmuL2.ForL2 = !Options.NoL2SetHalving;
-      TileBounds.emplace_back(emulateMaxTileDim(EmuL1),
-                              emulateMaxTileDim(EmuL2));
+      TileBounds.emplace_back(
+          algorithm1Bound(Arch, EmuLevel::L1, Info.DTS, Tc, Bc, MaxExtent),
+          algorithm1Bound(Arch, EmuLevel::L2, Info.DTS, Tc, Bc, MaxExtent,
+                          !Options.NoL2SetHalving));
     }
   }
 

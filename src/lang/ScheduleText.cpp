@@ -6,7 +6,6 @@
 #include "support/Format.h"
 
 #include <cassert>
-#include <set>
 #include <cctype>
 #include <cstdlib>
 
@@ -257,69 +256,4 @@ ltp::applyVerifiedScheduleText(Func &F, int StageIndex, const std::string &Text,
     return ErrorOr<bool>::makeError("illegal schedule: " + V.Message);
   }
   return ErrorOr<bool>::makeError("illegal schedule: " + Report.message());
-}
-
-std::string ltp::validateScheduleNames(const Func &F, int StageIndex) {
-  const Definition &Def = StageIndex < 0 ? F.pureDefinition()
-                                         : F.updateDefinition(StageIndex);
-  // The live loop-name set, mutated the way lowering mutates its dims.
-  std::set<std::string> Live;
-  for (const Expr &Index : Def.Indices)
-    if (const ir::VarRef *V = ir::exprDynAs<ir::VarRef>(Index.node()))
-      Live.insert(V->Name);
-  for (const ReductionVarInfo &R : Def.RVars)
-    Live.insert(R.Name);
-
-  auto Check = [&](const std::string &Name,
-                   const char *Directive) -> std::string {
-    if (Live.contains(Name))
-      return "";
-    return strFormat("%s references unknown loop '%s'", Directive,
-                     Name.c_str());
-  };
-
-  for (const ScheduleDirective &Directive : Def.Schedule.Directives) {
-    if (const auto *S = std::get_if<SplitDirective>(&Directive)) {
-      if (std::string E = Check(S->Old, "split"); !E.empty())
-        return E;
-      if (Live.contains(S->Outer) || Live.contains(S->Inner))
-        return strFormat("split introduces a name that already exists "
-                         "('%s' or '%s')",
-                         S->Outer.c_str(), S->Inner.c_str());
-      Live.erase(S->Old);
-      Live.insert(S->Outer);
-      Live.insert(S->Inner);
-    } else if (const auto *Fu = std::get_if<FuseDirective>(&Directive)) {
-      if (std::string E = Check(Fu->Outer, "fuse"); !E.empty())
-        return E;
-      if (std::string E = Check(Fu->Inner, "fuse"); !E.empty())
-        return E;
-      Live.erase(Fu->Outer);
-      Live.erase(Fu->Inner);
-      Live.insert(Fu->Fused);
-    } else if (const auto *R = std::get_if<ReorderDirective>(&Directive)) {
-      for (const std::string &Name : R->InnermostFirst)
-        if (std::string E = Check(Name, "reorder"); !E.empty())
-          return E;
-    } else if (const auto *M = std::get_if<MarkDirective>(&Directive)) {
-      const char *Kind = M->Mark == MarkDirective::Kind::Parallel
-                             ? "parallel"
-                         : M->Mark == MarkDirective::Kind::Vectorize
-                             ? "vectorize"
-                             : "unroll";
-      if (std::string E = Check(M->Name, Kind); !E.empty())
-        return E;
-    } else if (const auto *U = std::get_if<UnrollJamDirective>(&Directive)) {
-      if (std::string E = Check(U->Name, "unroll_jam"); !E.empty())
-        return E;
-      if (Live.contains(U->Name + "_ujo") || Live.contains(U->Name + "_uji"))
-        return strFormat("unroll_jam introduces a name that already "
-                         "exists ('%s_ujo' or '%s_uji')",
-                         U->Name.c_str(), U->Name.c_str());
-      Live.erase(U->Name);
-      Live.insert(U->Name + "_ujo");
-      Live.insert(U->Name + "_uji");
-    }
-  }
-  return "";
 }

@@ -55,20 +55,15 @@ ErrorOr<bool> applyScheduleText(Func &F, int StageIndex,
 
 /// Parses and applies \p Text like applyScheduleText, then runs the
 /// static legality verifier over the stage realized at \p OutputExtents.
-/// Illegal schedules are rejected with a diagnostic quoting the offending
-/// source span; the Func is left with the (illegal) schedule applied, so
-/// callers should clearSchedules() before retrying.
+/// The verifier's replay of the directives is the one name and structure
+/// check: an unknown loop, a name clash or a non-adjacent fuse is rejected
+/// like any illegal schedule, with a diagnostic quoting the offending
+/// source span, before lowering could assert on it. The Func is left with
+/// the (illegal) schedule applied, so callers should clearSchedules()
+/// before retrying.
 ErrorOr<bool> applyVerifiedScheduleText(Func &F, int StageIndex,
                                         const std::string &Text,
                                         const std::vector<int64_t> &OutputExtents);
-
-/// Checks the stage's accumulated directives against the loop-name
-/// universe (the stage's variables plus names introduced by its own
-/// splits/fuses): every referenced name must exist at the point its
-/// directive applies. Returns an empty string when valid, else a
-/// diagnostic. Use this to reject untrusted schedule text with a
-/// recoverable error instead of hitting lowering's assertions.
-std::string validateScheduleNames(const Func &F, int StageIndex);
 
 } // namespace ltp
 

@@ -132,3 +132,28 @@ int64_t ltp::emulateMaxTileDim(const CacheEmuParams &Params) {
     std::vector<uint64_t>().swap(Slots);
   return std::max<int64_t>(1, MaxTi);
 }
+
+int64_t ltp::algorithm1Bound(const ArchParams &Arch, EmuLevel Level,
+                             int64_t DTS, int64_t PrevTileElems,
+                             int64_t RowStrideElems, int64_t MaxRows,
+                             bool HalveL2Sets) {
+  CacheEmuParams Emu;
+  Emu.L1LineBytes = Arch.L1.LineBytes;
+  Emu.DTS = DTS;
+  Emu.PrevTileElems = PrevTileElems;
+  Emu.RowStrideElems = RowStrideElems;
+  Emu.MaxRows = MaxRows;
+  if (Level == EmuLevel::L1) {
+    Emu.Cache = Arch.L1;
+    Emu.EffectiveWaysDivisor = std::max(1, Arch.NThreadsPerCore);
+  } else {
+    Emu.Cache = Arch.L2;
+    Emu.EffectiveWaysDivisor = Arch.SharedL2
+                                   ? std::max(1, Arch.NCores)
+                                   : std::max(1, Arch.NThreadsPerCore);
+    Emu.L2Pref = Arch.L2PrefetchDegree;
+    Emu.L2MaxPref = Arch.L2MaxPrefetchDistance;
+    Emu.ForL2 = HalveL2Sets;
+  }
+  return emulateMaxTileDim(Emu);
+}

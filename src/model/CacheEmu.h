@@ -91,6 +91,21 @@ struct CacheEmuParams {
 /// `model.bound.emulated` counter.
 int64_t emulateMaxTileDim(const CacheEmuParams &Params);
 
+/// The cache level an Algorithm-1 bound is taken at.
+enum class EmuLevel { L1, L2 };
+
+/// maxTi for tile rows \p PrevTileElems wide at a row stride of
+/// \p RowStrideElems (at most \p MaxRows rows) at \p Arch's \p Level:
+/// the one set-up the temporal and spatial optimizers and the lint pass
+/// bound tiles with. The L1's ways are divided by the SMT threads per
+/// core; the L2's by the cores when it is shared (the ARM platform,
+/// Section 5.1) and by the threads per core otherwise, and the L2 tracks
+/// the constant-stride prefetcher's degree and distance. \p HalveL2Sets
+/// false is the NoL2SetHalving ablation.
+int64_t algorithm1Bound(const ArchParams &Arch, EmuLevel Level, int64_t DTS,
+                        int64_t PrevTileElems, int64_t RowStrideElems,
+                        int64_t MaxRows, bool HalveL2Sets = true);
+
 } // namespace ltp
 
 #endif // LTP_MODEL_CACHEEMU_H

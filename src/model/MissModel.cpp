@@ -14,101 +14,6 @@ using namespace ltp::model;
 
 namespace {
 
-struct LeafLoop {
-  std::string Name; // current schedule-visible name
-  std::string OriginVar;
-  int64_t Trip = 1;
-  int64_t Stride = 1;
-};
-
-int findLeaf(const std::vector<LeafLoop> &Leaves, const std::string &Name) {
-  for (size_t I = 0; I != Leaves.size(); ++I)
-    if (Leaves[I].Name == Name)
-      return static_cast<int>(I);
-  return -1;
-}
-
-} // namespace
-
-bool ltp::model::scheduledNest(const Func &F, int StageIndex,
-                               const StageAccessInfo &Info,
-                               std::vector<LoopDim> &Out,
-                               std::string *WhyNot) {
-  auto Fail = [&](const std::string &Why) {
-    if (WhyNot)
-      *WhyNot = Why;
-    return false;
-  };
-
-  std::vector<LeafLoop> Leaves;
-  for (const LoopInfo &Loop : Info.Loops)
-    Leaves.push_back({Loop.Name, Loop.Name, Loop.Extent, 1});
-
-  const Definition &Def = StageIndex < 0 ? F.pureDefinition()
-                                         : F.updateDefinition(StageIndex);
-  for (const ScheduleDirective &Directive : Def.Schedule.Directives) {
-    if (const auto *S = std::get_if<SplitDirective>(&Directive)) {
-      int Pos = findLeaf(Leaves, S->Old);
-      if (Pos < 0)
-        return Fail("split of unknown loop " + S->Old);
-      if (S->Factor <= 0)
-        return Fail("non-positive split factor");
-      LeafLoop Old = Leaves[static_cast<size_t>(Pos)];
-      LeafLoop Inner{S->Inner, Old.OriginVar,
-                     std::min(S->Factor, Old.Trip), Old.Stride};
-      LeafLoop Outer{S->Outer, Old.OriginVar,
-                     (Old.Trip + S->Factor - 1) / S->Factor,
-                     Old.Stride * S->Factor};
-      Leaves[static_cast<size_t>(Pos)] = Inner;
-      Leaves.insert(Leaves.begin() + Pos + 1, Outer);
-    } else if (const auto *R = std::get_if<ReorderDirective>(&Directive)) {
-      // The reorder permutes the named loops across the positions they
-      // currently occupy (Halide semantics, innermost first).
-      std::vector<int> Positions;
-      for (const std::string &Name : R->InnermostFirst) {
-        int Pos = findLeaf(Leaves, Name);
-        if (Pos < 0)
-          return Fail("reorder of unknown loop " + Name);
-        Positions.push_back(Pos);
-      }
-      std::vector<int> Sorted = Positions;
-      std::sort(Sorted.begin(), Sorted.end());
-      std::vector<LeafLoop> Reordered = Leaves;
-      for (size_t I = 0; I != Sorted.size(); ++I)
-        Reordered[static_cast<size_t>(Sorted[I])] =
-            Leaves[static_cast<size_t>(Positions[I])];
-      Leaves = std::move(Reordered);
-    } else if (const auto *U = std::get_if<UnrollJamDirective>(&Directive)) {
-      // unroll_jam splits in place; the jammed copies interleave in time
-      // but cover the same footprint as the split's inner loop.
-      int Pos = findLeaf(Leaves, U->Name);
-      if (Pos < 0)
-        return Fail("unroll_jam of unknown loop " + U->Name);
-      LeafLoop Old = Leaves[static_cast<size_t>(Pos)];
-      LeafLoop Inner{U->Name + "_uji", Old.OriginVar,
-                     std::min(U->Factor, Old.Trip), Old.Stride};
-      LeafLoop Outer{U->Name + "_ujo", Old.OriginVar,
-                     (Old.Trip + U->Factor - 1) / U->Factor,
-                     Old.Stride * U->Factor};
-      Leaves[static_cast<size_t>(Pos)] = Inner;
-      Leaves.insert(Leaves.begin() + Pos + 1, Outer);
-    } else if (std::get_if<FuseDirective>(&Directive)) {
-      // A fused loop advances two origin variables at once; the
-      // per-variable footprint algebra below cannot express that.
-      return Fail("fused loops");
-    }
-    // Marks (parallel/vectorize/unroll) do not change the structure the
-    // miss model sees; the simulator replays them sequentially too.
-  }
-
-  Out.clear();
-  for (const LeafLoop &L : Leaves)
-    Out.push_back({L.OriginVar, L.Trip, L.Stride});
-  return true;
-}
-
-namespace {
-
 /// A reuse group: accesses to the same buffer whose indices differ only
 /// in constant offsets (uniformly generated references). The group is
 /// charged once, over the union footprint.
@@ -135,11 +40,11 @@ struct GroupGeometry {
 
 } // namespace
 
-MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
-                                         const std::vector<LoopDim> &Nest,
-                                         const ArchParams &Arch,
-                                         const BufferStrides &Strides,
-                                         bool NonTemporalOutput) {
+MissPrediction
+ltp::model::predictMisses(const StageAccessInfo &Info,
+                          const analysis::ScheduledNest &Schedule,
+                          const ArchParams &Arch, const BufferStrides &Strides,
+                          bool NonTemporalOutput) {
   MissPrediction P;
   auto Fail = [&](const std::string &Why) {
     P.Analytic = false;
@@ -147,6 +52,14 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
     return P;
   };
 
+  if (!Schedule.Complete)
+    return Fail("structurally invalid schedule");
+  // A fused loop advances two origin variables at once; the
+  // per-variable footprint algebra below cannot express that.
+  const std::vector<analysis::NestLoop> &Nest = Schedule.Loops;
+  for (const analysis::NestLoop &L : Nest)
+    if (L.Fused)
+      return Fail("fused loops");
   if (Info.HasPredicates)
     return Fail("predicated (data-dependent) iteration domain");
   if (Nest.empty())
@@ -213,8 +126,8 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
     for (size_t J = 0; J != NL; ++J) {
       int MovedDims = 0;
       for (const AffineIndex &Index : G.Leader->Index)
-        if (Index.Coeffs.contains(Nest[J].OriginVar) &&
-            Index.Coeffs.at(Nest[J].OriginVar) != 0) {
+        if (Index.Coeffs.contains(Nest[J].Origin) &&
+            Index.Coeffs.at(Nest[J].Origin) != 0) {
           GG.Uses[J] = true;
           ++MovedDims;
         }
@@ -223,7 +136,7 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
       if (MovedDims > 1)
         return Fail("coupled subscripts on " + G.Leader->Buffer);
       const AffineIndex &Dim0 = G.Leader->Index.front();
-      auto C0 = Dim0.Coeffs.find(Nest[J].OriginVar);
+      auto C0 = Dim0.Coeffs.find(Nest[J].Origin);
       if (C0 != Dim0.Coeffs.end() && C0->second != 0)
         GG.Dim0Move[J] = std::llabs(C0->second) * Nest[J].Stride;
     }
@@ -252,7 +165,7 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
         continue;
       int64_t Move = 0;
       for (size_t J = 0; J != K; ++J)
-        if (Nest[J].OriginVar == Var)
+        if (Nest[J].Origin == Var)
           Move += Nest[J].Stride * (Nest[J].Trip - 1);
       auto ExtIt = OriginExtent.find(Var);
       if (ExtIt != OriginExtent.end())
@@ -348,7 +261,7 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
         continue;
       int64_t P = 1;
       for (size_t J = 0; J != K; ++J)
-        if (Nest[J].OriginVar == Var)
+        if (Nest[J].Origin == Var)
           P *= Nest[J].Trip;
       auto ExtIt = OriginExtent.find(Var);
       if (ExtIt != OriginExtent.end())
@@ -432,7 +345,7 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
       size_t MovedDim = 0;
       int64_t MoveElems = 0;
       for (size_t D = 0; D != Rank; ++D) {
-        auto C = GG.Group->Leader->Index[D].Coeffs.find(Nest[J].OriginVar);
+        auto C = GG.Group->Leader->Index[D].Coeffs.find(Nest[J].Origin);
         if (C != GG.Group->Leader->Index[D].Coeffs.end() && C->second != 0) {
           MovedDim = D;
           MoveElems = std::llabs(C->second) * Nest[J].Stride;
@@ -554,7 +467,7 @@ MissPrediction ltp::model::predictMisses(const StageAccessInfo &Info,
       std::fprintf(stderr, "  model %-8s L1=%-10.4g L2=%-10.4g nest",
                    GG.Group->Leader->Buffer.c_str(), G1, G2);
       for (size_t J = 0; J != NL; ++J)
-        std::fprintf(stderr, " %s[%lld/%lld]%s", Nest[J].OriginVar.c_str(),
+        std::fprintf(stderr, " %s[%lld/%lld]%s", Nest[J].Origin.c_str(),
                      static_cast<long long>(Nest[J].Trip),
                      static_cast<long long>(Nest[J].Stride),
                      GG.Uses[J] ? "*" : "");

@@ -35,6 +35,11 @@
 ///     L (the group gets evicted between iterations) — and by 1
 ///     otherwise (the Eq. 5/10 pivot collapse, applied at every level).
 ///
+/// The nest is the one the legality verifier's replay records; a split
+/// loop contributes two entries over the same origin variable, the inner
+/// with (trip min(f, extent), stride 1) and the outer with
+/// (trip ceil(extent / f), stride f).
+///
 /// Applicability is checked, never assumed: non-affine subscripts,
 /// predicated (data-dependent) domains, non-unit strides along the
 /// contiguous dimension, coupled subscripts, fused loops, unknown buffer
@@ -50,9 +55,9 @@
 #ifndef LTP_MODEL_MISSMODEL_H
 #define LTP_MODEL_MISSMODEL_H
 
+#include "analysis/Legality.h"
 #include "arch/ArchParams.h"
 #include "core/AccessInfo.h"
-#include "lang/Func.h"
 
 #include <cstdint>
 #include <map>
@@ -61,16 +66,6 @@
 
 namespace ltp {
 namespace model {
-
-/// One loop of a scheduled nest, innermost first. A split loop
-/// contributes two entries over the same origin variable: the inner with
-/// (Trip=factor, Stride=1) and the outer with (Trip=ceil(extent/factor),
-/// Stride=factor).
-struct LoopDim {
-  std::string OriginVar;
-  int64_t Trip = 1;
-  int64_t Stride = 1;
-};
 
 /// Element strides per dimension for each buffer (BufferRef::Strides);
 /// the streamer model needs the real row stride in memory.
@@ -86,20 +81,15 @@ struct MissPrediction {
   double L2Misses = 0.0;
 };
 
-/// Reconstructs the scheduled nest of stage \p StageIndex of \p F by
-/// replaying its split/reorder/unroll-jam directives over the analyzed
-/// loops. Returns false (with \p WhyNot set) on fuse directives or
-/// unknown loop names.
-bool scheduledNest(const Func &F, int StageIndex,
-                   const StageAccessInfo &Info, std::vector<LoopDim> &Out,
-                   std::string *WhyNot = nullptr);
-
-/// Predicts per-level demand misses for \p Info executed under \p Nest
-/// on \p Arch. \p Strides supplies each buffer's element strides;
-/// \p NonTemporalOutput marks the output store as streaming (bypasses
-/// the hierarchy, contributing no misses).
+/// Predicts per-level demand misses for \p Info executed under
+/// \p Schedule on \p Arch. \p Schedule is the legality verifier's replay
+/// of the stage's directives (LegalityReport::Nest): loops innermost
+/// first, each with its origin variable, trip bound and stride.
+/// \p Strides supplies each buffer's element strides; \p NonTemporalOutput
+/// marks the output store as streaming (bypasses the hierarchy,
+/// contributing no misses).
 MissPrediction predictMisses(const StageAccessInfo &Info,
-                             const std::vector<LoopDim> &Nest,
+                             const analysis::ScheduledNest &Schedule,
                              const ArchParams &Arch,
                              const BufferStrides &Strides,
                              bool NonTemporalOutput = false);

@@ -145,10 +145,18 @@ private:
       return false;
     }
     char C = Text[Pos];
-    if (C == '{')
-      return parseObject(Out);
-    if (C == '[')
-      return parseArray(Out);
+    if (C == '{' || C == '[') {
+      // The parse recurses once per level: bound it so a hostile document
+      // is an error, not a stack overflow.
+      if (Depth == MaxDepth) {
+        fail(strFormat("nesting deeper than %d levels", MaxDepth));
+        return false;
+      }
+      ++Depth;
+      bool Ok = C == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
+    }
     if (C == '"') {
       Out.K = JsonValue::Kind::String;
       return parseString(Out.StringValue);
@@ -260,9 +268,12 @@ private:
     }
   }
 
+  static constexpr int MaxDepth = 256;
+
   const std::string &Text;
   std::string *Error;
   size_t Pos = 0;
+  int Depth = 0;
 };
 
 } // namespace

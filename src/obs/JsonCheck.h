@@ -5,12 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deliberately small recursive-descent JSON parser used to *validate*
-/// the telemetry layer's own output (trace files, BENCH_*.json results)
-/// in tests and in the `ltp-trace-check` CI tool. It parses the full
-/// JSON grammar into a tree of JsonValue nodes; it is not a
-/// general-purpose JSON library (no streaming, no incremental parse) and
-/// must never grow into one — production code only ever *writes* JSON.
+/// A deliberately small recursive-descent JSON parser. It validates the
+/// telemetry layer's own output (trace files, BENCH_*.json results) in
+/// tests and in the `ltp-trace-check` CI tool, and it is also the
+/// daemon's request parser: `serve::parseRequest` parses every NDJSON
+/// line a client sends with parseJson. That makes it a trust boundary:
+/// its input may be arbitrary bytes from any process that can reach the
+/// socket, and malformed input must come back as an error, never a crash
+/// (nesting is capped at 256 levels, so recursion depth is bounded).
+/// It parses the full JSON grammar into a tree of JsonValue nodes; it is
+/// not a general-purpose JSON library (no streaming, no incremental
+/// parse).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -212,6 +212,47 @@ TEST(LintReportApi, SeverityPartitionAndJsonShape) {
   EXPECT_TRUE(Unknown.hasErrors());
 }
 
+TEST(LintInvalidSchedule, EachStructuralErrorIsOneError) {
+  // Text that parses but does not replay (the legality verifier stops at
+  // the directive) lints as a single invalid-schedule Error over the whole
+  // text, carrying the verifier's message; no rule runs on a partial nest.
+  const ArchParams Arch = intelI7_6700();
+  const BenchmarkDef *Def = findBenchmark("matmul");
+  ASSERT_NE(Def, nullptr);
+  struct Case {
+    const char *Text;
+    const char *Message;
+  };
+  const Case Cases[] = {
+      {"parallel(zebra);", "parallel(zebra): unknown loop 'zebra'"},
+      {"split(i, j, b, 4);",
+       "split(i, j, b, 4): loop name 'j' already in use"},
+      {"split(j, i_ujo, j_i, 8); unroll_jam(i, 4);",
+       "unroll_jam(i, 4): loop name 'i_ujo' already in use"},
+      // matmul's nest is j, i, k innermost first: k and j are not
+      // adjacent.
+      {"fuse(k, j, kj);",
+       "fuse(k, j, kj): loops 'k' and 'j' must be adjacent with 'k' "
+       "outermost"},
+  };
+  for (const Case &C : Cases) {
+    BenchmarkInstance Instance = Def->Create(48);
+    Func &F = Instance.Stages.back();
+    lint::LintReport Report =
+        lint::lintScheduleText(F, F.computeStageIndex(), C.Text,
+                               Instance.StageExtents.back(), Arch);
+    ASSERT_EQ(Report.Diagnostics.size(), 1u) << C.Text << "\n"
+                                             << Report.message();
+    const lint::Diagnostic &D = Report.Diagnostics[0];
+    EXPECT_EQ(D.RuleId, "invalid-schedule") << C.Text;
+    EXPECT_EQ(D.Sev, analysis::Severity::Error) << C.Text;
+    EXPECT_EQ(D.Offset, 0u) << C.Text;
+    EXPECT_EQ(D.Length, std::string(C.Text).size()) << C.Text;
+    EXPECT_EQ(D.Message, C.Message);
+    EXPECT_FALSE(D.HasFixIt) << C.Text;
+  }
+}
+
 TEST(LintDegenerate, OversizedSplitAndTinyNestsDoNotCrash) {
   const ArchParams Arch = intelI7_6700();
   const BenchmarkDef *Def = findBenchmark("matmul");

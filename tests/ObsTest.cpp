@@ -324,6 +324,17 @@ TEST(JsonCheckTest, RejectsMalformedDocuments) {
   }
 }
 
+TEST(JsonCheckTest, RejectsNestingBeyondTheDepthLimit) {
+  // The daemon parses every request line with parseJson: a deeply nested
+  // line is an error, not a stack overflow.
+  std::string Error;
+  EXPECT_EQ(obs::parseJson(std::string(1000000, '['), &Error), nullptr);
+  EXPECT_NE(Error.find("nesting deeper than 256 levels"), std::string::npos)
+      << Error;
+  std::string Deep = std::string(256, '[') + std::string(256, ']');
+  EXPECT_NE(obs::parseJson(Deep, &Error), nullptr);
+}
+
 TEST(JsonCheckTest, RejectsNonTraceFiles) {
   const std::string Path =
       ::testing::TempDir() + "/ObsTest-not-a-trace.json";

@@ -385,13 +385,10 @@ TEST(ModelSweep, AnalyticVsSimDifferential) {
         for (int S = -1; S < F.numUpdates(); ++S) {
           StageAccessInfo Info =
               analyzeStage(F, S, Instance.StageExtents[I]);
-          std::vector<model::LoopDim> Nest;
-          if (!model::scheduledNest(F, S, Info, Nest, &WhyNot)) {
-            Applicable = false;
-            break;
-          }
+          analysis::LegalityReport Legality =
+              analysis::verifyStageSchedule(F, S, Instance.StageExtents[I]);
           model::MissPrediction P =
-              model::predictMisses(Info, Nest, Arch, Strides, NT);
+              model::predictMisses(Info, Legality.Nest, Arch, Strides, NT);
           if (!P.Analytic) {
             Applicable = false;
             WhyNot = P.WhyNot;

@@ -101,24 +101,28 @@ TEST(ScheduleTextTest, UnrollJamRejectsMalformedInput) {
   auto R4 = applyScheduleText(I.Stages[0], Stage, "unroll_jam(i, 4x)");
   EXPECT_FALSE(static_cast<bool>(R4));
 
-  // The jammed loop must exist in the stage's nest (name-level checks
-  // live in validateScheduleNames, as for the other directives).
+  // The jammed loop must exist in the stage's nest. The parser accepts
+  // any name; the legality verifier's replay rejects it, as for the other
+  // directives.
   I.Stages[0].clearSchedules();
-  auto R5 = applyScheduleText(I.Stages[0], Stage, "unroll_jam(zz, 4)");
-  ASSERT_TRUE(static_cast<bool>(R5)) << R5.getError();
-  EXPECT_NE(validateScheduleNames(I.Stages[0], Stage).find("zz"),
-            std::string::npos);
+  auto R5 = applyVerifiedScheduleText(I.Stages[0], Stage, "unroll_jam(zz, 4)",
+                                      I.StageExtents[0]);
+  ASSERT_FALSE(static_cast<bool>(R5));
+  EXPECT_NE(R5.getError().find("unknown loop 'zz'"), std::string::npos)
+      << R5.getError();
 
   // The split names unroll_jam introduces must not collide with loops
   // that already exist.
   I.Stages[0].clearSchedules();
-  auto R6 = applyScheduleText(I.Stages[0], Stage,
-                              "split(j, i_ujo, j_i, 8); "
-                              "unroll_jam(i, 4)");
-  ASSERT_TRUE(static_cast<bool>(R6)) << R6.getError();
-  EXPECT_NE(
-      validateScheduleNames(I.Stages[0], Stage).find("already exists"),
-      std::string::npos);
+  auto R6 = applyVerifiedScheduleText(I.Stages[0], Stage,
+                                      "split(j, i_ujo, j_i, 8); "
+                                      "unroll_jam(i, 4)",
+                                      I.StageExtents[0]);
+  ASSERT_FALSE(static_cast<bool>(R6));
+  EXPECT_NE(R6.getError().find("'unroll_jam(i, 4)': loop name 'i_ujo' "
+                               "already in use"),
+            std::string::npos)
+      << R6.getError();
 }
 
 TEST(ScheduleTextTest, ErrorsAreReported) {
@@ -164,35 +168,40 @@ TEST(ScheduleTextTest, EmptyAndWhitespaceOnly) {
 }
 
 TEST(ScheduleTextTest, ValidateScheduleNames) {
+  // Every name a directive references must exist when it applies, and a
+  // split must not introduce a name in use. The legality verifier's replay
+  // checks both; the verified applier quotes the offending unit.
   const BenchmarkDef *Def = findBenchmark("matmul");
   BenchmarkInstance I = Def->Create(32);
   Func &F = I.Stages[0];
   int Stage = F.numUpdates() - 1;
-  F.clearSchedules();
+  auto Verified = [&](const std::string &Text) {
+    F.clearSchedules();
+    return applyVerifiedScheduleText(F, Stage, Text, I.StageExtents[0]);
+  };
 
-  ASSERT_TRUE(static_cast<bool>(applyScheduleText(
-      F, Stage, "split(i, i_t, i_i, 8); parallel(i_t); reorder(j, k, "
-                "i_i, i_t);")));
-  EXPECT_EQ(validateScheduleNames(F, Stage), "");
+  auto Valid = Verified("split(i, i_t, i_i, 8); parallel(i_t); "
+                        "reorder(j, k, i_i, i_t);");
+  EXPECT_TRUE(static_cast<bool>(Valid)) << Valid.getError();
 
-  F.clearSchedules();
-  ASSERT_TRUE(static_cast<bool>(
-      applyScheduleText(F, Stage, "parallel(zebra);")));
-  EXPECT_NE(validateScheduleNames(F, Stage).find("zebra"),
-            std::string::npos);
-
-  F.clearSchedules();
-  ASSERT_TRUE(static_cast<bool>(applyScheduleText(
-      F, Stage, "split(i, a, b, 4); reorder(i);")));
-  EXPECT_NE(validateScheduleNames(F, Stage).find("reorder"),
+  auto Unknown = Verified("parallel(zebra);");
+  ASSERT_FALSE(static_cast<bool>(Unknown));
+  EXPECT_NE(Unknown.getError().find("'parallel(zebra)': unknown loop "
+                                    "'zebra'"),
             std::string::npos)
-      << "i no longer exists after being split";
+      << Unknown.getError();
 
-  F.clearSchedules();
-  ASSERT_TRUE(static_cast<bool>(
-      applyScheduleText(F, Stage, "split(i, j, b, 4);")));
-  EXPECT_NE(validateScheduleNames(F, Stage).find("already exists"),
-            std::string::npos);
+  auto Gone = Verified("split(i, a, b, 4); reorder(i);");
+  ASSERT_FALSE(static_cast<bool>(Gone));
+  EXPECT_NE(Gone.getError().find("'reorder(i)': unknown loop 'i'"),
+            std::string::npos)
+      << "i no longer exists after being split: " << Gone.getError();
+
+  auto Clash = Verified("split(i, j, b, 4);");
+  ASSERT_FALSE(static_cast<bool>(Clash));
+  EXPECT_NE(Clash.getError().find("loop name 'j' already in use"),
+            std::string::npos)
+      << Clash.getError();
 }
 
 } // namespace
