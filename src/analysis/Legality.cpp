@@ -4,6 +4,7 @@
 
 #include "analysis/IRVerify.h"
 #include "ir/IRVisitor.h"
+#include "obs/Telemetry.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -526,6 +527,9 @@ LegalityReport
 ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
                                    const std::vector<int64_t> &OutputExtents,
                                    const LegalityOptions &Options) {
+  obs::ScopedSpan Span("analysis.verify", [&] {
+    return strFormat("func=%s stage=%d", F.name().c_str(), StageIndex);
+  });
   LegalityReport Report;
   Report.Graph = buildDependenceGraph(F, StageIndex, OutputExtents);
   const Definition &Def = StageIndex < 0 ? F.pureDefinition()

@@ -111,7 +111,10 @@ ErrorOr<ArchParams> ltp::archByName(const std::string &Name) {
       "unknown arch '" + Name + "' (want 5930k|6700|a15|host)");
 }
 
-ArchParams ltp::detectHost() {
+namespace {
+
+/// Reads the host's cache hierarchy from sysfs (about 20 small files).
+ArchParams probeHost() {
   ArchParams Arch = intelI7_6700();
   Arch.Name = "host";
   unsigned HW = std::thread::hardware_concurrency();
@@ -153,6 +156,13 @@ ArchParams ltp::detectHost() {
   if (!SawL3)
     Arch.L3 = CacheParams{0, Arch.L2.LineBytes, 1};
   return Arch;
+}
+
+} // namespace
+
+const ArchParams &ltp::detectHost() {
+  static const ArchParams Host = probeHost();
+  return Host;
 }
 
 std::string ltp::describe(const ArchParams &Arch) {

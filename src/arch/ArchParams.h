@@ -89,13 +89,18 @@ ArchParams intelI7_6700();
 ArchParams intelI7_5930K();
 ArchParams armCortexA15();
 
-/// Detects the host machine's cache hierarchy from sysfs; falls back to
-/// i7-6700-like defaults for fields that cannot be read.
-ArchParams detectHost();
+/// The host machine's cache hierarchy, read from sysfs (i7-6700-like
+/// defaults for fields that cannot be read) and hardware_concurrency().
+/// The probe runs once per process, on the first call, and every later
+/// call returns that same snapshot, thread-safely: a long-lived process
+/// such as the ltp-serve daemon keeps one host platform, and so one set
+/// of `host` dedup keys, for its whole life, even if the machine's
+/// visible CPUs or caches change under it.
+const ArchParams &detectHost();
 
 /// The built-in platform called \p Name: "5930k", "6700", "a15" (or
-/// "arm"), and "host" (or empty) for detectHost(); an error naming the
-/// accepted names otherwise.
+/// "arm"), and "host" (or empty) for a copy of detectHost()'s snapshot;
+/// an error naming the accepted names otherwise.
 ErrorOr<ArchParams> archByName(const std::string &Name);
 
 /// Renders the parameters as a one-line summary for bench headers.

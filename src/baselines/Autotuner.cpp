@@ -176,7 +176,7 @@ AutotuneOutcome ltp::autotune(BenchmarkInstance &Instance,
   static obs::Counter &PredictAnalytic =
       obs::counter("model.predict.analytic");
   std::mt19937 Rng(Options.Seed);
-  ArchParams Arch = detectHost();
+  const ArchParams &Arch = detectHost();
   Timer Budget;
 
   AutotuneOutcome Outcome;

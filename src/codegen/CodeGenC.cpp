@@ -190,46 +190,46 @@ const PreludeHelper PreludeHelpers[] = {
     {"ltp_stream_fence", LvScalar,
      "static inline void ltp_stream_fence(void) {}"},
 
-    // 64-element (256 B) block flush of a software write-combining buffer;
-    // the source is 64 B aligned.
+    // 16-element (one 64 B line) block flush of a software write-combining
+    // buffer; the source is 64 B aligned.
     {"ltp_stream_block_u32", LvAVX2,
      "static inline void ltp_stream_block_u32(uint32_t *dst, "
      "const uint32_t *src) {\n"
-     "  for (int i = 0; i != 8; ++i)\n"
+     "  for (int i = 0; i != 2; ++i)\n"
      "    __builtin_ia32_movntdq256((ltp_vi64 *)(void *)(dst + 8 * i),\n"
      "        (ltp_vi64)*(const ltp_vint *)(const void *)(src + 8 * i));\n"
      "}"},
     {"ltp_stream_block_f32", LvAVX2,
      "static inline void ltp_stream_block_f32(float *dst, "
      "const float *src) {\n"
-     "  for (int i = 0; i != 8; ++i)\n"
+     "  for (int i = 0; i != 2; ++i)\n"
      "    __builtin_ia32_movntps256(dst + 8 * i, "
      "*(const ltp_vf32 *)(src + 8 * i));\n"
      "}"},
     {"ltp_stream_block_u32", LvSSE2,
      "static inline void ltp_stream_block_u32(uint32_t *dst, "
      "const uint32_t *src) {\n"
-     "  for (int i = 0; i != 16; ++i)\n"
+     "  for (int i = 0; i != 4; ++i)\n"
      "    __builtin_ia32_movntdq((ltp_vi64 *)(void *)(dst + 4 * i),\n"
      "        (ltp_vi64)*(const ltp_vint *)(const void *)(src + 4 * i));\n"
      "}"},
     {"ltp_stream_block_f32", LvSSE2,
      "static inline void ltp_stream_block_f32(float *dst, "
      "const float *src) {\n"
-     "  for (int i = 0; i != 16; ++i)\n"
+     "  for (int i = 0; i != 4; ++i)\n"
      "    __builtin_ia32_movntps(dst + 4 * i, "
      "*(const ltp_vf32 *)(src + 4 * i));\n"
      "}"},
     {"ltp_stream_block_u32", LvScalar,
      "static inline void ltp_stream_block_u32(uint32_t *dst, "
      "const uint32_t *src) {\n"
-     "  for (int i = 0; i != 64; ++i)\n"
+     "  for (int i = 0; i != 16; ++i)\n"
      "    dst[i] = src[i];\n"
      "}"},
     {"ltp_stream_block_f32", LvScalar,
      "static inline void ltp_stream_block_f32(float *dst, "
      "const float *src) {\n"
-     "  for (int i = 0; i != 64; ++i)\n"
+     "  for (int i = 0; i != 16; ++i)\n"
      "    dst[i] = src[i];\n"
      "}"},
 
@@ -769,13 +769,15 @@ private:
     // The alignment test picks the block loop's bound rather than guarding
     // the loop: when the destination's alignment is known at compile time
     // a guarded loop leaves a dead epilogue GCC warns about.
+    // A block is one 64 B line (16 four-byte elements), so a 16-wide
+    // vectorized tile, the spatial optimizer's usual one, fills it.
     Out += P2 + "const int64_t ltp_full = ((uintptr_t)ltp_base & 63) == 0 "
-                "? ltp_ext / 64 * 64 : 0;\n";
+                "? ltp_ext / 16 * 16 : 0;\n";
     Out += P2 + "int64_t ltp_done = 0;\n";
-    Out += P2 + "for (; ltp_done < ltp_full; ltp_done += 64) {\n";
-    Out += P3 + strFormat("_Alignas(64) %s ltp_wc[64];\n", CType);
+    Out += P2 + "for (; ltp_done < ltp_full; ltp_done += 16) {\n";
+    Out += P3 + strFormat("_Alignas(64) %s ltp_wc[16];\n", CType);
     Out += P3 + "#pragma GCC ivdep\n";
-    Out += P3 + "for (int64_t ltp_t = 0; ltp_t != 64; ++ltp_t) {\n";
+    Out += P3 + "for (int64_t ltp_t = 0; ltp_t != 16; ++ltp_t) {\n";
     Out += P3 + strFormat("  const int64_t %s = ltp_min + ltp_done + "
                           "ltp_t;\n",
                           V.c_str());

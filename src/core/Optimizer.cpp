@@ -166,7 +166,7 @@ OptimizationResult ltp::optimize(Func &F,
 
   // Post-condition: every schedule the optimizer emits must pass the
   // static verifier. A failure here is an optimizer bug, not user error.
-#ifndef NDEBUG
+  // The compute stage's report is kept for callers that lint next.
   int ComputeStage = F.computeStageIndex();
   std::vector<int> ScheduledStages = {ComputeStage};
   if (ComputeStage >= 0)
@@ -180,8 +180,9 @@ OptimizationResult ltp::optimize(Func &F,
                    F.name().c_str(), Stage, Report.message().c_str());
       assert(false && "optimizer produced an illegal schedule");
     }
+    if (Stage == ComputeStage)
+      Result.Legality = std::move(Report);
   }
-#endif
 
   Result.RuntimeMillis = T.elapsedMillis();
   return Result;

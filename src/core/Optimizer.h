@@ -27,6 +27,7 @@
 #ifndef LTP_CORE_OPTIMIZER_H
 #define LTP_CORE_OPTIMIZER_H
 
+#include "analysis/Legality.h"
 #include "arch/ArchParams.h"
 #include "core/Classifier.h"
 #include "core/SpatialOptimizer.h"
@@ -109,6 +110,10 @@ struct OptimizationResult {
   double ClassifyMillis = 0.0;
   double TemporalMillis = 0.0;
   double SpatialMillis = 0.0;
+  /// The legality verifier's report on the compute stage's final
+  /// schedule (optimize()'s post-condition), for a caller that lints the
+  /// stage next (lint::LintOptions::PrecomputedLegality).
+  analysis::LegalityReport Legality;
 };
 
 /// Classifies the compute stage of \p F and runs the matching search,

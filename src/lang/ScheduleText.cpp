@@ -233,15 +233,19 @@ ErrorOr<bool> ltp::applyScheduleText(Func &F, int StageIndex,
 
 ErrorOr<bool>
 ltp::applyVerifiedScheduleText(Func &F, int StageIndex, const std::string &Text,
-                               const std::vector<int64_t> &OutputExtents) {
+                               const std::vector<int64_t> &OutputExtents,
+                               analysis::LegalityReport *Verified) {
   std::vector<ScheduleSpan> Spans;
   ErrorOr<bool> Applied = applyScheduleText(F, StageIndex, Text, &Spans);
   if (!Applied)
     return Applied;
   analysis::LegalityReport Report =
       analysis::verifyStageSchedule(F, StageIndex, OutputExtents);
-  if (!Report.hasErrors())
+  if (!Report.hasErrors()) {
+    if (Verified)
+      *Verified = std::move(Report);
     return true;
+  }
   for (const analysis::DirectiveVerdict &V : Report.Verdicts) {
     if (V.Legal || V.Sev != analysis::Severity::Error)
       continue;

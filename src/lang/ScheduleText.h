@@ -30,6 +30,10 @@
 
 namespace ltp {
 
+namespace analysis {
+struct LegalityReport;
+} // namespace analysis
+
 /// Source region of one textual schedule unit and the directive indices
 /// it produced (a unit like `vectorize(j, 8)` expands to two directives).
 struct ScheduleSpan {
@@ -60,10 +64,12 @@ ErrorOr<bool> applyScheduleText(Func &F, int StageIndex,
 /// like any illegal schedule, with a diagnostic quoting the offending
 /// source span, before lowering could assert on it. The Func is left with
 /// the (illegal) schedule applied, so callers should clearSchedules()
-/// before retrying.
-ErrorOr<bool> applyVerifiedScheduleText(Func &F, int StageIndex,
-                                        const std::string &Text,
-                                        const std::vector<int64_t> &OutputExtents);
+/// before retrying. When \p Verified is non-null and the text applied, it
+/// receives the verifier's report (for LintOptions::PrecomputedLegality).
+ErrorOr<bool>
+applyVerifiedScheduleText(Func &F, int StageIndex, const std::string &Text,
+                          const std::vector<int64_t> &OutputExtents,
+                          analysis::LegalityReport *Verified = nullptr);
 
 } // namespace ltp
 

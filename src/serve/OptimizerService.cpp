@@ -285,9 +285,12 @@ Response OptimizerService::runSession(const Request &Req,
     auto LintStart = std::chrono::steady_clock::now();
     for (size_t S = 0; S != Sess.Instance.Stages.size(); ++S) {
       Func &F = Sess.Instance.Stages[S];
-      lint::LintReport Report =
-          lint::lintStageSchedule(F, F.computeStageIndex(),
-                                  Sess.Instance.StageExtents[S], Sess.Arch);
+      lint::LintOptions LintOpts;
+      if (Sess.StageLegality[S])
+        LintOpts.PrecomputedLegality = &*Sess.StageLegality[S];
+      lint::LintReport Report = lint::lintStageSchedule(
+          F, F.computeStageIndex(), Sess.Instance.StageExtents[S], Sess.Arch,
+          LintOpts);
       for (const lint::Diagnostic &D : Report.Diagnostics)
         Sess.Resp.DiagnosticsJson.push_back(
             lint::diagnosticJson(D, static_cast<int>(S)));
@@ -311,6 +314,7 @@ Response OptimizerService::runSession(const Request &Req,
 
 bool OptimizerService::scheduleSession(Session &Sess) {
   Response &R = Sess.Resp;
+  Sess.StageLegality.resize(Sess.Instance.Stages.size());
   if (!Sess.Req.Schedule.empty()) {
     // Replay the client's schedule (verified) on the compute stage of
     // the last pipeline stage, mirroring `ltp-opt --schedule`.
@@ -318,14 +322,17 @@ bool OptimizerService::scheduleSession(Session &Sess) {
     Func &F = Sess.Instance.Stages.back();
     F.clearSchedules();
     int Stage = F.computeStageIndex();
-    auto Applied = applyVerifiedScheduleText(
-        F, Stage, Sess.Req.Schedule, Sess.Instance.StageExtents.back());
+    analysis::LegalityReport Verified;
+    auto Applied =
+        applyVerifiedScheduleText(F, Stage, Sess.Req.Schedule,
+                                  Sess.Instance.StageExtents.back(), &Verified);
     R.StageMillis.emplace_back("schedule.replay", millisSince(ReplayStart));
     if (!Applied) {
       R.Kind = ErrorKind::IllegalSchedule;
       R.Error = Applied.getError();
       return false;
     }
+    Sess.StageLegality.back() = std::move(Verified);
     R.Schedule = printSchedule(F, Stage);
     R.Description = "user schedule (verified)";
     return true;
@@ -338,6 +345,7 @@ bool OptimizerService::scheduleSession(Session &Sess) {
     Sess.StageResults.push_back(optimize(Sess.Instance.Stages[S],
                                          Sess.Instance.StageExtents[S],
                                          Sess.Arch, Options));
+    Sess.StageLegality[S] = std::move(Sess.StageResults.back().Legality);
     R.StageMillis.emplace_back(strFormat("opt.stage%zu", S),
                                millisSince(StageStart));
   }

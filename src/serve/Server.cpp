@@ -150,6 +150,23 @@ void Server::handleConnection(int Fd) {
   std::string Buffer;
   char Chunk[4096];
   bool Open = true;
+  auto RejectBadRequest = [&](const std::string &Error) {
+    Response R;
+    R.Kind = ErrorKind::BadRequest;
+    R.Error = Error;
+    obs::counter("serve.errors").add();
+    if (obs::logEnabled(obs::LogLevel::Warn))
+      obs::logEvent(obs::LogLevel::Warn, "server", "bad request",
+                    {{"error", Error}});
+    return writeLine(Fd, renderResponse(R));
+  };
+  // Answers an over-long line once, then closes the connection: the rest
+  // of the line would be read as garbage requests.
+  auto RejectLongLine = [&] {
+    RejectBadRequest(strFormat("request line exceeds %zu bytes",
+                               MaxRequestLineBytes));
+    Open = false;
+  };
   while (Open && !StopFlag.load()) {
     ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
     if (N < 0) {
@@ -163,6 +180,10 @@ void Server::handleConnection(int Fd) {
 
     size_t Pos;
     while (Open && (Pos = Buffer.find('\n')) != std::string::npos) {
+      if (Pos > MaxRequestLineBytes) {
+        RejectLongLine();
+        break;
+      }
       std::string Line = Buffer.substr(0, Pos);
       Buffer.erase(0, Pos + 1);
       if (Line.empty())
@@ -170,14 +191,7 @@ void Server::handleConnection(int Fd) {
 
       ErrorOr<Request> Req = parseRequest(Line);
       if (!Req) {
-        Response R;
-        R.Kind = ErrorKind::BadRequest;
-        R.Error = Req.getError();
-        obs::counter("serve.errors").add();
-        if (obs::logEnabled(obs::LogLevel::Warn))
-          obs::logEvent(obs::LogLevel::Warn, "server", "bad request",
-                        {{"error", Req.getError()}});
-        Open = writeLine(Fd, renderResponse(R));
+        Open = RejectBadRequest(Req.getError());
         continue;
       }
 
@@ -205,6 +219,8 @@ void Server::handleConnection(int Fd) {
         Open = writeLine(Fd, renderResponse(Service.handle(*Req)));
       }
     }
+    if (Open && Buffer.size() > MaxRequestLineBytes)
+      RejectLongLine();
   }
   {
     // Deregister before closing so teardown never shutdown()s a

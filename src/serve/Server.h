@@ -36,6 +36,13 @@
 namespace ltp {
 namespace serve {
 
+/// The longest request line a connection may send (1 MiB, newline not
+/// counted). The largest schedule text any kernel needs is a few hundred
+/// KB; past the cap the connection gets one `bad_request` naming the
+/// limit and is closed, so no client can make the daemon buffer an
+/// unbounded line.
+constexpr size_t MaxRequestLineBytes = size_t(1) << 20;
+
 /// See file comment. One instance per daemon.
 class Server {
 public:

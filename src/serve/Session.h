@@ -23,6 +23,7 @@
 #include "core/Optimizer.h"
 #include "serve/Protocol.h"
 
+#include <optional>
 #include <vector>
 
 namespace ltp {
@@ -39,6 +40,11 @@ struct Session {
   /// One optimizer result per stage (empty when replaying a user
   /// schedule).
   std::vector<OptimizationResult> StageResults;
+  /// Per stage, the legality verifier's report on the schedule just
+  /// applied, where scheduling ran the verifier (every stage under the
+  /// optimizer, the last one under a user schedule). The lint op reads
+  /// it instead of replaying the schedule a second time.
+  std::vector<std::optional<analysis::LegalityReport>> StageLegality;
   /// The response template being built (Id/Dedup filled per request by
   /// the service).
   Response Resp;

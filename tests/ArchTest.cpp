@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 using namespace ltp;
 
 namespace {
@@ -51,6 +55,40 @@ TEST(ArchParamsTest, HostDetectionProducesSaneValues) {
   EXPECT_GT(Host.NCores, 0);
   EXPECT_GT(Host.L1.Ways, 0);
   EXPECT_EQ(Host.L1.LineBytes % 32, 0);
+}
+
+TEST(ArchParamsTest, HostSnapshotIsProbedOncePerProcess) {
+  // Eight threads race the first call (this test runs in a process of
+  // its own): each must get the one snapshot, fully initialized.
+  constexpr int NumThreads = 8;
+  std::atomic<bool> Go{false};
+  std::vector<const ArchParams *> Seen(NumThreads, nullptr);
+  std::vector<std::string> Rendered(NumThreads);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load())
+        std::this_thread::yield();
+      Seen[T] = &detectHost();
+      Rendered[T] = archParamsToText(*Seen[T]);
+    });
+  Go.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+
+  const ArchParams &Host = detectHost();
+  EXPECT_EQ(&Host, &detectHost());
+  EXPECT_EQ(Host.Name, "host");
+  for (int T = 0; T != NumThreads; ++T) {
+    EXPECT_EQ(Seen[T], &Host) << "thread " << T;
+    EXPECT_EQ(Rendered[T], archParamsToText(Host)) << "thread " << T;
+  }
+  // "host" (and the empty name) resolve to a copy of the same snapshot.
+  for (const char *Name : {"host", ""}) {
+    ErrorOr<ArchParams> Named = archByName(Name);
+    ASSERT_TRUE(static_cast<bool>(Named)) << Named.getError();
+    EXPECT_EQ(archParamsToText(*Named), archParamsToText(Host)) << Name;
+  }
 }
 
 TEST(ArchParamsTest, DescribeMentionsKeyFacts) {

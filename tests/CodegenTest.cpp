@@ -202,6 +202,47 @@ TEST(CodegenTest, StreamingStoresAndFence) {
   EXPECT_NE(Source.find("__builtin_ia32_movnti("), std::string::npos);
 }
 
+TEST(CodegenTest, SpatialStagesStreamTheirTileThroughTheBlockLoop) {
+  // tp and tpm vectorize a 16-wide tile of 4-byte elements (one 64 B
+  // line) and stream it out. The write-combining block must fit that
+  // tile, so an aligned tile row is flushed by whole-vector streaming
+  // stores and leaves nothing to the scalar streaming epilogue.
+  auto NumberAfter = [](const std::string &Source, const std::string &Key) {
+    size_t Pos = Source.find(Key);
+    if (Pos == std::string::npos)
+      return int64_t(-1);
+    return static_cast<int64_t>(std::atoll(Source.c_str() + Pos + Key.size()));
+  };
+  for (const char *Name : {"tp", "tpm"})
+    for (const ArchParams &Arch : {detectHost(), intelI7_6700()})
+      for (const codegen::SimdLevel Level :
+           {codegen::SimdLevel::Scalar, codegen::SimdLevel::SSE2,
+            codegen::SimdLevel::AVX2}) {
+        const std::string Context = std::string(Name) + " on " + Arch.Name +
+                                    " at " + codegen::TargetISA(Level).name();
+        const BenchmarkDef *Def = findBenchmark(Name);
+        ASSERT_NE(Def, nullptr) << Name;
+        BenchmarkInstance Instance = Def->Shape(Def->DefaultSize);
+        for (size_t S = 0; S != Instance.Stages.size(); ++S)
+          optimize(Instance.Stages[S], Instance.StageExtents[S], Arch);
+        CodeGenOptions Options;
+        Options.ISA = codegen::TargetISA(Level);
+        PipelineCompileJob Job = makeCompileJob(Instance, Options);
+        ASSERT_TRUE(Job.Error.empty()) << Job.Error;
+        std::string Source =
+            generateC(Job.Stages.back(), Job.Signature, "k", Options);
+        const int64_t Tile = NumberAfter(Source, "const int64_t ltp_ext = ");
+        const int64_t Block = NumberAfter(Source, "? ltp_ext / ");
+        EXPECT_EQ(Tile, 16) << Context << "\n" << Source;
+        ASSERT_GT(Block, 0) << Context << "\n" << Source;
+        EXPECT_EQ(Tile / Block * Block, Tile) << Context;
+        EXPECT_NE(Source.find("ltp_stream_block_u32(ltp_base + ltp_done, "
+                              "ltp_wc);"),
+                  std::string::npos)
+            << Context;
+      }
+}
+
 TEST(CodegenTest, MinMaxLoweredToHelpers) {
   Var X("x");
   InputBuffer In("In", ir::Type::float32(), 1);

@@ -33,6 +33,7 @@
 #include <string>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <thread>
 #include <tuple>
@@ -379,6 +380,53 @@ TEST(ServeService, LintOpReturnsDiagnostics) {
   EXPECT_TRUE(Again.LintRan);
 }
 
+/// Handles \p Req with tracing on; returns how many `analysis.verify`
+/// spans (legality-verifier runs) it recorded.
+int verifySpansOf(OptimizerService &Service, const Request &Req) {
+  obs::clearTrace();
+  obs::setTracingEnabled(true);
+  Response R = Service.handle(Req);
+  obs::setTracingEnabled(false);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  const std::string Path = ::testing::TempDir() + "/ServeTest-verify.json";
+  std::string Error;
+  EXPECT_TRUE(obs::writeTrace(Path, &Error)) << Error;
+  obs::clearTrace();
+  std::ifstream In(Path);
+  std::string Text((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  int Count = 0;
+  const std::string Needle = "\"name\":\"analysis.verify\"";
+  for (size_t Pos = Text.find(Needle); Pos != std::string::npos;
+       Pos = Text.find(Needle, Pos + 1))
+    ++Count;
+  return Count;
+}
+
+TEST(ServeService, LintReplaysEachStageScheduleOnce) {
+  // Scheduling verifies every stage it schedules (the optimizer's
+  // post-condition, or the replay of a user schedule); the lint op reads
+  // those reports instead of running the verifier again.
+  OptimizerService Service;
+  for (const char *Kernel : {"3mm", "matmul", "copy"}) {
+    Request Opt = optimizeRequest(Kernel, 48);
+    Request Lint = Opt;
+    Lint.Op = "lint";
+    const int OptSpans = verifySpansOf(Service, Opt);
+    EXPECT_GE(OptSpans, static_cast<int>(
+                            findBenchmark(Kernel)->Shape(48).Stages.size()))
+        << Kernel;
+    EXPECT_EQ(verifySpansOf(Service, Lint), OptSpans) << Kernel;
+  }
+
+  // A user schedule on matmul's one stage: the replay verifies it once
+  // and lint reuses that report.
+  Request User = optimizeRequest("matmul", 48);
+  User.Op = "lint";
+  User.Schedule = "reorder(i, j, k);";
+  EXPECT_EQ(verifySpansOf(Service, User), 1);
+}
+
 TEST(ServeService, CompileReturnsSharedStorePaths) {
   if (!jitAvailable())
     GTEST_SKIP() << "no host C compiler available";
@@ -602,17 +650,28 @@ public:
   bool ok() const { return Fd >= 0; }
 
   std::string roundTrip(const std::string &Request) {
-    std::string Out = Request + "\n";
+    if (!send(Request + "\n"))
+      return "";
+    return readLine();
+  }
+
+  /// Writes \p Bytes as they are; false on a write error.
+  bool send(const std::string &Bytes) {
     size_t Off = 0;
-    while (Off < Out.size()) {
-      ssize_t N = ::write(Fd, Out.data() + Off, Out.size() - Off);
+    while (Off < Bytes.size()) {
+      ssize_t N = ::write(Fd, Bytes.data() + Off, Bytes.size() - Off);
       if (N < 0) {
         if (errno == EINTR)
           continue;
-        return "";
+        return false;
       }
       Off += static_cast<size_t>(N);
     }
+    return true;
+  }
+
+  /// The next reply line; empty once the daemon closed the connection.
+  std::string readLine() {
     size_t Pos;
     while ((Pos = Buffer.find('\n')) == std::string::npos) {
       char Chunk[4096];
@@ -626,6 +685,23 @@ public:
     std::string Line = Buffer.substr(0, Pos);
     Buffer.erase(0, Pos + 1);
     return Line;
+  }
+
+  /// Makes a read that waits longer than \p Seconds fail, so a reply
+  /// that never comes fails the test instead of hanging it.
+  void setReadTimeout(int Seconds) {
+    timeval Timeout{Seconds, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  }
+
+  /// True when nothing is buffered and the daemon has closed its end.
+  bool peerClosed() {
+    char Byte = 0;
+    ssize_t N = 0;
+    do
+      N = ::read(Fd, &Byte, 1);
+    while (N < 0 && errno == EINTR);
+    return Buffer.empty() && N == 0;
   }
 
 private:
@@ -677,6 +753,50 @@ TEST(ServeServer, SocketRoundTrip) {
   }
   Waiter.join();
   EXPECT_NE(::access(Path.c_str(), F_OK), 0); // socket unlinked
+}
+
+TEST(ServeServer, OverlongRequestLineIsRejectedAndClosed) {
+  // The daemon buffers a request line only up to MaxRequestLineBytes. A
+  // line of exactly the cap is still read (and here fails to parse, on
+  // a connection that stays open); one byte more without a newline draws
+  // one bad_request naming the limit, then the daemon closes that
+  // connection and goes on serving new ones.
+  std::string Path = "/tmp/ltp-serve-cap-test-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  {
+    ClientConn AtCap(Path);
+    ASSERT_TRUE(AtCap.ok());
+    std::string R = AtCap.roundTrip(std::string(MaxRequestLineBytes, 'x'));
+    EXPECT_NE(R.find("\"kind\": \"bad_request\""), std::string::npos) << R;
+    EXPECT_EQ(R.find("exceeds"), std::string::npos) << R;
+    EXPECT_NE(AtCap.roundTrip("{\"op\": \"ping\"}").find("\"pong\": true"),
+              std::string::npos);
+
+    ClientConn Over(Path);
+    ASSERT_TRUE(Over.ok());
+    Over.setReadTimeout(30);
+    ASSERT_TRUE(Over.send(std::string(MaxRequestLineBytes + 1, 'x')));
+    R = Over.readLine();
+    EXPECT_NE(R.find("\"kind\": \"bad_request\""), std::string::npos) << R;
+    EXPECT_NE(R.find("request line exceeds " +
+                     std::to_string(MaxRequestLineBytes) + " bytes"),
+              std::string::npos)
+        << R;
+    EXPECT_TRUE(Over.peerClosed());
+
+    ClientConn Fresh(Path);
+    ASSERT_TRUE(Fresh.ok());
+    EXPECT_NE(Fresh.roundTrip("{\"op\": \"ping\"}").find("\"pong\": true"),
+              std::string::npos);
+    EXPECT_NE(Fresh.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
 }
 
 TEST(ServeServer, OversizedVectorLoopsNeverAbortTheDaemon) {
